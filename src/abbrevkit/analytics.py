@@ -1,5 +1,7 @@
 """Machine-readable reports over a built dictionary and its aggregate.
 
+The dictionary reports take the finalized `WordProfile` of every entry.
+
 Five report kinds: cumulative counts of rare entries by volume spread,
 yearly p0/p1 share series from seed lists, entry counts by word length,
 summed frequency by word length with a log-linear fit, and yearly usage
@@ -16,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dictionary import AbbrevEntry
 from .ingest import WordProfile
 from .likelihood import ShareEstimate, estimate_share_params
 
@@ -63,7 +64,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def rare_cumulative(entries: Sequence[AbbrevEntry], max_volumes: int) -> Report:
+def rare_cumulative(entries: Sequence[WordProfile], max_volumes: int) -> Report:
     """Row (v, number of entries printed in at most v volumes) for
     v = 1..max_volumes; non-decreasing by construction."""
     if max_volumes < 1:
@@ -111,7 +112,7 @@ def p_series(
     )
 
 
-def length_histogram(entries: Sequence[AbbrevEntry]) -> Report:
+def length_histogram(entries: Sequence[WordProfile]) -> Report:
     """Entry counts by word length in code points (period excluded)."""
     counts: dict[int, int] = {}
     for entry in entries:
@@ -142,10 +143,7 @@ def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float,
     return float(slope), float(intercept), r2
 
 
-def frequency_by_length(
-    entries: Sequence[AbbrevEntry],
-    profiles: Mapping[str, WordProfile] | None = None,
-) -> Report:
+def frequency_by_length(entries: Sequence[WordProfile]) -> Report:
     """Summed with-period frequency per word length, with a least-squares
     fit of log10(frequency) against length.
 
@@ -157,11 +155,7 @@ def frequency_by_length(
     """
     sums: dict[int, int] = {}
     for entry in entries:
-        if profiles is not None and entry.word in profiles:
-            freq = profiles[entry.word].n_total
-        else:
-            freq = entry.n_total
-        sums[len(entry.word)] = sums.get(len(entry.word), 0) + freq
+        sums[len(entry.word)] = sums.get(len(entry.word), 0) + entry.n_total
     rows = []
     fit_x: list[float] = []
     fit_y: list[float] = []
@@ -185,8 +179,7 @@ def frequency_by_length(
 
 
 def dynamics(
-    entries: Sequence[AbbrevEntry],
-    profiles: Mapping[str, WordProfile],
+    entries: Sequence[WordProfile],
     years: tuple[int, int] = (1940, 2008),
     top_k: int = 300,
     totals_by_year: Mapping[int, int] | None = None,
@@ -203,17 +196,11 @@ def dynamics(
         raise ValueError(f"empty year range {years}")
     span = range(years[0], years[1] + 1)
 
-    def year_count(word: str, year: int) -> int:
-        profile = profiles.get(word)
-        if profile is None:
-            return 0
-        usage = profile.series.get(year)
+    def year_count(entry: WordProfile, year: int) -> int:
+        usage = entry.series.get(year)
         return usage.with_period if usage is not None else 0
 
-    overall = {
-        entry.word: sum(year_count(entry.word, year) for year in span)
-        for entry in entries
-    }
+    overall = {entry.word: sum(year_count(entry, year) for year in span) for entry in entries}
     ranked = sorted(overall, key=lambda w: (-overall[w], w))
     top_words = set(ranked[: max(0, top_k)])
 
@@ -222,7 +209,7 @@ def dynamics(
         total = 0
         top = 0
         for entry in entries:
-            count = year_count(entry.word, year)
+            count = year_count(entry, year)
             total += count
             if entry.word in top_words:
                 top += count

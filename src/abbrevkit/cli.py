@@ -106,14 +106,9 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     )
     agg = ingest.ingest_paths(unigrams, bigrams, cfg, jobs=int(opts["jobs"]), on_error=opts["on_error"])
     agg.save(args.output)
-    quality = agg.quality_counts()
     logger.info(
-        "ingested %d lines (%d skipped), %d clamped years, %d filled years -> %s",
-        agg.counters.lines_parsed,
-        agg.counters.lines_skipped,
-        quality["clamped_years"],
-        quality["filled_years"],
-        args.output,
+        "ingested %d lines (%d skipped) -> %s",
+        agg.counters.lines_parsed, agg.counters.lines_skipped, args.output,
     )
     return 0
 
@@ -170,9 +165,12 @@ def cmd_build(args: argparse.Namespace, config: dict) -> int:
         _write_output(args.out_words, dictionary.dictionary_to_wordlist(built))
     counts = built.build_meta["counts"]
     logger.info(
-        "dictionary: %d entries (%d candidates, %d removed low-volume, %d removed short-timespan, %d undecided)",
+        "dictionary: %d entries (%d candidates, %d removed low-volume, %d removed short-timespan, "
+        "%d undecided), %d clamped years, %d filled years",
         counts["entries"], counts["candidates"], counts["removed_low_volume"],
         counts["removed_short_timespan"], counts["undecided_low_evidence"],
+        sum(p.clamped_years for p in profiles.values()),
+        sum(p.filled_years for p in profiles.values()),
     )
     return 0
 
@@ -202,7 +200,8 @@ def cmd_stats(args: argparse.Namespace, config: dict) -> int:
     entries = None
     dictionary_digest = None
     if args.dictionary:
-        entries = _entries_from_dictionary(args.dictionary, profiles)
+        loaded = segment.load_dictionary(args.dictionary)
+        entries = [profiles[w] for w in sorted(profiles) if w in loaded]
         dictionary_digest = hashlib.sha256(Path(args.dictionary).read_bytes()).hexdigest()
     needs_dict = [k for k in kinds if k != "p-series"]
     if needs_dict and entries is None:
@@ -229,11 +228,10 @@ def cmd_stats(args: argparse.Namespace, config: dict) -> int:
         elif kind == "length-histogram":
             report = analytics.length_histogram(entries)
         elif kind == "freq-by-length":
-            report = analytics.frequency_by_length(entries, profiles)
+            report = analytics.frequency_by_length(entries)
         else:
             report = analytics.dynamics(
                 entries,
-                profiles,
                 _parse_window(opts["dynamics_window"]),
                 int(opts["top_k"]),
                 totals_by_year,
@@ -244,32 +242,6 @@ def cmd_stats(args: argparse.Namespace, config: dict) -> int:
         (out_dir / f"{kind}.json").write_text(report.to_json(), encoding="utf-8")
         logger.info("wrote %s (%d rows)", out_dir / f"{kind}.tsv", len(report.rows))
     return 0
-
-
-def _entries_from_dictionary(path: str, profiles) -> list[dictionary.AbbrevEntry]:
-    """Rehydrate dictionary entries against the aggregate's profiles so
-    reports can read yearly series."""
-    loaded = segment.load_dictionary(path)
-    entries = []
-    for word in sorted(profiles):
-        if word in loaded:
-            profile = profiles[word]
-            entries.append(
-                dictionary.AbbrevEntry(
-                    word=word,
-                    decision=likelihood.DecisionRecord(
-                        word=word, n=profile.n_total, total=profile.N_total,
-                        verdict=likelihood.VERDICT_ABBREVIATION, method=likelihood.METHOD_MEDIAN,
-                    ),
-                    median_share=profile.median_share,
-                    n_total=profile.n_total,
-                    N_total=profile.N_total,
-                    volumes_total=profile.volumes_total,
-                    active_years=profile.active_years,
-                    flags=profile.flags,
-                )
-            )
-    return entries
 
 
 def _read_totals(path: str) -> dict[int, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ingest import FLAG_CLAMPED, WordProfile
+from .ingest import WordProfile
 from .likelihood import (
     METHOD_LRT,
     METHOD_MEDIAN,
@@ -37,8 +37,6 @@ __all__ = [
     "FLAG_LOW_VOLUME",
     "FLAG_SHORT_TIMESPAN",
     "DEFAULT_MEDIAN_THRESHOLD",
-    "yearly_shares",
-    "median_share",
     "decide_median",
     "decide_lrt",
     "filter_occasional",
@@ -69,31 +67,6 @@ def as_fraction(value: Fraction | float | int | str) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
-
-
-def yearly_shares(profile: WordProfile, window: tuple[int, int] | None = None) -> list[tuple[int, Fraction]]:
-    """With-period share per year with nonzero total, ascending by year."""
-    lo, hi = window if window is not None else profile.window
-    out = []
-    for year in sorted(profile.series):
-        if not lo <= year <= hi:
-            continue
-        usage = profile.series[year]
-        if usage.total > 0:
-            out.append((year, Fraction(usage.with_period, usage.total)))
-    return out
-
-
-def median_share(shares: Sequence[tuple[int, Fraction]]) -> Fraction | None:
-    """Median of the share values: middle element for an odd count, mean
-    of the two middles for an even count, None when empty."""
-    values = sorted(share for _, share in shares)
-    if not values:
-        return None
-    mid, odd = divmod(len(values), 2)
-    if odd:
-        return values[mid]
-    return (values[mid - 1] + values[mid]) / 2
 
 
 def decide_median(profile: WordProfile, threshold: Fraction | float | str = DEFAULT_MEDIAN_THRESHOLD) -> DecisionRecord:
@@ -140,16 +113,12 @@ def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord
 
 @dataclass(frozen=True)
 class AbbrevEntry:
-    """One dictionary entry plus the evidence that admitted it."""
+    """One dictionary entry: the decision that admitted the word and the
+    finalized profile it was made from."""
 
     word: str
     decision: DecisionRecord
-    median_share: Fraction | None
-    n_total: int
-    N_total: int
-    volumes_total: int
-    active_years: int
-    flags: frozenset[str] = frozenset()
+    profile: WordProfile
 
 
 @dataclass
@@ -201,24 +170,15 @@ def filter_occasional(
     removed: list[tuple[AbbrevEntry, tuple[str, ...]]] = []
     for entry in entries:
         reasons = []
-        if entry.volumes_total < min_volumes:
+        if entry.profile.volumes_total < min_volumes:
             reasons.append(FLAG_LOW_VOLUME)
-        if entry.active_years < min_active_years:
+        if entry.profile.active_years < min_active_years:
             reasons.append(FLAG_SHORT_TIMESPAN)
         if reasons:
             removed.append((entry, tuple(reasons)))
         else:
             kept.append(entry)
     return kept, removed
-
-
-def _entry_flags(profile: WordProfile, options: BuildOptions) -> frozenset[str]:
-    flags = set(profile.flags)
-    if profile.volumes_total < options.min_volumes:
-        flags.add(FLAG_LOW_VOLUME)
-    if profile.active_years < options.min_active_years:
-        flags.add(FLAG_SHORT_TIMESPAN)
-    return frozenset(flags)
 
 
 def build_dictionary(
@@ -259,18 +219,7 @@ def build_dictionary(
             )
         if not decision.is_abbreviation:
             continue
-        candidates.append(
-            AbbrevEntry(
-                word=word,
-                decision=decision,
-                median_share=profile.median_share,
-                n_total=profile.n_total,
-                N_total=profile.N_total,
-                volumes_total=profile.volumes_total,
-                active_years=profile.active_years,
-                flags=_entry_flags(profile, options),
-            )
-        )
+        candidates.append(AbbrevEntry(word, decision, profile))
     kept, removed = filter_occasional(candidates, options.min_volumes, options.min_active_years)
     removal_counts = {FLAG_LOW_VOLUME: 0, FLAG_SHORT_TIMESPAN: 0}
     for _, reasons in removed:
@@ -317,17 +266,18 @@ def dictionary_to_tsv(dictionary: AbbrevDictionary) -> str:
     volumes_total, active_years, verdict_method, flags."""
     lines = []
     for e in dictionary.entries:
+        p = e.profile
         lines.append(
             "\t".join(
                 (
                     e.word,
-                    _share_repr(e.median_share),
-                    str(e.n_total),
-                    str(e.N_total),
-                    str(e.volumes_total),
-                    str(e.active_years),
+                    _share_repr(p.median_share),
+                    str(p.n_total),
+                    str(p.N_total),
+                    str(p.volumes_total),
+                    str(p.active_years),
                     e.decision.method,
-                    _flags_repr(e.flags),
+                    _flags_repr(p.flags),
                 )
             )
         )
@@ -352,18 +302,18 @@ def dictionary_to_json(dictionary: AbbrevDictionary) -> str:
         "entries": [
             {
                 "word": e.word,
-                "median_share": float(e.median_share) if e.median_share is not None else None,
-                "median_share_exact": str(e.median_share) if e.median_share is not None else None,
-                "n_total": e.n_total,
-                "N_total": e.N_total,
-                "volumes_total": e.volumes_total,
-                "active_years": e.active_years,
+                "median_share": float(e.profile.median_share) if e.profile.median_share is not None else None,
+                "median_share_exact": str(e.profile.median_share) if e.profile.median_share is not None else None,
+                "n_total": e.profile.n_total,
+                "N_total": e.profile.N_total,
+                "volumes_total": e.profile.volumes_total,
+                "active_years": e.profile.active_years,
                 "verdict_method": e.decision.method,
                 "eta": e.decision.eta,
                 "likelihood": _finite_or_none(e.decision.likelihood),
                 "alpha": e.decision.alpha,
                 "beta": e.decision.beta,
-                "flags": sorted(e.flags),
+                "flags": sorted(e.profile.flags),
             }
             for e in dictionary.entries
         ],

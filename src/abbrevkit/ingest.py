@@ -16,7 +16,7 @@ import io
 import json
 import logging
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -25,7 +25,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "NgramRecord",
-    "BigramObservation",
     "YearlyUsage",
     "WordProfile",
     "IngestConfig",
@@ -34,7 +33,6 @@ __all__ = [
     "ParseError",
     "ConfigMismatchError",
     "parse_line",
-    "classify_bigram",
     "is_candidate_word",
     "aggregate",
     "merge",
@@ -73,15 +71,6 @@ class NgramRecord(NamedTuple):
     """One validated corpus line."""
 
     tokens: tuple[str, ...]
-    year: int
-    match_count: int
-    volume_count: int
-
-
-class BigramObservation(NamedTuple):
-    """A ``word .`` bigram reduced to its with-period counts."""
-
-    word: str
     year: int
     match_count: int
     volume_count: int
@@ -209,30 +198,6 @@ def is_candidate_word(word: str, letter_ranges: Sequence[tuple[int, int]]) -> bo
     return True
 
 
-def classify_bigram(
-    record: NgramRecord,
-    letter_ranges: Sequence[tuple[int, int]] | None = None,
-    case_fold: bool = False,
-) -> BigramObservation | None:
-    """Reduce a 2-token record to a with-period observation, or None.
-
-    Matches exactly the shape ``word .`` where the word passes the
-    letter-class filter; anything else (commas, numerals, tagged tokens)
-    yields None rather than an error.
-    """
-    if len(record.tokens) != 2:
-        raise ValueError(f"classify_bigram needs a 2-token record, got {len(record.tokens)}")
-    if letter_ranges is None:
-        letter_ranges = IngestConfig().letter_ranges()
-    first, second = record.tokens
-    if second != ".":
-        return None
-    if not is_candidate_word(first, letter_ranges):
-        return None
-    word = first.lower() if case_fold else first
-    return BigramObservation(word, record.year, record.match_count, record.volume_count)
-
-
 def open_text(path: str | Path) -> io.TextIOBase:
     """Open a corpus file for reading; gzip is detected by suffix."""
     path = Path(path)
@@ -262,21 +227,22 @@ class Aggregator:
     def add_record(self, record: NgramRecord) -> None:
         if not self.config.year_min <= record.year <= self.config.year_max:
             return
-        if len(record.tokens) == 1:
-            word = record.tokens[0]
-            if not is_candidate_word(word, self._ranges):
-                return
-            if self.config.case_fold:
-                word = word.lower()
-            cell = self._cell(word, record.year)
+        tokens = record.tokens
+        # a 1-gram gives total usage; only the 2-gram shape ``word .`` gives
+        # with-period usage
+        if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "."):
+            return
+        word = tokens[0]
+        if not is_candidate_word(word, self._ranges):
+            return
+        if self.config.case_fold:
+            word = word.lower()
+        cell = self._cell(word, record.year)
+        if len(tokens) == 1:
             cell[1] += record.match_count
-        elif len(record.tokens) == 2:
-            obs = classify_bigram(record, self._ranges, self.config.case_fold)
-            if obs is None:
-                return
-            cell = self._cell(obs.word, obs.year)
-            cell[0] += obs.match_count
-            cell[2] += obs.volume_count
+        else:
+            cell[0] += record.match_count
+            cell[2] += record.volume_count
 
     def _cell(self, word: str, year: int) -> list[int]:
         years = self._counts.get(word)
@@ -394,18 +360,6 @@ class Aggregator:
             )
         return profiles
 
-    def quality_counts(self) -> dict[str, int]:
-        """Clamp/fill totals over all retained years (diagnostics)."""
-        clamped = 0
-        filled = 0
-        for years in self._counts.values():
-            for with_period, total, _ in years.values():
-                if total == 0 and with_period > 0:
-                    filled += 1
-                elif with_period > total:
-                    clamped += 1
-        return {"clamped_years": clamped, "filled_years": filled}
-
     # -- persistence ------------------------------------------------------
 
     STATE_FORMAT = "abbrevkit-aggregate"
@@ -415,18 +369,8 @@ class Aggregator:
         return {
             "format": self.STATE_FORMAT,
             "version": self.STATE_VERSION,
-            "config": {
-                "year_min": self.config.year_min,
-                "year_max": self.config.year_max,
-                "scripts": list(self.config.scripts),
-                "case_fold": self.config.case_fold,
-                "year_floor": self.config.year_floor,
-                "year_ceiling": self.config.year_ceiling,
-            },
-            "counters": {
-                "lines_parsed": self.counters.lines_parsed,
-                "lines_skipped": self.counters.lines_skipped,
-            },
+            "config": asdict(self.config),
+            "counters": asdict(self.counters),
             "fingerprints": dict(self.fingerprints),
             "words": {
                 word: {str(year): cell for year, cell in years.items()}
@@ -436,17 +380,39 @@ class Aggregator:
 
     @classmethod
     def from_state(cls, state: dict) -> "Aggregator":
+        """Rebuild an aggregator from `to_state` output; any other shape
+        raises ValueError."""
+        if not isinstance(state, dict):
+            raise ValueError(f"aggregate state must be a JSON object, got {type(state).__name__}")
         if state.get("format") != cls.STATE_FORMAT:
             raise ValueError(f"not an aggregate state file: format={state.get('format')!r}")
         if state.get("version") != cls.STATE_VERSION:
             raise ValueError(f"unsupported aggregate state version {state.get('version')!r}")
-        agg = cls(IngestConfig(**state["config"]))
-        agg.counters = IngestCounters(**state["counters"])
-        agg.fingerprints = dict(state.get("fingerprints", {}))
-        agg._counts = {
-            word: {int(year): list(cell) for year, cell in years.items()}
-            for word, years in state["words"].items()
-        }
+        state = {"fingerprints": {}, **state}
+        for key in ("config", "counters", "fingerprints", "words"):
+            if not isinstance(state.get(key), dict):
+                raise ValueError(f"aggregate state: {key!r} must be an object")
+        unknown = set(state["config"]) - {f.name for f in fields(IngestConfig)}
+        if unknown:
+            raise ValueError(f"aggregate state: unknown config keys {sorted(unknown)}")
+        if not all(_is_count(v) for v in state["counters"].values()):
+            raise ValueError(f"aggregate state: counters must be non-negative ints, got {state['counters']}")
+        try:
+            agg = cls(IngestConfig(**state["config"]))
+            agg.counters = IngestCounters(**state["counters"])
+        except TypeError as exc:
+            raise ValueError(f"aggregate state: {exc}") from None
+        agg.fingerprints = dict(state["fingerprints"])
+        for word, years in state["words"].items():
+            if not isinstance(years, dict):
+                raise ValueError(f"aggregate state: word {word!r} must map years to cells")
+            cells = agg._counts[word] = {}
+            for year, cell in years.items():
+                if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):
+                    raise ValueError(
+                        f"aggregate state: {word!r} year {year} needs three non-negative ints, got {cell!r}"
+                    )
+                cells[int(year)] = list(cell)
         return agg
 
     def save(self, path: str | Path) -> None:
@@ -471,6 +437,10 @@ class Aggregator:
         else:
             state = json.loads(path.read_text(encoding="utf-8"))
         return cls.from_state(state)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
 
 
 def _median(values: list[Fraction]) -> Fraction | None:
@@ -523,14 +493,7 @@ def ingest_paths(
     paths = [str(p) for p in unigram_paths] + [str(p) for p in bigram_paths]
     if not paths:
         raise ValueError("no input files to ingest")
-    config_kwargs = {
-        "year_min": config.year_min,
-        "year_max": config.year_max,
-        "scripts": config.scripts,
-        "case_fold": config.case_fold,
-        "year_floor": config.year_floor,
-        "year_ceiling": config.year_ceiling,
-    }
+    config_kwargs = asdict(config)
     if jobs <= 1 or len(paths) == 1:
         return _ingest_worker((config_kwargs, paths, on_error))
     chunks: list[list[str]] = [[] for _ in range(min(jobs, len(paths)))]

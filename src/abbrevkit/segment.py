@@ -91,14 +91,20 @@ EMPTY_DICTIONARY = LoadedDictionary(())
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)+|\d+|[^\W\d_]+|\s+|.", re.UNICODE)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into word/number/punctuation/other tokens with byte
-    spans; whitespace becomes the gaps between spans."""
+def _byte_offsets(text: str) -> list[int]:
+    """UTF-8 byte offset of every char index of text, plus its end."""
     byte_at = [0] * (len(text) + 1)
     pos = 0
     for index, ch in enumerate(text):
         pos += len(ch.encode("utf-8"))
         byte_at[index + 1] = pos
+    return byte_at
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split text into word/number/punctuation/other tokens with byte
+    spans; whitespace becomes the gaps between spans."""
+    byte_at = _byte_offsets(text)
     tokens: list[Token] = []
     for match in _TOKEN_RE.finditer(text):
         chunk = match.group()
@@ -205,11 +211,7 @@ def baseline_segment(text: str) -> list[SentenceSpan]:
     ends the last one.  Leading and trailing whitespace of each sentence
     is excluded from its span, matching the token-based spans."""
     size = len(text)
-    byte_at = [0] * (size + 1)
-    pos = 0
-    for index, ch in enumerate(text):
-        pos += len(ch.encode("utf-8"))
-        byte_at[index + 1] = pos
+    byte_at = _byte_offsets(text)
 
     cuts: list[int] = []  # char index just after a terminal period
     for index, ch in enumerate(text):
@@ -256,8 +258,14 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None) -> LoadedDi
             raise DictionaryLoadError(f"invalid JSON dictionary: {exc}", exc.lineno) from exc
         if doc.get("format") != "abbrevkit-dictionary":
             raise DictionaryLoadError(f"not a dictionary document: format={doc.get('format')!r}")
-        words = [entry["word"] for entry in doc.get("entries", [])]
-        fold = doc.get("build_meta", {}).get("case_fold", False) if case_fold is None else case_fold
+        entries, meta = doc.get("entries", []), doc.get("build_meta", {})
+        if not isinstance(entries, list) or not isinstance(meta, dict):
+            raise DictionaryLoadError("dictionary 'entries' must be a list and 'build_meta' an object")
+        words = [entry.get("word") if isinstance(entry, dict) else None for entry in entries]
+        for index, word in enumerate(words):
+            if not isinstance(word, str) or not word:
+                raise DictionaryLoadError(f"entry {index} needs a non-empty string 'word', got {word!r}")
+        fold = meta.get("case_fold", False) if case_fold is None else case_fold
         return LoadedDictionary(words, case_fold=fold)
     words = []
     for line_number, line in enumerate(content.splitlines(), 1):

@@ -14,7 +14,7 @@ import pytest
 
 from abbrevkit.cli import main as cli_main
 from abbrevkit.dictionary import BuildOptions, build_dictionary
-from abbrevkit.ingest import Aggregator, IngestConfig, WordProfile, ingest_paths
+from abbrevkit.ingest import Aggregator, IngestConfig, WordProfile, YearlyUsage, ingest_paths
 from abbrevkit.likelihood import (
     HypothesisParams,
     alpha_error,
@@ -34,8 +34,6 @@ from abbrevkit.segment import (
 )
 from abbrevkit.synth import SynthSpec, generate_ngrams, generate_text, make_spec, make_vocabulary
 from abbrevkit import analytics
-from abbrevkit.dictionary import AbbrevEntry
-from abbrevkit.likelihood import METHOD_MEDIAN, VERDICT_ABBREVIATION, DecisionRecord
 from helpers import build_profiles
 import oracles
 
@@ -297,12 +295,11 @@ def test_criterion_07_ingestion_equivalence(tmp_path):
     assert words_equal
 
 
-def _entry(word, volumes, n_total, active_years=10):
-    decision = DecisionRecord(word=word, n=n_total, total=n_total,
-                              verdict=VERDICT_ABBREVIATION, method=METHOD_MEDIAN)
-    return AbbrevEntry(word=word, decision=decision, median_share=Fraction(1),
-                       n_total=n_total, N_total=n_total, volumes_total=volumes,
-                       active_years=active_years)
+def _entry(word, volumes, n_total, active_years=10, years=None):
+    series = {y: YearlyUsage(y, n, total, 0) for y, (n, total) in sorted((years or {}).items())}
+    return WordProfile(word=word, series=series, window=(1990, 2008),
+                       n_total=n_total, N_total=n_total, median_share=Fraction(1),
+                       active_years=active_years, volumes_total=volumes)
 
 
 def test_criterion_08_analytics_oracles():
@@ -316,7 +313,7 @@ def test_criterion_08_analytics_oracles():
         if not years:
             years = {1995: (3, 10)}
         counts[word] = years
-        entries.append(_entry(word, volumes, sum(n for n, _ in years.values())))
+        entries.append(_entry(word, volumes, sum(n for n, _ in years.values()), years=years))
     profiles = build_profiles(counts)
 
     report = analytics.rare_cumulative(entries, 45)
@@ -329,7 +326,7 @@ def test_criterion_08_analytics_oracles():
     assert hist.rows == sorted(lengths.items())
 
     top_k = 13
-    dyn = analytics.dynamics(entries, profiles, years=(1990, 2008), top_k=top_k)
+    dyn = analytics.dynamics(entries, years=(1990, 2008), top_k=top_k)
 
     def with_period(word, year):
         usage = profiles[word].series.get(year)

@@ -12,20 +12,14 @@ from abbrevkit.analytics import (
     p_series,
     rare_cumulative,
 )
-from abbrevkit.dictionary import AbbrevEntry
-from abbrevkit.likelihood import METHOD_MEDIAN, VERDICT_ABBREVIATION, DecisionRecord
+from abbrevkit.ingest import WordProfile
 from helpers import build_profiles
 
 
 def _entry(word, volumes=5, n_total=100, active_years=10):
-    decision = DecisionRecord(
-        word=word, n=n_total, total=n_total,
-        verdict=VERDICT_ABBREVIATION, method=METHOD_MEDIAN,
-    )
-    return AbbrevEntry(
-        word=word, decision=decision, median_share=Fraction(1),
-        n_total=n_total, N_total=n_total, volumes_total=volumes,
-        active_years=active_years,
+    return WordProfile(
+        word=word, series={}, window=(1990, 2008), n_total=n_total, N_total=n_total,
+        median_share=Fraction(1), active_years=active_years, volumes_total=volumes,
     )
 
 
@@ -137,12 +131,6 @@ class TestFrequencyByLength:
         fit = frequency_by_length(entries).meta["fit"]
         assert fit["slope"] == pytest.approx(-0.5, rel=0.05)
 
-    def test_prefers_profile_counts_when_given(self):
-        entries = [_entry("др", n_total=10), _entry("гло", n_total=10)]
-        profiles = build_profiles({"др": {1995: (70, 100)}, "гло": {1995: (7, 100)}})
-        report = frequency_by_length(entries, profiles)
-        assert dict((l, f) for l, f, *_ in report.rows) == {2: 70, 3: 7}
-
     def test_zero_frequency_length_omitted(self):
         entries = [_entry("др", n_total=10), _entry("гло", n_total=0)]
         report = frequency_by_length(entries)
@@ -154,7 +142,7 @@ class TestFrequencyByLength:
 class TestDynamics:
     def test_singleton(self):
         profiles = build_profiles({"др": {1995: (120, 125)}})
-        report = dynamics([_entry("др")], profiles, years=(1995, 1995), top_k=300)
+        report = dynamics([profiles["др"]], years=(1995, 1995), top_k=300)
         assert report.rows == [(1995, 120, 120, 1.0)]
 
     def test_full_coverage_ratio_one(self):
@@ -162,23 +150,22 @@ class TestDynamics:
             "др": {1995: (10, 10), 1996: (20, 20)},
             "гл": {1995: (5, 5)},
         })
-        report = dynamics([_entry("др"), _entry("гл")], profiles, years=(1995, 1996), top_k=5)
+        report = dynamics([profiles["др"], profiles["гл"]], years=(1995, 1996), top_k=5)
         assert all(row[3] == 1.0 for row in report.rows)
 
     def test_matches_brute_force(self):
         rng = random.Random(23)
         counts = {}
-        entries = []
         for index in range(40):
             word = "ъ" + "".join(chr(ord("а") + int(d)) for d in str(index))
             years = {y: (rng.randint(0, 50), 100) for y in range(1990, 2009) if rng.random() < 0.8}
             if not years:
                 years = {1990: (1, 10)}
             counts[word] = years
-            entries.append(_entry(word))
         profiles = build_profiles(counts)
+        entries = [profiles[word] for word in counts]
         top_k = 7
-        report = dynamics(entries, profiles, years=(1990, 2008), top_k=top_k)
+        report = dynamics(entries, years=(1990, 2008), top_k=top_k)
         # independent recount
         def with_period(word, year):
             usage = profiles[word].series.get(year)
@@ -198,7 +185,7 @@ class TestDynamics:
 
     def test_normalization_by_totals(self):
         profiles = build_profiles({"др": {1995: (120, 125)}})
-        report = dynamics([_entry("др")], profiles, years=(1995, 1995), top_k=1,
+        report = dynamics([profiles["др"]], years=(1995, 1995), top_k=1,
                           totals_by_year={1995: 1000})
         year, total, top, ratio = report.rows[0]
         assert total == pytest.approx(0.12)
@@ -207,7 +194,7 @@ class TestDynamics:
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            dynamics([], {}, years=(2000, 1999))
+            dynamics([], years=(2000, 1999))
 
 
 class TestReportSerialization:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import abbrevkit
 from abbrevkit.cli import main
 from abbrevkit.ingest import Aggregator
 
@@ -350,3 +355,47 @@ class TestParamsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mean_p0"] == 0.0
         assert doc["min_usage"] is None
+
+
+def _state(**changes):
+    state = Aggregator().to_state()
+    state["words"] = {"др": {"1995": [9, 10, 1]}}
+    state.update(changes)
+    return {key: value for key, value in state.items() if value is not None}
+
+
+def _dictionary_doc(**changes):
+    return {"format": "abbrevkit-dictionary", "version": 1, "build_meta": {},
+            "entries": [{"word": "гл"}], **changes}
+
+
+MALFORMED = {
+    "aggregate-without-counters": ("build", _state(counters=None)),
+    "aggregate-string-count": ("build", _state(words={"др": {"1995": [9, "12", 1]}})),
+    "aggregate-top-level-list": ("build", [1]),
+    "dictionary-entry-without-word": ("segment", _dictionary_doc(entries=[{"words": "гл"}])),
+    "dictionary-meta-not-object": ("segment", _dictionary_doc(build_meta=[1])),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line_exit_1(self, tmp_path, case):
+        command, doc = MALFORMED[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        if command == "build":
+            args = ["build", "--aggregate", str(bad), "--out-words", str(tmp_path / "d.txt")]
+        else:
+            text = tmp_path / "in.txt"
+            text.write_text("Смотри гл. вторая", encoding="utf-8")
+            args = ["segment", str(text), "--dictionary", str(bad)]
+        src = str(Path(abbrevkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "abbrevkit.cli", *args], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR "), result.stderr

@@ -1,3 +1,4 @@
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,8 @@ from abbrevkit.dictionary import (
     dictionary_to_tsv,
     dictionary_to_wordlist,
     filter_occasional,
-    median_share,
-    yearly_shares,
 )
-from abbrevkit.ingest import IngestConfig
+from abbrevkit.ingest import IngestConfig, WordProfile
 from abbrevkit.likelihood import (
     METHOD_LRT,
     METHOD_MEDIAN,
@@ -34,41 +33,54 @@ PARAMS = HypothesisParams(0.068, 0.955, 1.0)
 
 
 class TestYearlyShares:
+    """Yearly shares as they reach the one median, `profile.median_share`."""
+
     def test_single_division(self):
         profile = profile_of("др", {1995: (120, 125)})
-        assert yearly_shares(profile) == [(1995, Fraction(120, 125))]
-        assert float(yearly_shares(profile)[0][1]) == pytest.approx(0.96)
+        assert profile.median_share == Fraction(120, 125)
+        assert float(profile.median_share) == pytest.approx(0.96)
 
     def test_zero_total_year_omitted(self):
-        profile = profile_of("др", {1995: (0, 100)})
-        assert yearly_shares(profile) == [(1995, Fraction(0))]
-        assert 1996 not in dict(yearly_shares(profile))
+        profile = profile_of("др", {1995: (0, 100), 1996: (0, 0)})
+        assert profile.median_share == Fraction(0)
+        assert 1996 not in profile.series and profile.active_years == 1
 
     def test_nineteen_year_profile_matches_hand_ratios(self):
         years = {1990 + i: (i, 2 * i + 2) for i in range(19)}
         profile = profile_of("др", years)
-        expected = [(1990 + i, Fraction(i, 2 * i + 2)) for i in range(19)]
-        assert yearly_shares(profile) == expected
+        expected = [Fraction(i, 2 * i + 2) for i in range(19)]
+        assert profile.median_share == statistics.median(expected) == Fraction(9, 20)
+
+
+def _median_of(shares):
+    years = {1990 + i: (n, t) for i, (n, t) in enumerate(shares)}
+    return profile_of("w", years).median_share
 
 
 class TestMedianShare:
     def test_odd_count_middle(self):
-        shares = [(1, Fraction(2, 10)), (2, Fraction(9, 10)), (3, Fraction(1))]
-        assert median_share(shares) == Fraction(9, 10)
+        assert _median_of([(2, 10), (9, 10), (10, 10)]) == Fraction(9, 10)
 
     def test_even_count_mean_of_middles(self):
-        shares = [(1, Fraction(8, 10)), (2, Fraction(1))]
-        assert median_share(shares) == Fraction(9, 10)
+        assert _median_of([(8, 10), (10, 10)]) == Fraction(9, 10)
 
     def test_empty_undefined(self):
-        assert median_share([]) is None
+        # data only outside the aggregation window: no yearly share
+        profile = build_profiles(
+            {"др": {1980: (5, 10)}},
+            config=IngestConfig(year_min=1940, year_max=2008),
+            window=(1990, 2008),
+        )["др"]
+        assert profile.median_share is None
 
-    @given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=25))
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 50)), min_size=1, max_size=19))
     @settings(max_examples=100, deadline=None)
-    def test_median_between_extremes(self, values):
-        shares = list(enumerate(values))
-        med = median_share(shares)
+    def test_median_between_extremes(self, pairs):
+        pairs = [(min(n, t), t) for n, t in pairs]
+        values = [Fraction(n, t) for n, t in pairs]
+        med = _median_of(pairs)
         assert min(values) <= med <= max(values)
+        assert med == statistics.median(values)
 
 
 class TestDecideMedian:
@@ -149,13 +161,13 @@ class TestDecideLrt:
             assert high.verdict == VERDICT_ABBREVIATION
 
 
-def _entry(word, volumes, years, flags=frozenset()):
+def _entry(word, volumes, years):
     decision = DecisionRecord(word=word, n=50, total=50, verdict=VERDICT_ABBREVIATION, method=METHOD_MEDIAN)
-    return AbbrevEntry(
-        word=word, decision=decision, median_share=Fraction(1),
-        n_total=50, N_total=50, volumes_total=volumes, active_years=years,
-        flags=flags,
+    profile = WordProfile(
+        word=word, series={}, window=(1990, 2008), n_total=50, N_total=50,
+        median_share=Fraction(1), active_years=years, volumes_total=volumes,
     )
+    return AbbrevEntry(word=word, decision=decision, profile=profile)
 
 
 class TestFilterOccasional:
@@ -249,6 +261,16 @@ class TestBuildDictionary:
         words = built.words()
         assert words == sorted(words)
         assert len(words) == len(set(words))
+
+    def test_kept_entries_carry_profile_flags(self):
+        import json
+
+        profiles = {**_corpus(), **build_profiles({"кл": {y: (120, 100, 15) for y in ABBREV_YEARS}})}
+        built = build_dictionary(profiles, BuildOptions())
+        assert built.words() == ["гл", "др", "кл"]
+        flags = {e["word"]: e["flags"] for e in json.loads(dictionary_to_json(built))["entries"]}
+        assert flags == {"гл": [], "др": [], "кл": ["clamped-counts"]}
+        assert dictionary_to_tsv(built).splitlines()[2].endswith("\tclamped-counts")
 
     def test_invalid_method_rejected(self):
         with pytest.raises(InvalidConfigError):

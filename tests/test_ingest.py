@@ -13,7 +13,6 @@ from abbrevkit.ingest import (
     NgramRecord,
     ParseError,
     aggregate,
-    classify_bigram,
     ingest_paths,
     is_candidate_word,
     merge,
@@ -69,33 +68,46 @@ class TestParseLine:
 
 
 class TestClassifyBigram:
+    """Which 2-gram records reach a profile's with-period counts."""
+
     def test_word_period_matches(self):
-        obs = classify_bigram(NgramRecord(("др", "."), 1995, 120, 30))
-        assert obs is not None and obs.word == "др"
-        assert (obs.year, obs.match_count, obs.volume_count) == (1995, 120, 30)
+        profiles = aggregate([
+            NgramRecord(("др", "."), 1995, 120, 30),
+            NgramRecord(("др",), 1995, 125, 40),
+        ])
+        usage = profiles["др"].series[1995]
+        assert (usage.with_period, usage.volumes_with_period) == (120, 30)
 
     def test_numerals_excluded(self):
-        assert classify_bigram(NgramRecord(("12", "."), 1995, 9, 1)) is None
+        assert aggregate([NgramRecord(("12", "."), 1995, 9, 1)]) == {}
 
     def test_non_period_second_token(self):
-        assert classify_bigram(NgramRecord(("др", ","), 1995, 9, 1)) is None
+        profiles = aggregate([
+            NgramRecord(("др", ","), 1995, 9, 1),
+            NgramRecord(("др",), 1995, 20, 2),
+        ])
+        assert profiles["др"].series[1995].with_period == 0
 
     def test_requires_two_tokens(self):
-        with pytest.raises(ValueError):
-            classify_bigram(NgramRecord(("др",), 1995, 9, 1))
+        # a 1-gram adds to the total and never to the with-period count
+        usage = aggregate([NgramRecord(("др",), 1995, 9, 1)])["др"].series[1995]
+        assert (usage.with_period, usage.total, usage.volumes_with_period) == (0, 9, 0)
 
     def test_case_fold(self):
-        obs = classify_bigram(NgramRecord(("Др", "."), 1995, 9, 1), case_fold=True)
-        assert obs is not None and obs.word == "др"
+        profiles = aggregate([NgramRecord(("Др", "."), 1995, 9, 1)], IngestConfig(case_fold=True))
+        assert list(profiles) == ["др"]
+        assert profiles["др"].series[1995].with_period == 9
 
     def test_exhaustive_over_token_alphabet(self):
         firsts = ["др", "Др", "ab", "aB", "12", "a1", "а_NOUN", "т.е", "-", "ё"]
         seconds = [".", ",", "!", "а", "..", "Я"]
         for first in firsts:
             for second in seconds:
-                obs = classify_bigram(NgramRecord((first, second), 2000, 5, 1))
+                profiles = aggregate([NgramRecord((first, second), 2000, 5, 1)])
                 expected = second == "." and is_candidate_word(first, RANGES)
-                assert (obs is not None) == expected, (first, second)
+                assert list(profiles) == ([first] if expected else []), (first, second)
+                if expected:
+                    assert profiles[first].n_total == 5
 
     def test_script_whitelist(self):
         assert is_candidate_word("слово", RANGES)
