@@ -1,9 +1,12 @@
 """Command-line pipeline: ingest, build, stats, segment, synth, params.
 
-Every option can come from a JSON config file (--config); explicit
-command-line flags win over the file, which wins over built-in
-defaults.  Diagnostics go to stderr, data to the declared outputs or
-stdout; exit status is 0 exactly when the command succeeded.
+Every option of a command can also come from a JSON config file
+(--config): each key is an option's flag name with ``_`` for ``-``, and
+its entry goes through the same parser as that flag.  Explicit flags win
+over the file, which wins over the defaults declared on the parser.
+Diagnostics go to stderr, data to the declared outputs or stdout; exit
+status is 0 exactly when the command succeeded, and every error, a usage
+error included, is one ``ERROR`` line with exit 1.
 """
 from __future__ import annotations
 
@@ -24,12 +27,19 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError instead of exiting with status 2."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _parse_window(value: str) -> tuple[int, int]:
     try:
         lo, hi = value.split(":")
         return int(lo), int(hi)
     except ValueError:
-        raise CliError(f"window must look like '1990:2008', got {value!r}") from None
+        raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}") from None
 
 
 def _read_words(path: str) -> list[str]:
@@ -41,29 +51,56 @@ def _read_words(path: str) -> list[str]:
     return words
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_object(path: str, what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot load config {path}: {exc}") from exc
+        raise CliError(f"cannot load {what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliError(f"config must be a JSON object, got {type(doc).__name__}")
+        raise CliError(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
-def _effective(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
-    for key in defaults:
-        if key in config:
-            merged[key] = config[key]
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            merged[key] = value
-    return merged
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """`argv` with the --config file's entries spliced in right after the
+    command name, as the flags they name.  argparse keeps the last
+    occurrence of a flag, so the command line's own flags win."""
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    found = pre.parse_known_args(argv)[0]
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if not found.config or not found.rest or found.rest[0] not in commands:
+        return argv
+    at = len(argv) - len(found.rest) + 1
+    flags = _config_flags(commands[found.rest[0]], _load_object(found.config, "config"))
+    return [*argv[:at], *flags, *argv[at:]]
+
+
+def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
+    """The entries of `config` that name an option of `command`, as flags;
+    null leaves an option unset and other keys are ignored."""
+    flags: list[str] = []
+    for action in command._actions:
+        value = config.get(action.dest)
+        if value is None or not action.option_strings:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0:  # store_true / store_false
+            if not isinstance(value, bool):
+                raise CliError(f"config {action.dest}: expected true or false, got {value!r}")
+            if value == action.const:
+                flags.append(flag)
+        elif action.nargs == "+":
+            values = [value] if isinstance(value, str) else value
+            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+                raise CliError(f"config {action.dest}: expected a string or a list of strings, got {value!r}")
+            flags += [flag, *values]
+        elif isinstance(value, (list, dict)):
+            raise CliError(f"config {action.dest}: expected a single value, got {value!r}")
+        else:
+            flags.append(f"{flag}={value}")  # '=' keeps a value starting with '-' a value
+    return flags
 
 
 def _write_output(path: str, payload: str) -> None:
@@ -75,36 +112,21 @@ def _write_output(path: str, payload: str) -> None:
 
 # -- subcommands ------------------------------------------------------------
 
-INGEST_DEFAULTS = {
-    "window": "1990:2008",
-    "scripts": "cyrillic,latin",
-    "case_fold": False,
-    "jobs": 1,
-    "on_error": "skip",
-    "year_floor": 1500,
-    "year_ceiling": 2100,
-}
-
-
-def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
-    opts = _effective(args, config, INGEST_DEFAULTS)
-    unigrams = args.unigrams or config.get("unigrams") or []
-    bigrams = args.bigrams or config.get("bigrams") or []
-    if not unigrams and not bigrams:
+def cmd_ingest(args: argparse.Namespace) -> int:
+    if not args.unigrams and not args.bigrams:
         raise CliError("nothing to ingest: no 1-gram or 2-gram files given")
-    for path in list(unigrams) + list(bigrams):
+    for path in args.unigrams + args.bigrams:
         if not Path(path).exists():
             raise CliError(f"input file not found: {path}")
-    window = _parse_window(opts["window"])
     cfg = ingest.IngestConfig(
-        year_min=window[0],
-        year_max=window[1],
-        scripts=tuple(s.strip() for s in opts["scripts"].split(",") if s.strip()),
-        case_fold=bool(opts["case_fold"]),
-        year_floor=int(opts["year_floor"]),
-        year_ceiling=int(opts["year_ceiling"]),
+        year_min=args.window[0],
+        year_max=args.window[1],
+        scripts=tuple(s.strip() for s in args.scripts.split(",") if s.strip()),
+        case_fold=args.case_fold,
+        year_floor=args.year_floor,
+        year_ceiling=args.year_ceiling,
     )
-    agg = ingest.ingest_paths(unigrams, bigrams, cfg, jobs=int(opts["jobs"]), on_error=opts["on_error"])
+    agg = ingest.ingest_paths(args.unigrams, args.bigrams, cfg, jobs=args.jobs, on_error=args.on_error)
     agg.save(args.output)
     logger.info(
         "ingested %d lines (%d skipped) -> %s",
@@ -113,47 +135,28 @@ def cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-BUILD_DEFAULTS = {
-    "method": "median",
-    "median_threshold": "0.9",
-    "p0": 0.068,
-    "p1": 0.955,
-    "C": 1.0,
-    "alpha_target": None,
-    "beta_target": None,
-    "min_total": 40,
-    "min_volumes": 2,
-    "min_active_years": 2,
-    "window": None,
-}
-
-
-def cmd_build(args: argparse.Namespace, config: dict) -> int:
-    opts = _effective(args, config, BUILD_DEFAULTS)
+def cmd_build(args: argparse.Namespace) -> int:
     if not (args.out_tsv or args.out_json or args.out_words):
         raise CliError("build needs at least one of --out-tsv/--out-json/--out-words")
     agg = ingest.Aggregator.load(args.aggregate)
-    window = _parse_window(opts["window"]) if opts["window"] else None
-    profiles = agg.finalize(window)
-    params = likelihood.HypothesisParams(float(opts["p0"]), float(opts["p1"]), float(opts["C"]))
-    min_total = int(opts["min_total"])
-    if opts["alpha_target"] is not None and opts["beta_target"] is not None:
+    profiles = agg.finalize(args.window)
+    params = likelihood.HypothesisParams(args.p0, args.p1, args.C)
+    min_total = args.min_total
+    if args.alpha_target is not None and args.beta_target is not None:
         # error targets pin the evidence gate at the smallest workable N
-        result = likelihood.min_usage_for_error(
-            params, float(opts["alpha_target"]), float(opts["beta_target"])
-        )
+        result = likelihood.min_usage_for_error(params, args.alpha_target, args.beta_target)
         min_total = max(min_total, result.total)
         logger.info(
             "error targets need usage >= %d (eta=%d, alpha=%.3g, beta=%.3g); min_total=%d",
             result.total, result.eta, result.alpha, result.beta, min_total,
         )
     options = dictionary.BuildOptions(
-        method=opts["method"],
-        median_threshold=dictionary.as_fraction(opts["median_threshold"]),
+        method=args.method,
+        median_threshold=args.median_threshold,
         params=params,
         min_total=min_total,
-        min_volumes=int(opts["min_volumes"]),
-        min_active_years=int(opts["min_active_years"]),
+        min_volumes=args.min_volumes,
+        min_active_years=args.min_active_years,
         case_fold=agg.config.case_fold,
     )
     built = dictionary.build_dictionary(profiles, options, agg.fingerprints)
@@ -175,27 +178,14 @@ def cmd_build(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-STATS_DEFAULTS = {
-    "reports": ",".join(analytics.REPORT_KINDS),
-    "window": None,
-    "mean_window": "1998:2008",
-    "dynamics_window": "1940:2008",
-    "top_k": 300,
-    "max_volumes": 10,
-    "pooled": True,
-}
-
-
-def cmd_stats(args: argparse.Namespace, config: dict) -> int:
-    opts = _effective(args, config, STATS_DEFAULTS)
-    kinds = [k.strip() for k in opts["reports"].split(",") if k.strip()]
+def cmd_stats(args: argparse.Namespace) -> int:
+    kinds = [k.strip() for k in args.reports.split(",") if k.strip()]
     unknown = [k for k in kinds if k not in analytics.REPORT_KINDS]
     if unknown:
         raise CliError(f"unknown report kinds {unknown}; available: {list(analytics.REPORT_KINDS)}")
     agg = ingest.Aggregator.load(args.aggregate)
-    window = _parse_window(opts["window"]) if opts["window"] else None
-    profiles = agg.finalize(window)
-    effective_window = window or (agg.config.year_min, agg.config.year_max)
+    profiles = agg.finalize(args.window)
+    effective_window = args.window or (agg.config.year_min, agg.config.year_max)
 
     entries = None
     dictionary_digest = None
@@ -213,7 +203,7 @@ def cmd_stats(args: argparse.Namespace, config: dict) -> int:
 
     for kind in kinds:
         if kind == "rare-cumulative":
-            report = analytics.rare_cumulative(entries, int(opts["max_volumes"]))
+            report = analytics.rare_cumulative(entries, args.max_volumes)
         elif kind == "p-series":
             if not (args.seed_abbrevs and args.seed_commons):
                 raise CliError("p-series needs --seed-abbrevs and --seed-commons")
@@ -221,21 +211,16 @@ def cmd_stats(args: argparse.Namespace, config: dict) -> int:
                 profiles,
                 _read_words(args.seed_abbrevs),
                 _read_words(args.seed_commons),
-                window,
-                _parse_window(opts["mean_window"]),
-                bool(opts["pooled"]),
+                args.window,
+                args.mean_window,
+                args.pooled,
             )
         elif kind == "length-histogram":
             report = analytics.length_histogram(entries)
         elif kind == "freq-by-length":
             report = analytics.frequency_by_length(entries)
         else:
-            report = analytics.dynamics(
-                entries,
-                _parse_window(opts["dynamics_window"]),
-                int(opts["top_k"]),
-                totals_by_year,
-            )
+            report = analytics.dynamics(entries, args.dynamics_window, args.top_k, totals_by_year)
         report.meta.setdefault("window", list(effective_window))
         report.meta.setdefault("dictionary_fingerprint", dictionary_digest)
         (out_dir / f"{kind}.tsv").write_text(report.to_tsv(), encoding="utf-8")
@@ -257,7 +242,7 @@ def _read_totals(path: str) -> dict[int, int]:
     return totals
 
 
-def cmd_segment(args: argparse.Namespace, config: dict) -> int:
+def cmd_segment(args: argparse.Namespace) -> int:
     if args.baseline:
         loaded = None
     else:
@@ -300,12 +285,11 @@ def cmd_segment(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace, config: dict) -> int:
-    try:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot load spec {args.spec}: {exc}") from exc
-    sentences = int(doc.pop("sentences", 1000))
+def cmd_synth(args: argparse.Namespace) -> int:
+    doc = _load_object(args.spec, "spec")
+    sentences = doc.pop("sentences", 1000)
+    if type(sentences) is not int or sentences < 1:
+        raise CliError(f"spec sentences must be a positive int, got {sentences!r}")
     spec = _spec_from_doc(doc)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,50 +316,34 @@ def _spec_from_doc(doc: dict) -> synth.SynthSpec:
             return {w: float(p) for w, p in value.items()}
         return {w: default_p for w in value}
 
-    known = {
-        "abbrev_words", "common_words", "default_p1", "default_p0", "years",
-        "totals_range", "seed", "volumes_divisor", "title_like", "period_comma_swap",
+    # fields left out keep the SynthSpec defaults
+    casts = {
+        "years": tuple, "totals_range": tuple, "seed": int, "volumes_divisor": int,
+        "title_like": tuple, "period_comma_swap": float,
     }
-    unknown = set(doc) - known
+    unknown = set(doc) - set(casts) - {"abbrev_words", "common_words", "default_p1", "default_p0"}
     if unknown:
         raise CliError(f"unknown spec fields: {sorted(unknown)}")
     try:
         return synth.SynthSpec(
             abbrev_words=word_map(doc.get("abbrev_words", []), float(doc.get("default_p1", 0.955))),
             common_words=word_map(doc.get("common_words", []), float(doc.get("default_p0", 0.068))),
-            years=tuple(doc.get("years", (1990, 2008))),
-            totals_range=tuple(doc.get("totals_range", (40, 5000))),
-            seed=int(doc.get("seed", 0)),
-            volumes_divisor=int(doc.get("volumes_divisor", 10)),
-            title_like=tuple(doc.get("title_like", ())),
-            period_comma_swap=float(doc.get("period_comma_swap", 0.0)),
+            **{key: cast(doc[key]) for key, cast in casts.items() if key in doc},
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid spec: {exc}") from exc
 
 
-PARAMS_DEFAULTS = {
-    "window": None,
-    "mean_window": "1998:2008",
-    "alpha_target": 0.001,
-    "beta_target": 0.001,
-    "C": 1.0,
-    "pooled": True,
-}
-
-
-def cmd_params(args: argparse.Namespace, config: dict) -> int:
-    opts = _effective(args, config, PARAMS_DEFAULTS)
+def cmd_params(args: argparse.Namespace) -> int:
     agg = ingest.Aggregator.load(args.aggregate)
-    window = _parse_window(opts["window"]) if opts["window"] else None
-    profiles = agg.finalize(window)
+    profiles = agg.finalize(args.window)
     est = likelihood.estimate_share_params(
         profiles,
         _read_words(args.seed_abbrevs),
         _read_words(args.seed_commons),
-        window,
-        _parse_window(opts["mean_window"]),
-        bool(opts["pooled"]),
+        args.window,
+        args.mean_window,
+        args.pooled,
     )
     doc: dict = {
         "p0_by_year": {str(y): est.p0_by_year[y] for y in sorted(est.p0_by_year)},
@@ -391,18 +359,16 @@ def cmd_params(args: argparse.Namespace, config: dict) -> int:
         and est.mean_p1 is not None
         and 0.0 < est.mean_p0 < est.mean_p1 < 1.0
     ):
-        params = likelihood.HypothesisParams(est.mean_p0, est.mean_p1, float(opts["C"]))
+        params = likelihood.HypothesisParams(est.mean_p0, est.mean_p1, args.C)
         try:
-            result = likelihood.min_usage_for_error(
-                params, float(opts["alpha_target"]), float(opts["beta_target"])
-            )
+            result = likelihood.min_usage_for_error(params, args.alpha_target, args.beta_target)
             doc["min_usage"] = {
                 "total": result.total,
                 "eta": result.eta,
                 "alpha": result.alpha,
                 "beta": result.beta,
-                "alpha_target": float(opts["alpha_target"]),
-                "beta_target": float(opts["beta_target"]),
+                "alpha_target": args.alpha_target,
+                "beta_target": args.beta_target,
             }
         except likelihood.SearchExhaustedError as exc:
             doc["min_usage"] = {"error": str(exc)}
@@ -413,61 +379,72 @@ def cmd_params(args: argparse.Namespace, config: dict) -> int:
 # -- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Every option's default lives here, once; `--config` entries go
+    through the same parser (see `_with_config`)."""
+    parser = _Parser(
         prog="abbrevkit",
         description="Mine abbreviation dictionaries from ngram corpora and segment text with them.",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override its values")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several commands share, declared once and passed as parents
+    aggregate = _Parser(add_help=False)
+    aggregate.add_argument("--aggregate", required=True, help="aggregate state from 'ingest'")
+    aggregate.add_argument("--window", type=_parse_window, help="aggregate sub-window, default: the ingest window")
+    threshold = _Parser(add_help=False)
+    threshold.add_argument("--C", type=float, default=1.0,
+                           help="likelihood-ratio decision threshold, default %(default)s")
+    shares = _Parser(add_help=False)
+    shares.add_argument("--mean-window", type=_parse_window, default="1998:2008",
+                        help="share-mean window, default %(default)s")
+    shares.add_argument("--macro", dest="pooled", action="store_false",
+                        help="average per-word shares instead of pooling counts (p-series)")
 
     p = sub.add_parser("ingest", help="parse ngram files into a reusable aggregate state")
-    p.add_argument("--unigrams", nargs="+", help="1-gram files (optionally .gz)")
-    p.add_argument("--bigrams", nargs="+", help="2-gram files (optionally .gz)")
+    p.add_argument("--unigrams", nargs="+", default=[], help="1-gram files (optionally .gz)")
+    p.add_argument("--bigrams", nargs="+", default=[], help="2-gram files (optionally .gz)")
     p.add_argument("--output", required=True, help="aggregate state file to write (.json or .json.gz)")
-    p.add_argument("--window", help="analysis year window, default 1990:2008")
-    p.add_argument("--scripts", help="comma-separated letter scripts, default cyrillic,latin")
-    p.add_argument("--case-fold", action="store_const", const=True, default=None,
+    p.add_argument("--window", type=_parse_window, default="1990:2008",
+                   help="analysis year window, default %(default)s")
+    p.add_argument("--scripts", default="cyrillic,latin", help="comma-separated letter scripts, default %(default)s")
+    p.add_argument("--case-fold", action="store_true",
                    help="lowercase word forms at ingestion (default: case-sensitive)")
-    p.add_argument("--jobs", type=int, help="parallel parser processes, default 1")
-    p.add_argument("--on-error", choices=("skip", "abort"), help="malformed line policy, default skip")
-    p.add_argument("--year-floor", type=int, help="reject years below this, default 1500")
-    p.add_argument("--year-ceiling", type=int, help="reject years above this, default 2100")
+    p.add_argument("--jobs", type=int, default=1, help="parallel parser processes, default %(default)s")
+    p.add_argument("--on-error", choices=("skip", "abort"), default="skip",
+                   help="malformed line policy, default %(default)s")
+    p.add_argument("--year-floor", type=int, default=1500, help="reject years below this, default %(default)s")
+    p.add_argument("--year-ceiling", type=int, default=2100, help="reject years above this, default %(default)s")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build", help="classify word forms and write the dictionary")
-    p.add_argument("--aggregate", required=True, help="aggregate state from 'ingest'")
-    p.add_argument("--method", choices=dictionary.METHODS, help="decision rule, default median")
-    p.add_argument("--median-threshold", help="median share cut, default 0.9 (strictly above)")
-    p.add_argument("--p0", type=float, help="common-word with-period share, default 0.068")
-    p.add_argument("--p1", type=float, help="abbreviation with-period share, default 0.955")
-    p.add_argument("--C", type=float, help="likelihood-ratio decision threshold, default 1")
+    p = sub.add_parser("build", parents=[aggregate, threshold], help="classify word forms and write the dictionary")
+    p.add_argument("--method", choices=dictionary.METHODS, default="median", help="decision rule, default %(default)s")
+    p.add_argument("--median-threshold", type=dictionary.as_fraction, default="0.9",
+                   help="median share cut, default %(default)s (strictly above)")
+    p.add_argument("--p0", type=float, default=0.068, help="common-word with-period share, default %(default)s")
+    p.add_argument("--p1", type=float, default=0.955, help="abbreviation with-period share, default %(default)s")
     p.add_argument("--alpha-target", type=float, help="with --beta-target: raise the evidence gate to the smallest N meeting both error targets")
     p.add_argument("--beta-target", type=float, help="see --alpha-target")
-    p.add_argument("--min-total", type=int, help="evidence gate on pooled usage, default 40")
-    p.add_argument("--min-volumes", type=int, help="occasionalism filter, default 2")
-    p.add_argument("--min-active-years", type=int, help="occasionalism filter, default 2")
-    p.add_argument("--window", help="aggregate sub-window, default: the ingest window")
+    p.add_argument("--min-total", type=int, default=40, help="evidence gate on pooled usage, default %(default)s")
+    p.add_argument("--min-volumes", type=int, default=2, help="occasionalism filter, default %(default)s")
+    p.add_argument("--min-active-years", type=int, default=2, help="occasionalism filter, default %(default)s")
     p.add_argument("--out-tsv", help="write the TSV table here")
     p.add_argument("--out-json", help="write the JSON document here")
     p.add_argument("--out-words", help="write the plain word list here")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("stats", help="emit analytics reports")
-    p.add_argument("--aggregate", required=True)
+    p = sub.add_parser("stats", parents=[aggregate, shares], help="emit analytics reports")
     p.add_argument("--dictionary", help="dictionary file (needed by all reports except p-series)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--reports", help=f"comma-separated subset of {','.join(analytics.REPORT_KINDS)}")
+    p.add_argument("--reports", default=",".join(analytics.REPORT_KINDS),
+                   help="comma-separated subset of %(default)s")
     p.add_argument("--seed-abbrevs", help="seed abbreviation list for p-series")
     p.add_argument("--seed-commons", help="seed common-word list for p-series")
-    p.add_argument("--window", help="aggregate sub-window, default: the ingest window")
-    p.add_argument("--mean-window", help="share-mean window, default 1998:2008")
-    p.add_argument("--dynamics-window", help="dynamics year range, default 1940:2008")
-    p.add_argument("--top-k", type=int, help="top entries tracked by dynamics, default 300")
-    p.add_argument("--max-volumes", type=int, help="rare-cumulative x-axis limit, default 10")
+    p.add_argument("--dynamics-window", type=_parse_window, default="1940:2008",
+                   help="dynamics year range, default %(default)s")
+    p.add_argument("--top-k", type=int, default=300, help="top entries tracked by dynamics, default %(default)s")
+    p.add_argument("--max-volumes", type=int, default=10, help="rare-cumulative x-axis limit, default %(default)s")
     p.add_argument("--totals", help="optional 'year TAB total' file to normalize dynamics")
-    p.add_argument("--macro", dest="pooled", action="store_const", const=False,
-                   help="average per-word shares instead of pooling counts (p-series)")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("segment", help="split text into sentences using a dictionary")
@@ -485,38 +462,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("params", help="estimate p0/p1 from seed lists and the minimum usable usage")
-    p.add_argument("--aggregate", required=True)
+    p = sub.add_parser("params", parents=[aggregate, threshold, shares],
+                       help="estimate p0/p1 from seed lists and the minimum usable usage")
     p.add_argument("--seed-abbrevs", required=True)
     p.add_argument("--seed-commons", required=True)
-    p.add_argument("--window", help="aggregate sub-window, default: the ingest window")
-    p.add_argument("--mean-window", help="default 1998:2008")
-    p.add_argument("--alpha-target", type=float, help="default 0.001")
-    p.add_argument("--beta-target", type=float, help="default 0.001")
-    p.add_argument("--C", type=float, help="default 1")
-    p.add_argument("--macro", dest="pooled", action="store_const", const=False,
-                   help="average per-word shares instead of pooling counts")
+    p.add_argument("--alpha-target", type=float, default=0.001, help="default %(default)s")
+    p.add_argument("--beta-target", type=float, default=0.001, help="default %(default)s")
     p.set_defaults(func=cmd_params)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
+    parser = build_parser()
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
-    except CliError as exc:
-        logger.error("%s", exc)
-        return 1
-    except (ingest.ParseError, ingest.ConfigMismatchError, dictionary.InvalidConfigError,
-            segment.DictionaryLoadError, likelihood.EstimationError,
-            likelihood.SearchExhaustedError, ValueError, OSError) as exc:
+        args = parser.parse_args(_with_config(parser, list(sys.argv[1:] if argv is None else argv)))
+        if args.verbose:
+            logger.setLevel(logging.DEBUG)
+        return args.func(args)
+    except (CliError, ValueError, OSError, likelihood.SearchExhaustedError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -403,16 +403,21 @@ class Aggregator:
         except TypeError as exc:
             raise ValueError(f"aggregate state: {exc}") from None
         agg.fingerprints = dict(state["fingerprints"])
+        lo, hi = agg.config.year_min, agg.config.year_max
         for word, years in state["words"].items():
             if not isinstance(years, dict):
                 raise ValueError(f"aggregate state: word {word!r} must map years to cells")
             cells = agg._counts[word] = {}
-            for year, cell in years.items():
+            for key, cell in years.items():
+                # `to_state` writes str(year), and `add_record` keeps only years in the window
+                year = int(key) if key.removeprefix("-").isdecimal() else None
+                if year is None or str(year) != key or not lo <= year <= hi:
+                    raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
                 if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):
                     raise ValueError(
                         f"aggregate state: {word!r} year {year} needs three non-negative ints, got {cell!r}"
                     )
-                cells[int(year)] = list(cell)
+                cells[year] = list(cell)
         return agg
 
     def save(self, path: str | Path) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import abbrevkit
-from abbrevkit.cli import main
+from abbrevkit.cli import build_parser, main
 from abbrevkit.ingest import Aggregator
 
 SPEC_DOC = {
@@ -357,6 +357,118 @@ class TestParamsCommand:
         assert doc["min_usage"] is None
 
 
+def _config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+class TestConfigFile:
+    """A config entry acts as the flag it names; explicit flags override it."""
+
+    def test_ingest(self, corpus, tmp_path):
+        unigrams, bigrams = str(corpus / "1grams.tsv"), str(corpus / "2grams.tsv")
+        config = _config(tmp_path, {
+            "unigrams": [unigrams], "bigrams": bigrams, "output": str(tmp_path / "conf.json"),
+            "window": "1995:2005", "case_fold": True, "jobs": 2, "scripts": None, "method": "lrt",
+        })
+        assert main(["--config", config, "ingest"]) == 0
+        flags = tmp_path / "flags.json"
+        assert main([
+            "ingest", "--unigrams", unigrams, "--bigrams", bigrams, "--output", str(flags),
+            "--window", "1995:2005", "--case-fold",
+        ]) == 0
+        assert (tmp_path / "conf.json").read_bytes() == flags.read_bytes()
+        over = tmp_path / "over.json"
+        assert main(["--config", config, "ingest", "--window", "1990:2008", "--output", str(over)]) == 0
+        cfg = Aggregator.load(over).config
+        assert (cfg.year_min, cfg.year_max, cfg.case_fold) == (1990, 2008, True)
+
+    def test_build_from_config_named_like_the_command(self, aggregate_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _config(tmp_path, {
+            "aggregate": str(aggregate_file), "method": "lrt", "median_threshold": 0.95,
+            "p0": 0.05, "min_volumes": 1, "out_json": "conf.json", "top_k": 5,
+        }, name="build")
+        assert main(["--config", "build", "build"]) == 0
+        assert main([
+            "build", "--aggregate", str(aggregate_file), "--method", "lrt", "--median-threshold", "0.95",
+            "--p0", "0.05", "--min-volumes", "1", "--out-json", "flags.json",
+        ]) == 0
+        assert Path("conf.json").read_bytes() == Path("flags.json").read_bytes()
+        assert main(["--config", "build", "build", "--method", "median", "--out-json", "over.json"]) == 0
+        meta = json.loads(Path("over.json").read_text(encoding="utf-8"))["build_meta"]
+        assert meta["method"] == "median"
+        assert meta["thresholds"]["min_volumes"] == 1
+
+    def test_stats(self, corpus, aggregate_file, tmp_path):
+        (tmp_path / "commons.txt").write_text("слово\nдом\n", encoding="utf-8")
+        seeds = {"seed_abbrevs": str(corpus / "abbreviations.txt"), "seed_commons": str(tmp_path / "commons.txt")}
+        config = _config(tmp_path, {
+            "aggregate": str(aggregate_file), "out_dir": str(tmp_path / "conf"), "reports": "length-histogram",
+            "pooled": False, "mean_window": "2000:2008", **seeds,
+        })
+        assert main(["--config", config, "stats", "--reports", "p-series"]) == 0
+        assert main([
+            "stats", "--aggregate", str(aggregate_file), "--out-dir", str(tmp_path / "flags"),
+            "--reports", "p-series", "--macro", "--mean-window", "2000:2008",
+            "--seed-abbrevs", seeds["seed_abbrevs"], "--seed-commons", seeds["seed_commons"],
+        ]) == 0
+        names = sorted(p.name for p in (tmp_path / "conf").iterdir())
+        assert names == ["p-series.json", "p-series.tsv"]
+        for name in names:
+            assert (tmp_path / "conf" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+    def test_params(self, corpus, aggregate_file, tmp_path, capsys):
+        (tmp_path / "commons.txt").write_text("слово\nдом\n", encoding="utf-8")
+        args = ["--aggregate", str(aggregate_file), "--seed-abbrevs", str(corpus / "abbreviations.txt"),
+                "--seed-commons", str(tmp_path / "commons.txt")]
+        config = _config(tmp_path, {
+            "aggregate": args[1], "seed_abbrevs": args[3], "seed_commons": args[5],
+            "pooled": False, "alpha_target": 0.01, "baseline": True,
+        })
+        assert main(["--config", config, "params"]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["params", *args, "--macro", "--alpha-target", "0.01"]) == 0
+        assert from_config == capsys.readouterr().out
+        assert main(["--config", config, "params", "--alpha-target", "0.001"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_usage"]["alpha_target"] == 0.001
+        assert main(["--config", _config(tmp_path, {"pooled": True}, name="pooled.json"), "params", *args]) == 0
+        assert main(["params", *args]) == 0
+        pooled, plain = capsys.readouterr().out.split("\n}\n", 1)
+        assert pooled + "\n}\n" == plain
+
+    def test_segment(self, tmp_path, capsys):
+        (tmp_path / "gl.txt").write_text("гл\n", encoding="utf-8")
+        (tmp_path / "tov.txt").write_text("тов\n", encoding="utf-8")
+        text = tmp_path / "in.txt"
+        text.write_text("Смотри Гл. вторая", encoding="utf-8")
+        config = _config(tmp_path, {"dictionary": str(tmp_path / "gl.txt"), "case_fold": True, "spans": True})
+        assert main(["--config", config, "segment", str(text)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["segment", str(text), "--dictionary", str(tmp_path / "gl.txt"), "--case-fold", "--spans"]) == 0
+        assert from_config == capsys.readouterr().out
+        def abbreviations(out):
+            return [t["kind"] for t in json.loads(out)["tokens"]].count("abbreviation-with-period")
+
+        assert abbreviations(from_config) == 1
+        assert main(["--config", config, "segment", str(text), "--dictionary", str(tmp_path / "tov.txt")]) == 0
+        assert abbreviations(capsys.readouterr().out) == 0
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["ingest", "build", "stats", "segment", "synth", "params"])
+    def test_help_shows_every_default(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        shown = "".join(capsys.readouterr().out.split())
+        commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+        for action in commands[command]._actions:
+            if action.option_strings and action.nargs != 0 and action.default not in (None, []):
+                assert "".join(str(action.default).split()) in shown, action.dest
+
+
 def _state(**changes):
     state = Aggregator().to_state()
     state["words"] = {"др": {"1995": [9, 10, 1]}}
@@ -369,31 +481,49 @@ def _dictionary_doc(**changes):
             "entries": [{"word": "гл"}], **changes}
 
 
+BUILD = ["build", "--aggregate", "bad.json", "--out-words", "d.txt"]
+SEGMENT = ["segment", "in.txt", "--dictionary", "bad.json"]
+# a config is read through the command's parser; agg.json and in.txt are
+# valid inputs, so only the config entry can make these runs fail
+CONFIG_INGEST = ["--config", "bad.json", "ingest", "--unigrams", "in.txt", "--output", "a.json"]
+CONFIG_BUILD = ["--config", "bad.json", "build", "--aggregate", "agg.json", "--out-words", "d.txt"]
+CONFIG_STATS = ["--config", "bad.json", "stats", "--aggregate", "agg.json", "--out-dir", "r"]
+SYNTH = ["synth", "--spec", "bad.json", "--out-dir", "out"]
+
+# case -> (argv run in a directory holding bad.json = doc, agg.json, in.txt)
 MALFORMED = {
-    "aggregate-without-counters": ("build", _state(counters=None)),
-    "aggregate-string-count": ("build", _state(words={"др": {"1995": [9, "12", 1]}})),
-    "aggregate-top-level-list": ("build", [1]),
-    "dictionary-entry-without-word": ("segment", _dictionary_doc(entries=[{"words": "гл"}])),
-    "dictionary-meta-not-object": ("segment", _dictionary_doc(build_meta=[1])),
+    "aggregate-without-counters": (BUILD, _state(counters=None)),
+    "aggregate-string-count": (BUILD, _state(words={"др": {"1995": [9, "12", 1]}})),
+    "aggregate-top-level-list": (BUILD, [1]),
+    "aggregate-year-outside-window": (BUILD, _state(words={"др": {"2050": [9, 10, 1]}})),
+    "aggregate-year-not-a-number": (BUILD, _state(words={"др": {"x": [9, 10, 1]}})),
+    "dictionary-entry-without-word": (SEGMENT, _dictionary_doc(entries=[{"words": "гл"}])),
+    "dictionary-meta-not-object": (SEGMENT, _dictionary_doc(build_meta=[1])),
+    "config-jobs-list": (CONFIG_INGEST, {"jobs": [1]}),
+    "config-window-number": (CONFIG_INGEST, {"window": 5}),
+    "config-scripts-number": (CONFIG_INGEST, {"scripts": 5}),
+    "config-case-fold-string": (CONFIG_INGEST, {"case_fold": "no"}),
+    "config-median-threshold-list": (CONFIG_BUILD, {"median_threshold": [1]}),
+    "config-min-total-float": (CONFIG_BUILD, {"min_total": 3.7}),
+    "config-reports-list": (CONFIG_STATS, {"reports": ["dynamics"]}),
+    "flag-min-total-not-int": (["build", "--aggregate", "agg.json", "--min-total", "x", "--out-words", "d.txt"], {}),
+    "synth-spec-list": (SYNTH, [1]),
+    "synth-sentences-list": (SYNTH, {"sentences": [3]}),
 }
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_one_error_line_exit_1(self, tmp_path, case):
-        command, doc = MALFORMED[case]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        if command == "build":
-            args = ["build", "--aggregate", str(bad), "--out-words", str(tmp_path / "d.txt")]
-        else:
-            text = tmp_path / "in.txt"
-            text.write_text("Смотри гл. вторая", encoding="utf-8")
-            args = ["segment", str(text), "--dictionary", str(bad)]
+        argv, doc = MALFORMED[case]
+        (tmp_path / "bad.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        (tmp_path / "agg.json").write_text(json.dumps(_state(), ensure_ascii=False), encoding="utf-8")
+        (tmp_path / "in.txt").write_text("Смотри гл. вторая", encoding="utf-8")
         src = str(Path(abbrevkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
-            [sys.executable, "-m", "abbrevkit.cli", *args], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "abbrevkit.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
         )
         assert result.returncode == 1
         assert "Traceback" not in result.stderr

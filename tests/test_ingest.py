@@ -322,6 +322,13 @@ class TestFilesAndPersistence:
         with pytest.raises(ValueError):
             Aggregator.load(path)
 
+    @pytest.mark.parametrize("key", ["2050", "1989", "x", "01995", " 1995", "1995.0", "-1995"])
+    def test_year_keys_are_window_years(self, key):
+        state = Aggregator().to_state()
+        state["words"] = {"др": {"1995": [9, 10, 1], key: [1, 2, 1]}}
+        with pytest.raises(ValueError, match=f"'др' has year key '{key}'"):
+            Aggregator.from_state(state)
+
     def test_parallel_matches_sequential(self, tmp_path):
         import random
 
