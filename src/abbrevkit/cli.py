@@ -61,20 +61,30 @@ def _load_object(path: str, what: str) -> dict:
     return doc
 
 
-def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """`argv` with the --config file's entries spliced in right after the
-    command name, as the flags they name.  argparse keeps the last
-    occurrence of a flag, so the command line's own flags win."""
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` with the --config file's entries spliced in right after
+    the command name, as the flags they name.  argparse keeps the last
+    occurrence of a flag, so the command line's own flags win.  An error
+    the config's entries cause names the config file."""
     pre = _Parser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     found = pre.parse_known_args(argv)[0]
     commands = next(a.choices for a in parser._actions if a.dest == "command")
     if not found.config or not found.rest or found.rest[0] not in commands:
-        return argv
+        return parser.parse_args(argv)
     at = len(argv) - len(found.rest) + 1
     flags = _config_flags(commands[found.rest[0]], _load_object(found.config, "config"))
-    return [*argv[:at], *flags, *argv[at:]]
+    try:
+        return parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    except CliError as exc:
+        # the same error without the config's entries is the command line's own
+        try:
+            parser.parse_args(argv)
+        except CliError as own:
+            if str(own) == str(exc):
+                raise
+        raise CliError(f"{exc} (from --config {found.config})") from None
 
 
 def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
@@ -236,9 +246,12 @@ def _read_totals(path: str) -> dict[int, int]:
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) < 2:
-            raise CliError(f"totals file line {line_number}: expected 'year TAB count'")
-        totals[int(fields[0])] = int(fields[1])
+        try:
+            totals[int(fields[0])] = int(fields[1])
+        except (IndexError, ValueError):
+            raise CliError(
+                f"totals file {path} line {line_number}: expected 'year TAB count' as ints, got {line!r}"
+            ) from None
     return totals
 
 
@@ -380,7 +393,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Every option's default lives here, once; `--config` entries go
-    through the same parser (see `_with_config`)."""
+    through the same parser (see `_parse_args`)."""
     parser = _Parser(
         prog="abbrevkit",
         description="Mine abbreviation dictionaries from ngram corpora and segment text with them.",
@@ -477,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     parser = build_parser()
     try:
-        args = parser.parse_args(_with_config(parser, list(sys.argv[1:] if argv is None else argv)))
+        args = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
         if args.verbose:
             logger.setLevel(logging.DEBUG)
         return args.func(args)

@@ -395,6 +395,17 @@ class Aggregator:
         unknown = set(state["config"]) - {f.name for f in fields(IngestConfig)}
         if unknown:
             raise ValueError(f"aggregate state: unknown config keys {sorted(unknown)}")
+        for key, value in state["config"].items():
+            if key == "case_fold":
+                expected, ok = "true or false", type(value) is bool
+            elif key == "scripts":
+                # JSON gives a list, `to_state` itself a tuple
+                expected = "a list of strings"
+                ok = type(value) in (list, tuple) and all(type(s) is str for s in value)
+            else:
+                expected, ok = "an int", type(value) is int
+            if not ok:
+                raise ValueError(f"aggregate state: config {key} must be {expected}, got {value!r}")
         if not all(_is_count(v) for v in state["counters"].values()):
             raise ValueError(f"aggregate state: counters must be non-negative ints, got {state['counters']}")
         try:

@@ -181,11 +181,94 @@ def solve_threshold(total: int, params: HypothesisParams) -> float:
     return numer / slope
 
 
+# The remainder bounds of _range_mass are padded by a factor 4 (ln 4 in
+# log space): a term whose value is at least half the smallest subnormal
+# rounds to at most twice that value, and the other 2x covers the rounding
+# of the bound's own logs.  A relative slack covers lgamma rounding in
+# the terms' logs, which grows with the size of lgamma(total + 1).
+_LOG_PAD = math.log(4.0)
+_LGAMMA_SLACK = 2.0**-40
+# Closer to 1 than this, the step ratio's r / (1 - r) is too inexact to bound with.
+_LOG_RATIO_MAX = -(2.0**-20)
+
+
+def _tail_bound(log_term: float, log_ratio: float, pad: float) -> float:
+    """Bound on the sum of the terms past one of log `log_term`, when each
+    next term is at most exp(log_ratio) times the one before it."""
+    if log_ratio > _LOG_RATIO_MAX:
+        return math.inf
+    log_bound = log_term + log_ratio - math.log(-math.expm1(log_ratio)) + pad
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf
+
+
+def _range_mass(total: int, lo: int, hi: int, p: float) -> float:
+    """math.fsum of binomial_pmf(total, n, p) over lo <= n <= hi, bit for
+    bit, from only the terms that can change it.
+
+    Summing starts at the point of [lo, hi] nearest the mode
+    floor((total + 1) p) and extends whichever side has the larger
+    remainder bound.  Past the last kept term m, the ratio of consecutive
+    terms only shrinks: r = (N - m)/(m + 1) * p/(1 - p) going up, and
+    m/(N - m + 1) * (1 - p)/p going down.  So a side's remainder is at
+    most pmf(m) * r/(1 - r), a geometric series from the next term; it is
+    taken in log space and padded for rounding.  The sum stops only when
+    adding both bounds leaves the correctly rounded fsum unchanged; since
+    rounding is monotone, any remainder in [0, bound] gives that float,
+    which is therefore the full sum's.
+    """
+    if not 0.0 < p < 1.0:
+        # a point mass at 0 or at total, or a p that binomial_pmf rejects
+        return binomial_pmf(total, hi if p == 1.0 else lo, p)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    pad = _LOG_PAD + _LGAMMA_SLACK * (2 * math.lgamma(total + 1) + total * (abs(log_p) + abs(log_q)))
+
+    def above(m: int, log_term: float) -> float:
+        if m == hi:
+            return 0.0
+        return _tail_bound(log_term, math.log(total - m) - math.log(m + 1) + log_p - log_q, pad)
+
+    def below(m: int, log_term: float) -> float:
+        if m == lo:
+            return 0.0
+        return _tail_bound(log_term, math.log(m) - math.log(total - m + 1) + log_q - log_p, pad)
+
+    # exp(log_binomial_pmf(...)) is binomial_pmf's value for 0 < p < 1,
+    # and the bounds need its log
+    up = down = min(max(math.floor((total + 1) * p), lo), hi)
+    log_term = log_binomial_pmf(total, up, p)
+    kept = [math.exp(log_term)]
+    running = kept[0]  # plain sum, only to tell when an exact check is worth it
+    rest_up, rest_down = above(up, log_term), below(down, log_term)
+    recheck = math.inf  # after a failed check, wait for the bounds to halve
+    while True:
+        rest = rest_up + rest_down
+        if rest <= recheck and running + rest == running:
+            mass = math.fsum(kept)
+            if mass == math.fsum([*kept, rest_up, rest_down]):
+                return mass
+            recheck = rest / 2
+        if rest_up >= rest_down:
+            up += 1
+            log_term = log_binomial_pmf(total, up, p)
+            rest_up = above(up, log_term)
+        else:
+            down -= 1
+            log_term = log_binomial_pmf(total, down, p)
+            rest_down = below(down, log_term)
+        kept.append(math.exp(log_term))
+        running += kept[-1]
+
+
 def alpha_error(eta: float, total: int, p0: float) -> float:
     """Probability of flagging a common word: P(n >= eta | share p0).
 
     Summed over integer n in [0, total] with n >= eta, i.e. from
-    ceil(eta); eta at or below zero covers the whole support.
+    ceil(eta); eta at or below zero covers the whole support.  The sum
+    runs outward from the term nearest the mode and stops once a
+    geometric bound on the terms left out cannot change the result
+    (see _range_mass): it equals the full math.fsum over the range bit
+    for bit, and at the default shares it takes a few dozen pmf terms
+    whatever the total.
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
@@ -194,7 +277,7 @@ def alpha_error(eta: float, total: int, p0: float) -> float:
         return 0.0
     if lo == 0:
         return 1.0
-    return min(1.0, math.fsum(binomial_pmf(total, n, p0) for n in range(lo, total + 1)))
+    return min(1.0, _range_mass(total, lo, total, p0))
 
 
 def beta_error(eta: float, total: int, p1: float) -> float:
@@ -202,6 +285,8 @@ def beta_error(eta: float, total: int, p1: float) -> float:
 
     Complement of alpha_error over the same split of the support, so
     alpha_error(eta, N, p) + beta_error(eta, N, p) == 1 for any p.
+    Summed like alpha_error, with the same bounded stop, and equal bit
+    for bit to the full math.fsum over [0, ceil(eta) - 1].
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
@@ -210,7 +295,7 @@ def beta_error(eta: float, total: int, p1: float) -> float:
         return 0.0
     if hi >= total:
         return 1.0
-    return min(1.0, math.fsum(binomial_pmf(total, n, p1) for n in range(0, hi + 1)))
+    return min(1.0, _range_mass(total, 0, hi, p1))
 
 
 @dataclass(frozen=True)

@@ -53,3 +53,13 @@ def rel_err(value: float, reference: Fraction) -> float:
     if reference == 0:
         return abs(value)
     return abs((Fraction(value) - reference) / reference)
+
+
+def fsum_range_reference(total: int, lo: int, hi: int, p: float) -> float:
+    """The full correctly rounded sum of the library's own pmf terms over
+    lo..hi, as alpha_error/beta_error computed it before their sums were
+    bounded.  Not exact: it is the float the bounded sums must reproduce
+    bit for bit."""
+    from abbrevkit.likelihood import binomial_pmf
+
+    return math.fsum(binomial_pmf(total, n, p) for n in range(lo, hi + 1))

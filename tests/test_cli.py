@@ -476,6 +476,12 @@ def _state(**changes):
     return {key: value for key, value in state.items() if value is not None}
 
 
+def _config_state(**changes):
+    state = _state()
+    state["config"] = {**state["config"], **changes}
+    return state
+
+
 def _dictionary_doc(**changes):
     return {"format": "abbrevkit-dictionary", "version": 1, "build_meta": {},
             "entries": [{"word": "гл"}], **changes}
@@ -497,6 +503,9 @@ MALFORMED = {
     "aggregate-top-level-list": (BUILD, [1]),
     "aggregate-year-outside-window": (BUILD, _state(words={"др": {"2050": [9, 10, 1]}})),
     "aggregate-year-not-a-number": (BUILD, _state(words={"др": {"x": [9, 10, 1]}})),
+    "aggregate-config-years-strings": (BUILD, _config_state(year_min="1990", year_max="2008")),
+    "aggregate-config-case-fold-string": (BUILD, _config_state(case_fold="no")),
+    "aggregate-config-year-floor-float": (BUILD, _config_state(year_floor=1500.0)),
     "dictionary-entry-without-word": (SEGMENT, _dictionary_doc(entries=[{"words": "гл"}])),
     "dictionary-meta-not-object": (SEGMENT, _dictionary_doc(build_meta=[1])),
     "config-jobs-list": (CONFIG_INGEST, {"jobs": [1]}),
@@ -510,13 +519,20 @@ MALFORMED = {
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
 }
+# case -> parts its ERROR line must contain
+MESSAGE_PARTS = {
+    "config-window-number": ["--window", "bad.json"],
+    "aggregate-config-years-strings": ["year_min"],
+    "aggregate-config-case-fold-string": ["case_fold"],
+    "aggregate-config-year-floor-float": ["year_floor"],
+}
 
 
 class TestMalformedInputs:
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_one_error_line_exit_1(self, tmp_path, case):
-        argv, doc = MALFORMED[case]
-        (tmp_path / "bad.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    @staticmethod
+    def _error_line(tmp_path, argv):
+        """Run the CLI in tmp_path, which holds agg.json and in.txt; returns
+        its one stderr line after checking that it is an ERROR with exit 1."""
         (tmp_path / "agg.json").write_text(json.dumps(_state(), ensure_ascii=False), encoding="utf-8")
         (tmp_path / "in.txt").write_text("Смотри гл. вторая", encoding="utf-8")
         src = str(Path(abbrevkit.__file__).resolve().parents[1])
@@ -529,3 +545,24 @@ class TestMalformedInputs:
         assert "Traceback" not in result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR "), result.stderr
+        return lines[0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line_exit_1(self, tmp_path, case):
+        argv, doc = MALFORMED[case]
+        (tmp_path / "bad.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        line = self._error_line(tmp_path, argv)
+        for part in MESSAGE_PARTS.get(case, ()):
+            assert part in line, line
+
+    def test_flag_error_beside_config_names_no_config(self, tmp_path):
+        (tmp_path / "good.json").write_text('{"jobs": 1}', encoding="utf-8")
+        line = self._error_line(tmp_path, ["--config", "good.json", *CONFIG_INGEST[2:], "--window", "x"])
+        assert line == "ERROR abbrevkit ingest: argument --window: expected 'first:last' years, got 'x'"
+
+    def test_totals_error_names_file_and_line(self, tmp_path):
+        (tmp_path / "totals.tsv").write_text("1995\tx\n", encoding="utf-8")
+        (tmp_path / "words.txt").write_text("др\n", encoding="utf-8")
+        line = self._error_line(tmp_path, ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt",
+                                           "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
+        assert "totals.tsv" in line and "line 1" in line, line

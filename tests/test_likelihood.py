@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from abbrevkit import likelihood
+from abbrevkit.dictionary import decide_lrt
 from abbrevkit.likelihood import (
     EstimationError,
     HypothesisParams,
@@ -18,7 +20,7 @@ from abbrevkit.likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from helpers import build_profiles
+from helpers import build_profiles, profile_of
 import oracles
 
 REF_PARAMS = HypothesisParams(0.068, 0.955, 1.0)
@@ -198,6 +200,73 @@ class TestErrorProbabilities:
         expected = alpha_error(9, 40, 0.068)
         se = math.sqrt(expected * (1 - expected) / 10**6)
         assert abs(empirical - expected) <= 3 * se
+
+
+
+def _full_alpha(eta, total, p):
+    """alpha_error as the full sum over its range, edge cases included."""
+    lo = max(0, math.ceil(eta))
+    if lo > total:
+        return 0.0
+    return 1.0 if lo == 0 else min(1.0, oracles.fsum_range_reference(total, lo, total, p))
+
+
+def _full_beta(eta, total, p):
+    """beta_error as the full sum over its range, edge cases included."""
+    hi = min(total, math.ceil(eta) - 1)
+    if hi < 0:
+        return 0.0
+    return 1.0 if hi >= total else min(1.0, oracles.fsum_range_reference(total, 0, hi, p))
+
+
+class TestBoundedErrorSums:
+    """alpha_error/beta_error stop summing early; the float must not change."""
+
+    # p near 0, 0.5 and near 1, as (p0, p1) pairs so solve_threshold applies
+    PAIRS = [(1e-6, 0.5), (0.068, 0.955), (0.5, 1 - 1e-6)]
+
+    def test_bit_identical_to_full_fsum(self):
+        rng = random.Random(2026)
+        totals = [1, 2, 3, 7, 40, 41, 250, 1000, 20000] + [rng.randint(1, 3000) for _ in range(6)]
+        for total in totals:
+            for p0, p1 in self.PAIRS:
+                etas = [-1, 0, total, total + 0.5, (total + 1) * p0 // 1, (total + 1) * p1 // 1]
+                etas += [solve_threshold(total, HypothesisParams(p0, p1, c))
+                         for c in (math.exp(-60), 1.0, math.exp(60))]
+                for eta in etas:
+                    for p in (p0, p1):
+                        case = (total, p, eta)
+                        assert alpha_error(eta, total, p) == _full_alpha(eta, total, p), case
+                        assert beta_error(eta, total, p) == _full_beta(eta, total, p), case
+
+    @pytest.mark.parametrize("c", [math.exp(-60), 1.0, math.exp(60)])
+    def test_corpus_scale_decision_is_cheap(self, monkeypatch, c):
+        # cost gate as a count of log-pmf evaluations (every pmf term and
+        # every remainder bound needs one), not as a wall-clock time
+        calls = []
+        log_pmf = likelihood.log_binomial_pmf
+
+        def counted(*args):
+            calls.append(args)
+            return log_pmf(*args)
+
+        monkeypatch.setattr(likelihood, "log_binomial_pmf", counted)
+        total = 10**9
+        profile = profile_of("слово", {2000: (total // 2, total)})
+        decision = decide_lrt(profile, HypothesisParams(0.068, 0.955, c))
+        assert decision.total == total
+        assert decision.alpha == 0.0 and decision.beta == 0.0
+        assert 0 < len(calls) <= 300
+
+    @pytest.mark.parametrize("eta", [136, 180])  # p0 mode floor(2001 * 0.068), and 4 sd above it
+    def test_alpha_exact_near_mode(self, eta):
+        exact = oracles.tail_ge_exact(eta, 2000, "0.068")
+        assert oracles.rel_err(alpha_error(eta, 2000, 0.068), exact) < 1e-10
+
+    @pytest.mark.parametrize("eta", [1910, 1873])  # p1 mode floor(2001 * 0.955), and 4 sd below it
+    def test_beta_exact_near_mode(self, eta):
+        exact = oracles.head_lt_exact(eta, 2000, "0.955")
+        assert oracles.rel_err(beta_error(eta, 2000, 0.955), exact) < 1e-10
 
 
 class TestMinUsage:
