@@ -22,7 +22,7 @@ from .likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from .segment import baseline_segment, dict_segment, load_dictionary
+from .segment import baseline_segment, dict_segment, load_dictionary, sentence_spans
 from .synth import SynthSpec, generate_ngrams, generate_text
 
 __all__ = [
@@ -51,5 +51,6 @@ __all__ = [
     "load_dictionary",
     "min_usage_for_error",
     "parse_line",
+    "sentence_spans",
     "solve_threshold",
 ]

@@ -14,9 +14,11 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import analytics, dictionary, ingest, likelihood, segment, synth
 
@@ -113,11 +115,32 @@ def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
     return flags
 
 
-def _write_output(path: str, payload: str) -> None:
+@contextmanager
+def _atomic_output(path: str | Path) -> Iterator[TextIO]:
+    """A handle on a new file beside `path` that replaces `path` once the
+    block ends without an error; after an error it is deleted and `path`
+    stays as it was.  A pipe or device (``/dev/stdout``) cannot be
+    replaced, so it is written in place."""
     target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(payload, encoding="utf-8")
+    if target.exists() and not target.is_file():
+        with open(target, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    target = target.resolve()  # replace a symlink's target, not the link
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "x", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _write_output(path: str | Path, payload: str) -> None:
+    with _atomic_output(path) as handle:
+        handle.write(payload)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -233,8 +256,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             report = analytics.dynamics(entries, args.dynamics_window, args.top_k, totals_by_year)
         report.meta.setdefault("window", list(effective_window))
         report.meta.setdefault("dictionary_fingerprint", dictionary_digest)
-        (out_dir / f"{kind}.tsv").write_text(report.to_tsv(), encoding="utf-8")
-        (out_dir / f"{kind}.json").write_text(report.to_json(), encoding="utf-8")
+        _write_output(out_dir / f"{kind}.tsv", report.to_tsv())
+        _write_output(out_dir / f"{kind}.json", report.to_json())
         logger.info("wrote %s (%d rows)", out_dir / f"{kind}.tsv", len(report.rows))
     return 0
 
@@ -246,12 +269,16 @@ def _read_totals(path: str) -> dict[int, int]:
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
+        where = f"totals file {path} line {line_number}"
         try:
-            totals[int(fields[0])] = int(fields[1])
+            year, count = int(fields[0]), int(fields[1])
         except (IndexError, ValueError):
-            raise CliError(
-                f"totals file {path} line {line_number}: expected 'year TAB count' as ints, got {line!r}"
-            ) from None
+            raise CliError(f"{where}: expected 'year TAB count' as ints, got {line!r}") from None
+        if count <= 0:
+            raise CliError(f"{where}: count must be positive, got {line!r}")
+        if year in totals:
+            raise CliError(f"{where}: year {year} repeats an earlier line")
+        totals[year] = count
     return totals
 
 
@@ -270,13 +297,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
     else:
         text = sys.stdin.read()
+    # only --spans needs tokens; the boundaries come from periods alone
+    tokens: list[segment.Token] = []
     if args.baseline:
         sentences = segment.baseline_segment(text)
-        tokens: list[segment.Token] = []
-    else:
+    elif args.spans:
         tokens, sentences = segment.dict_segment(text, loaded, override)
-    out = sys.stdout if not args.output else open(args.output, "w", encoding="utf-8")
-    try:
+    else:
+        sentences = segment.sentence_spans(text, loaded, override)
+    with _atomic_output(args.output) if args.output else nullcontext(sys.stdout) as out:
         if args.spans:
             doc = {
                 "sentences": [
@@ -292,9 +321,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
         else:
             for line in segment.sentence_texts(text, sentences):
                 out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -308,13 +334,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = synth.generate_ngrams(spec, out_dir / "1grams.tsv", out_dir / "2grams.tsv")
     sample = synth.generate_text(spec, sentences)
-    (out_dir / "text.txt").write_text(sample.text, encoding="utf-8")
-    (out_dir / "gold.json").write_text(sample.gold_json(), encoding="utf-8")
-    (out_dir / "abbreviations.txt").write_text(
-        "\n".join(sorted(spec.abbrev_words)) + "\n", encoding="utf-8"
-    )
-    (out_dir / "override.txt").write_text(
-        "\n".join(sorted(spec.title_like)) + ("\n" if spec.title_like else ""), encoding="utf-8"
+    _write_output(out_dir / "text.txt", sample.text)
+    _write_output(out_dir / "gold.json", sample.gold_json())
+    _write_output(out_dir / "abbreviations.txt", "\n".join(sorted(spec.abbrev_words)) + "\n")
+    _write_output(
+        out_dir / "override.txt", "\n".join(sorted(spec.title_like)) + ("\n" if spec.title_like else "")
     )
     logger.info(
         "synth: %d unigram lines, %d bigram lines, %d sentences -> %s",

@@ -1,19 +1,24 @@
 """Sentence segmentation driven by an abbreviation dictionary.
 
 The hard call at every period is whether it ends a sentence or belongs
-to an abbreviation.  The naive period-space-capital pattern answers
-"sentence end" whenever a period is followed by whitespace and an
-uppercase letter; it is kept here, implemented independently, as the
-measurable baseline.  The dictionary-aware segmenter attaches the
-period to a preceding word whose stem is a dictionary hit and then
-rules the position a boundary only where the baseline pattern fires and
-the stem is not a known title-like prefix (an optional override list).
-With an empty dictionary both produce identical boundaries.
+to an abbreviation.  One rule decides it, looking at periods only: a
+period followed by whitespace ends a sentence when the next non-space
+character is uppercase, unless the stem before the period (the letter
+run ending there) is both in the dictionary and in the override list
+of title-like prefixes.  So the dictionary changes a boundary only at
+override-listed stems; with an empty dictionary the rule is the naive
+period-space-capital pattern, the measurable baseline.
+
+`sentence_spans` applies the rule without tokenizing.  `dict_segment`
+also tokenizes, fusing a dictionary stem with its period into one
+abbreviation token, and gives each sentence its token range; the CLI
+calls it only for ``--spans``.
 
 All spans are byte offsets into the UTF-8 encoding of the input.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import re
 import unicodedata
@@ -32,6 +37,7 @@ __all__ = [
     "KIND_NUMBER",
     "KIND_OTHER",
     "tokenize",
+    "sentence_spans",
     "baseline_segment",
     "dict_segment",
     "load_dictionary",
@@ -90,41 +96,79 @@ EMPTY_DICTIONARY = LoadedDictionary(())
 # then any single leftover character
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)+|\d+|[^\W\d_]+|\s+|.", re.UNICODE)
 
-
-def _byte_offsets(text: str) -> list[int]:
-    """UTF-8 byte offset of every char index of text, plus its end."""
-    byte_at = [0] * (len(text) + 1)
-    pos = 0
-    for index, ch in enumerate(text):
-        pos += len(ch.encode("utf-8"))
-        byte_at[index + 1] = pos
-    return byte_at
+# a candidate period: whitespace and then a non-space character (group 1)
+# follow it
+_PERIOD_RE = re.compile(r"\.(?=\s+(\S))", re.UNICODE)
+# a letter run, the word class of _TOKEN_RE; matched on the reversed
+# text it reads the stem that ends at a period
+_RUN_RE = re.compile(r"[^\W\d_]*", re.UNICODE)
 
 
 def tokenize(text: str) -> list[Token]:
     """Split text into word/number/punctuation/other tokens with byte
     spans; whitespace becomes the gaps between spans."""
-    byte_at = _byte_offsets(text)
     tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        chunk = match.group()
-        if chunk.isspace():
-            continue
-        first = chunk[0]
-        if first.isdigit():
-            kind = KIND_NUMBER
-        elif first.isalpha():
-            kind = KIND_WORD
-        elif unicodedata.category(first).startswith("P"):
-            kind = KIND_PUNCT
-        else:
-            kind = KIND_OTHER
-        tokens.append(Token(chunk, byte_at[match.start()], byte_at[match.end()], kind))
+    pos = 0  # byte offset of the match; the matches tile the text
+    for chunk in _TOKEN_RE.findall(text):
+        size = len(chunk.encode("utf-8"))
+        if not chunk.isspace():
+            first = chunk[0]
+            if first.isdigit():
+                kind = KIND_NUMBER
+            elif first.isalpha():
+                kind = KIND_WORD
+            elif unicodedata.category(first).startswith("P"):
+                kind = KIND_PUNCT
+            else:
+                kind = KIND_OTHER
+            tokens.append(Token(chunk, pos, pos + size, kind))
+        pos += size
     return tokens
 
 
-def _first_char_upper(token: Token) -> bool:
-    return token.text[:1].isupper()
+def sentence_spans(
+    text: str,
+    dictionary: LoadedDictionary | None = None,
+    override: Iterable[str] = (),
+) -> list[SentenceSpan]:
+    """Sentence byte spans by the one boundary rule, without tokens.
+
+    A period followed by whitespace ends a sentence when the next
+    non-space character is uppercase, unless its stem (the letter run
+    ending at the period, starting with a letter) is both in the
+    dictionary and in the override list.  End of text ends the last
+    sentence; whitespace around a sentence is outside its span.
+    """
+    dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
+    override_set = {w.lower() for w in override} if dictionary.case_fold else set(override)
+    backwards = text[::-1] if override_set else ""
+    cuts = []  # char index just after each terminal period
+    for match in _PERIOD_RE.finditer(text):
+        if not match.group(1).isupper():
+            continue
+        if override_set:
+            stem = _RUN_RE.match(backwards, len(text) - match.start()).group()[::-1]
+            if (
+                stem[:1].isalpha()
+                and stem in dictionary
+                and (stem.lower() if dictionary.case_fold else stem) in override_set
+            ):
+                continue
+        cuts.append(match.end())
+    cuts.append(len(text))
+
+    spans: list[SentenceSpan] = []
+    cursor = pos = 0  # char index and byte offset of the piece's start
+    for cut in cuts:
+        piece = text[cursor:cut]
+        size = len(piece.encode("utf-8"))
+        body = piece.lstrip()
+        if body:
+            start = pos + size - len(body.encode("utf-8"))
+            spans.append(SentenceSpan(start, start + len(body.rstrip().encode("utf-8"))))
+        pos += size
+        cursor = cut
+    return spans
 
 
 def dict_segment(
@@ -135,109 +179,39 @@ def dict_segment(
     """Tokenize and split into sentences using the dictionary.
 
     A period directly after a word whose stem is in the dictionary fuses
-    with it into an abbreviation token.  Such a position ends a sentence
-    only when the baseline pattern would fire there (whitespace plus an
-    uppercase start follows) and the stem is not in the override list of
-    title-like prefixes; at end of text the fused token both keeps its
-    period and closes the final sentence.  Everywhere else the period
-    stays a separate token and the baseline pattern decides.
+    with it into one abbreviation token.  Sentences are those of
+    `sentence_spans`, each with the range of tokens it covers.
     """
     dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
-    override_set = {w.lower() for w in override} if dictionary.case_fold else set(override)
-    raw = tokenize(text)
-
     tokens: list[Token] = []
-    boundary_after: list[bool] = []
-    i = 0
-    while i < len(raw):
-        token = raw[i]
-        nxt = raw[i + 1] if i + 1 < len(raw) else None
+    for token in tokenize(text):
+        prev = tokens[-1] if tokens else None
         if (
-            token.kind == KIND_WORD
-            and nxt is not None
-            and nxt.kind == KIND_PUNCT
-            and nxt.text == "."
-            and nxt.start == token.end
-            and token.text in dictionary
+            token.text == "."
+            and prev is not None
+            and prev.kind == KIND_WORD
+            and prev.end == token.start
+            and prev.text in dictionary
         ):
-            follower = raw[i + 2] if i + 2 < len(raw) else None
-            fused = Token(token.text + ".", token.start, nxt.end, KIND_ABBREV)
-            if follower is None:
-                tokens.append(fused)
-                boundary_after.append(True)
-            else:
-                fires = follower.start > nxt.end and _first_char_upper(follower)
-                stem = token.text.lower() if dictionary.case_fold else token.text
-                tokens.append(fused)
-                boundary_after.append(fires and stem not in override_set)
-            i += 2
-            continue
-        if token.kind == KIND_PUNCT and token.text == ".":
-            follower = raw[i + 1] if i + 1 < len(raw) else None
-            fires = (
-                follower is not None
-                and follower.start > token.end
-                and _first_char_upper(follower)
-            )
+            tokens[-1] = Token(prev.text + ".", prev.start, token.end, KIND_ABBREV)
+        else:
             tokens.append(token)
-            boundary_after.append(fires)
-            i += 1
-            continue
-        tokens.append(token)
-        boundary_after.append(False)
-        i += 1
 
-    sentences: list[SentenceSpan] = []
+    ends = [token.end for token in tokens]
+    sentences = []
     first = 0
-    for index, token in enumerate(tokens):
-        terminal = boundary_after[index] or index == len(tokens) - 1
-        if terminal:
-            sentences.append(
-                SentenceSpan(
-                    start=tokens[first].start,
-                    end=token.end,
-                    token_start=first,
-                    token_end=index + 1,
-                )
-            )
-            first = index + 1
+    for span in sentence_spans(text, dictionary, override):
+        last = bisect.bisect_right(ends, span.end)
+        sentences.append(SentenceSpan(span.start, span.end, first, last))
+        first = last
     return tokens, sentences
 
 
 def baseline_segment(text: str) -> list[SentenceSpan]:
-    """Period-space-capital heuristic, implemented as a direct character
-    scan (independently of the tokenizer): a period followed by
-    whitespace and then an uppercase letter ends a sentence; end of text
-    ends the last one.  Leading and trailing whitespace of each sentence
-    is excluded from its span, matching the token-based spans."""
-    size = len(text)
-    byte_at = _byte_offsets(text)
-
-    cuts: list[int] = []  # char index just after a terminal period
-    for index, ch in enumerate(text):
-        if ch != ".":
-            continue
-        j = index + 1
-        saw_space = False
-        while j < size and text[j].isspace():
-            saw_space = True
-            j += 1
-        if saw_space and j < size and text[j].isupper():
-            cuts.append(index + 1)
-
-    spans: list[SentenceSpan] = []
-    cursor = 0
-    for cut in cuts + [size]:
-        lo = cursor
-        while lo < cut and text[lo].isspace():
-            lo += 1
-        if lo < cut:
-            hi = cut
-            while hi > lo and text[hi - 1].isspace():
-                hi -= 1
-            spans.append(SentenceSpan(start=byte_at[lo], end=byte_at[hi]))
-        cursor = cut
-    return spans
+    """The naive period-space-capital pattern: the one boundary rule
+    with an empty dictionary, so every period followed by whitespace and
+    an uppercase character ends a sentence."""
+    return sentence_spans(text, EMPTY_DICTIONARY)
 
 
 def load_dictionary(path: str | Path, case_fold: bool | None = None) -> LoadedDictionary:

@@ -1,12 +1,15 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import abbrevkit
+from abbrevkit import dictionary, segment
 from abbrevkit.cli import build_parser, main
 from abbrevkit.ingest import Aggregator
 
@@ -285,6 +288,103 @@ class TestSegmentCommand:
         assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+class TestSegmentWithoutTokens:
+    """Only --spans tokenizes: with tokenize patched to raise, both modes
+    still segment."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        (tmp_path / "dict.txt").write_text("гл\nгор\n", encoding="utf-8")
+        (tmp_path / "override.txt").write_text("гор\n", encoding="utf-8")
+        text = tmp_path / "in.txt"
+        text.write_text("Смотри гл. Вторая часть. Он уехал в гор. Казань вчера.", encoding="utf-8")
+        return tmp_path
+
+    @staticmethod
+    def _refuse(text):
+        raise AssertionError("tokenize called")
+
+    def test_dictionary_mode(self, inputs, monkeypatch, capsys):
+        monkeypatch.setattr(segment, "tokenize", self._refuse)
+        assert main([
+            "segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"),
+            "--override-list", str(inputs / "override.txt"),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Смотри гл.", "Вторая часть.", "Он уехал в гор. Казань вчера.",
+        ]
+
+    def test_baseline_mode(self, inputs, monkeypatch, capsys):
+        monkeypatch.setattr(segment, "tokenize", self._refuse)
+        assert main(["segment", str(inputs / "in.txt"), "--baseline"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Смотри гл.", "Вторая часть.", "Он уехал в гор.", "Казань вчера.",
+        ]
+
+    def test_spans_tokenize(self, inputs, monkeypatch, capsys):
+        calls = []
+        real = segment.tokenize
+        monkeypatch.setattr(segment, "tokenize", lambda text: calls.append(text) or real(text))
+        assert main(["segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"), "--spans"]) == 0
+        assert len(calls) == 1
+        assert len(json.loads(capsys.readouterr().out)["tokens"]) == 12
+
+
+class TestAtomicOutputs:
+    """A failure while an output is written leaves the old file and no
+    temporary file."""
+
+    def test_segment_output(self, tmp_path, monkeypatch):
+        (tmp_path / "dict.txt").write_text("гл\n", encoding="utf-8")
+        (tmp_path / "in.txt").write_text("Привет. Пока.", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old output\n")
+
+        def failing_texts(text, sentences):
+            yield "Привет."
+            raise ValueError("write failed")
+
+        monkeypatch.setattr(segment, "sentence_texts", failing_texts)
+        code = main([
+            "segment", str(tmp_path / "in.txt"), "--dictionary", str(tmp_path / "dict.txt"), "--output", str(out),
+        ])
+        assert code == 1
+        assert out.read_bytes() == b"old output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dict.txt", "in.txt", "out.txt"]
+
+    def test_symlink_and_pipe_targets(self, tmp_path):
+        (tmp_path / "in.txt").write_text("Привет. Пока.", encoding="utf-8")
+        real = tmp_path / "real.txt"
+        real.write_bytes(b"old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert main(["segment", str(tmp_path / "in.txt"), "--baseline", "--output", str(link)]) == 0
+        assert link.is_symlink() and real.read_text(encoding="utf-8") == "Привет.\nПока.\n"
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert main(["segment", str(tmp_path / "in.txt"), "--baseline", "--output", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["Привет.\nПока.\n".encode("utf-8")]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_build_output(self, aggregate_file, tmp_path, monkeypatch):
+        out = tmp_path / "out" / "dict.txt"
+        out.parent.mkdir()
+        out.write_bytes(b"old\n")
+        # a lone surrogate cannot be encoded, so the write itself fails
+        monkeypatch.setattr(dictionary, "dictionary_to_wordlist", lambda built: "гл\n\ud800\n")
+        assert main(["build", "--aggregate", str(aggregate_file), "--out-words", str(out)]) == 1
+        assert out.read_bytes() == b"old\n"
+        assert [p.name for p in out.parent.iterdir()] == ["dict.txt"]
+
+
 class TestSynthCommand:
     def test_rerun_byte_identical(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -559,6 +659,18 @@ class TestMalformedInputs:
         (tmp_path / "good.json").write_text('{"jobs": 1}', encoding="utf-8")
         line = self._error_line(tmp_path, ["--config", "good.json", *CONFIG_INGEST[2:], "--window", "x"])
         assert line == "ERROR abbrevkit ingest: argument --window: expected 'first:last' years, got 'x'"
+
+    @pytest.mark.parametrize("content, line_number", [
+        ("1995\t0\n", 1),
+        ("1995\t-5\n1996\t7\n", 1),
+        ("1995\t5\n# comment\n1995\t9\n", 3),
+    ], ids=["zero-count", "negative-count", "repeated-year"])
+    def test_totals_rejects_nonpositive_count_and_repeated_year(self, tmp_path, content, line_number):
+        (tmp_path / "totals.tsv").write_text(content, encoding="utf-8")
+        (tmp_path / "words.txt").write_text("др\n", encoding="utf-8")
+        line = self._error_line(tmp_path, ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt",
+                                           "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
+        assert "totals.tsv" in line and f"line {line_number}:" in line, line
 
     def test_totals_error_names_file_and_line(self, tmp_path):
         (tmp_path / "totals.tsv").write_text("1995\tx\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +12,19 @@ from abbrevkit.segment import (
     KIND_WORD,
     DictionaryLoadError,
     LoadedDictionary,
+    SentenceSpan,
     baseline_segment,
     boundary_f1,
     boundary_offsets,
     dict_segment,
     load_dictionary,
+    sentence_spans,
     sentence_texts,
     tokenize,
 )
 from abbrevkit import synth
+
+import oracles
 
 
 def _ends(spans):
@@ -287,3 +292,70 @@ class TestBoundaryF1:
 
     def test_empty_prediction(self):
         assert boundary_f1([], [5]) == (0.0, 0.0, 0.0)
+
+
+# wide alphabet for the oracle comparisons: both cases of Cyrillic and
+# Latin, a titlecase letter (not uppercase), digits that are not decimal
+# (superscript two, one half), underscore, a combining accent, no-break
+# space, line separator, tabs and newlines, and numbers with . and ,
+_WIDE_ATOMS = list("абвгАБВГabcABC\u01c5\u00b2\u00bd_\u0301\u00a0\u2028 \t\n.,!") + [
+    "гл", "Гл", "ГЛ", "ab", "Ab", "\u00b2гл", "\u00bdab", "_гл", "3гл", "x\u00b2y", "е\u0301ж",
+    "3", "3.14", "1,5", "..", ". ", ".\n", ". Да", ". да", ". \u01c5", ".\u00a0Z", ".\u2028Ж",
+]
+_wide_texts = st.builds(
+    lambda parts, final: "".join(parts) + ("." if final else ""),
+    st.lists(st.sampled_from(_WIDE_ATOMS), max_size=40),
+    st.booleans(),
+)
+
+
+def _drawn_dictionary(data, text):
+    """A dictionary and an override list drawn from the text's own letter
+    runs and their case variants, with case folding on or off; the
+    override list mostly repeats dictionary words, where it matters."""
+    runs = sorted({v for run in re.findall(r"[^\W\d_]+", text) for v in (run, run.lower(), run.upper())})
+    case_fold = data.draw(st.booleans())
+    if not runs:
+        return LoadedDictionary((), case_fold=case_fold), []
+    words = sorted(data.draw(st.sets(st.sampled_from(runs))))
+    override = data.draw(st.lists(st.sampled_from(words))) if words else []
+    override += data.draw(st.lists(st.sampled_from(runs), max_size=3))
+    return LoadedDictionary(words, case_fold=case_fold), override
+
+
+class TestPeriodRuleMatchesOracles:
+    """The period rule against the token walk and the character scan it
+    replaced (tests/oracles.py): same tokens, spans and boundaries."""
+
+    @given(_wide_texts, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_dict_segment_and_spans(self, text, data):
+        loaded, override = _drawn_dictionary(data, text)
+        expected_tokens, expected = oracles.dict_segment_reference(text, loaded, override)
+        assert dict_segment(text, loaded, override) == (expected_tokens, expected)
+        assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
+
+    @given(_wide_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_baseline_and_tokens(self, text):
+        assert baseline_segment(text) == oracles.baseline_segment_reference(text)
+        assert sentence_spans(text) == oracles.baseline_segment_reference(text)
+        assert tokenize(text) == oracles.tokenize_reference(text)
+
+    def test_on_generated_texts(self):
+        spec = synth.make_spec(12, 60, seed=11)
+        text = synth.generate_text(spec, 300).text
+        for case_fold in (False, True):
+            loaded = LoadedDictionary(spec.abbrev_words, case_fold=case_fold)
+            expected = oracles.dict_segment_reference(text, loaded, spec.title_like)
+            assert dict_segment(text, loaded, spec.title_like) == expected
+            assert sentence_spans(text, loaded, spec.title_like) == [
+                SentenceSpan(s.start, s.end) for s in expected[1]
+            ]
+        assert baseline_segment(text) == oracles.baseline_segment_reference(text)
+
+    def test_override_only_acts_on_dictionary_stems(self):
+        text = "Он уехал в гор. Казань. Вот ул. Ленина."
+        loaded = LoadedDictionary({"гор"})
+        spans = sentence_spans(text, loaded, override=["гор", "ул"])
+        assert sentence_texts(text, spans) == ["Он уехал в гор. Казань.", "Вот ул.", "Ленина."]
