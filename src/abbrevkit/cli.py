@@ -14,11 +14,11 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from . import analytics, dictionary, ingest, likelihood, segment, synth
 
@@ -115,31 +115,8 @@ def _config_flags(command: argparse.ArgumentParser, config: dict) -> list[str]:
     return flags
 
 
-@contextmanager
-def _atomic_output(path: str | Path) -> Iterator[TextIO]:
-    """A handle on a new file beside `path` that replaces `path` once the
-    block ends without an error; after an error it is deleted and `path`
-    stays as it was.  A pipe or device (``/dev/stdout``) cannot be
-    replaced, so it is written in place."""
-    target = Path(path)
-    if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8") as handle:
-            yield handle
-        return
-    target = target.resolve()  # replace a symlink's target, not the link
-    target.parent.mkdir(parents=True, exist_ok=True)
-    temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(temporary, "x", encoding="utf-8") as handle:
-            yield handle
-        os.replace(temporary, target)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
-
-
 def _write_output(path: str | Path, payload: str) -> None:
-    with _atomic_output(path) as handle:
+    with ingest.atomic_output(path) as handle:
         handle.write(payload)
 
 
@@ -293,10 +270,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             args.dictionary, case_fold=True if args.case_fold else None
         )
     override = _read_words(args.override_list) if args.override_list else []
-    if args.input and args.input != "-":
-        text = Path(args.input).read_text(encoding="utf-8")
-    else:
-        text = sys.stdin.read()
+    text = _read_text(args.input)
     # only --spans needs tokens; the boundaries come from periods alone
     tokens: list[segment.Token] = []
     if args.baseline:
@@ -305,23 +279,65 @@ def cmd_segment(args: argparse.Namespace) -> int:
         tokens, sentences = segment.dict_segment(text, loaded, override)
     else:
         sentences = segment.sentence_spans(text, loaded, override)
-    with _atomic_output(args.output) if args.output else nullcontext(sys.stdout) as out:
+    with ingest.atomic_output(args.output) if args.output else nullcontext(sys.stdout) as out:
         if args.spans:
-            doc = {
-                "sentences": [
-                    {"start": s.start, "end": s.end, "token_start": s.token_start, "token_end": s.token_end}
-                    for s in sentences
-                ],
-                "tokens": [
-                    {"text": t.text, "start": t.start, "end": t.end, "kind": t.kind}
-                    for t in tokens
-                ],
-            }
-            out.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+            _write_spans(out, sentences, tokens)
         else:
             for line in segment.sentence_texts(text, sentences):
                 out.write(line + "\n")
     return 0
+
+
+def _read_text(path: str) -> str:
+    """`segment`'s input, a file or stdin (``-``), read the same way from
+    either: strict UTF-8 with universal newlines (``\\r\\n`` and ``\\r``
+    become ``\\n``, as `Path.read_text` reads a file), so the byte
+    offsets of a text do not depend on where it came from."""
+    stdin = not path or path == "-"
+    raw = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {'<stdin>' if stdin else path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _write_spans(out: TextIO, sentences: Sequence[segment.SentenceSpan], tokens: Sequence[segment.Token]) -> None:
+    """Write the ``--spans`` document a chunk of records at a time.  The
+    bytes are those of ``json.dumps(doc, ensure_ascii=False,
+    sort_keys=True, indent=2) + "\\n"``, whose pure-Python encoder (the
+    one `indent` selects) took most of the call: each record is a fixed
+    template with its keys in sorted order, and strings go through the C
+    `encode_basestring` that json.dumps uses for them."""
+    quote = json.encoder.encode_basestring
+
+    def number(value: int | None) -> str:
+        return "null" if value is None else str(value)
+
+    out.write('{\n  "sentences": ')
+    _write_array(out, (
+        f'    {{\n      "end": {s.end},\n      "start": {s.start},\n      "token_end": '
+        f'{number(s.token_end)},\n      "token_start": {number(s.token_start)}\n    }}'
+        for s in sentences
+    ))
+    out.write(',\n  "tokens": ')
+    _write_array(out, (
+        f'    {{\n      "end": {t.end},\n      "kind": {quote(t.kind)},\n      "start": '
+        f'{t.start},\n      "text": {quote(t.text)}\n    }}'
+        for t in tokens
+    ))
+    out.write("\n}\n")
+
+
+def _write_array(out: TextIO, records: Iterable[str]) -> None:
+    """A JSON array of rendered records as indent=2 lays it out at the
+    top level of the document; ``[]`` when there are none."""
+    records = iter(records)
+    opening = "[\n"
+    while batch := list(islice(records, 4096)):  # about 0.5 MB a write
+        out.write(opening + ",\n".join(batch))
+        opening = ",\n"
+    out.write("[]" if opening == "[\n" else "\n  ]")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

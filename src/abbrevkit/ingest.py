@@ -16,10 +16,12 @@ import io
 import json
 import logging
 import multiprocessing
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -204,6 +206,33 @@ def open_text(path: str | Path) -> io.TextIOBase:
     if path.suffix == ".gz":
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
     return open(path, "r", encoding="utf-8")
+
+
+@contextmanager
+def atomic_output(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A handle (UTF-8 text, or bytes if `binary`) on a new file beside
+    `path` that replaces `path` once the block ends without an error;
+    after an error it is deleted and `path` stays as it was.  A pipe or
+    device (``/dev/stdout``) cannot be replaced, so it is written in
+    place.  `Aggregator.save` and the CLI's output files use it."""
+    def opened(file: Path, mode: str) -> IO:
+        return open(file, mode + "b") if binary else open(file, mode, encoding="utf-8")
+
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        with opened(target, "w") as handle:
+            yield handle
+        return
+    target = target.resolve()  # replace a symlink's target, not the link
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with opened(temporary, "x") as handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 class Aggregator:
@@ -432,17 +461,18 @@ class Aggregator:
         return agg
 
     def save(self, path: str | Path) -> None:
+        """Write the state to `path` (gzip if it ends in ``.gz``) through
+        `atomic_output`, so a failed save leaves an existing file as it was."""
         payload = json.dumps(
             self.to_state(), ensure_ascii=False, sort_keys=True, separators=(",", ":")
         ) + "\n"
-        path = Path(path)
-        if path.suffix == ".gz":
-            # fixed mtime and no embedded name keep rebuilt archives byte-identical
-            with open(path, "wb") as raw:
+        with atomic_output(path, binary=True) as raw:
+            if Path(path).suffix == ".gz":
+                # fixed mtime and no embedded name keep rebuilt archives byte-identical
                 with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as handle:
                     handle.write(payload.encode("utf-8"))
-        else:
-            path.write_text(payload, encoding="utf-8")
+            else:
+                raw.write(payload.encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Aggregator":

@@ -1,7 +1,30 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and text strategies for the test suite."""
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from abbrevkit.ingest import Aggregator, IngestConfig, NgramRecord, WordProfile
+
+# wide alphabet for the oracle comparisons: both cases of Cyrillic and
+# Latin, a titlecase letter (not uppercase), digits that are not decimal
+# (superscript two, one half), underscore, a combining accent, no-break
+# space, line separator, tabs and newlines, and numbers with . and ,
+WIDE_ATOMS = list("абвгАБВГabcABC\u01c5\u00b2\u00bd_\u0301\u00a0\u2028 \t\n.,!") + [
+    "гл", "Гл", "ГЛ", "ab", "Ab", "\u00b2гл", "\u00bdab", "_гл", "3гл", "x\u00b2y", "е\u0301ж",
+    "3", "3.14", "1,5", "..", ". ", ".\n", ". Да", ". да", ". \u01c5", ".\u00a0Z", ".\u2028Ж",
+]
+
+
+def texts_of(atoms: list[str]) -> st.SearchStrategy[str]:
+    """Texts of up to 40 atoms, half of them ending in a period."""
+    return st.builds(
+        lambda parts, final: "".join(parts) + ("." if final else ""),
+        st.lists(st.sampled_from(atoms), max_size=40),
+        st.booleans(),
+    )
+
+
+wide_texts = texts_of(WIDE_ATOMS)
 
 
 def build_profiles(

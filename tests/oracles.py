@@ -6,10 +6,13 @@ log-space code paths under test.  Probabilities arrive as decimal
 strings or floats with short decimal representations and are converted
 through their decimal repr, so 0.068 means exactly 17/250.  The
 segmentation references are the token walk and the character scan that
-the period-driven segmenter replaced.
+the period-driven segmenter replaced, and the ``--spans`` document is
+checked against the json.dumps call that the CLI's streaming writer
+replaced.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import unicodedata
@@ -235,3 +238,20 @@ def baseline_segment_reference(text: str) -> list[SentenceSpan]:
             spans.append(SentenceSpan(start=byte_at[lo], end=byte_at[hi]))
         cursor = cut
     return spans
+
+
+# -- the --spans document as json.dumps wrote it before the CLI streamed it
+
+
+def spans_json_reference(sentences: Iterable[SentenceSpan], tokens: Iterable[Token]) -> str:
+    doc = {
+        "sentences": [
+            {"start": s.start, "end": s.end, "token_start": s.token_start, "token_end": s.token_end}
+            for s in sentences
+        ],
+        "tokens": [
+            {"text": t.text, "start": t.start, "end": t.end, "kind": t.kind}
+            for t in tokens
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -7,11 +9,16 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abbrevkit
 from abbrevkit import dictionary, segment
 from abbrevkit.cli import build_parser, main
 from abbrevkit.ingest import Aggregator
+
+import oracles
+from helpers import WIDE_ATOMS, texts_of
 
 SPEC_DOC = {
     "abbrev_words": ["др", "гл", "тов", "гор", "ул"],
@@ -263,6 +270,18 @@ class TestSegmentCommand:
         assert main(["segment", str(text), "--dictionary", str(dict_path), "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == "Привет.\nПока.\n"
 
+    def test_stdin_read_like_a_file(self, tmp_path, monkeypatch, capsys):
+        # universal newlines either way: \r\n and a lone \r count as one \n
+        data = "Один. Два.\r\nТри.\rЧетыре.\r\n".encode("utf-8")
+        (tmp_path / "in.txt").write_bytes(data)
+        assert main(["segment", str(tmp_path / "in.txt"), "--baseline", "--spans"]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["segment", "--baseline", "--spans"]) == 0
+        assert capsys.readouterr().out == from_file
+        text = "Один. Два.\nТри.\nЧетыре.\n"
+        assert from_file == oracles.spans_json_reference(segment.baseline_segment(text), [])
+
     def test_needs_dictionary_without_baseline(self, tmp_path):
         text = tmp_path / "in.txt"
         text.write_text("Привет.", encoding="utf-8")
@@ -290,7 +309,7 @@ class TestSegmentCommand:
 
 class TestSegmentWithoutTokens:
     """Only --spans tokenizes: with tokenize patched to raise, both modes
-    still segment."""
+    still segment.  --spans writes its JSON without json.dumps."""
 
     @pytest.fixture()
     def inputs(self, tmp_path):
@@ -328,6 +347,67 @@ class TestSegmentWithoutTokens:
         assert main(["segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"), "--spans"]) == 0
         assert len(calls) == 1
         assert len(json.loads(capsys.readouterr().out)["tokens"]) == 12
+
+    def test_spans_without_json_dumps(self, inputs, monkeypatch, capsys):
+        text = (inputs / "in.txt").read_text(encoding="utf-8")
+        tokens, sentences = segment.dict_segment(text, segment.LoadedDictionary(["гл", "гор"]))
+        expected = oracles.spans_json_reference(sentences, tokens)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        argv = ["segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"), "--spans"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert main([*argv, "--output", str(inputs / "spans.json")]) == 0
+        assert (inputs / "spans.json").read_text(encoding="utf-8") == expected
+
+
+# the wide alphabet plus what JSON escapes: quote, backslash, every
+# control character, the line separator (in the wide alphabet) and a
+# letter outside the BMP; \r and \r\n, which the CLI reads as \n, shift
+# the byte offsets that follow them
+_SPANS_TEXTS = texts_of([*WIDE_ATOMS, '"', "\\", *map(chr, range(0x20)), "\r\n", "\U0001d400", ". \U0001d400"])
+
+
+class TestSpansMatchOracle:
+    """segment --spans writes byte for byte what json.dumps wrote for the
+    same spans (oracles.spans_json_reference)."""
+
+    @staticmethod
+    def _spans(work, text, argv):
+        (work / "in.txt").write_bytes(text.encode("utf-8"))
+        out = work / "spans.json"
+        assert main(["segment", str(work / "in.txt"), "--spans", "--output", str(out), *argv]) == 0
+        return out.read_text(encoding="utf-8")
+
+    @given(_SPANS_TEXTS, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_dictionary_and_baseline_modes(self, tmp_path_factory, text, data):
+        work = tmp_path_factory.mktemp("spans")
+        read = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+        runs = sorted(set(re.findall(r"[^\W\d_]+", read)))
+        if data.draw(st.booleans(), label="baseline"):
+            argv, tokens, sentences = ["--baseline"], [], segment.baseline_segment(read)
+        else:
+            words = data.draw(st.lists(st.sampled_from(runs), unique=True)) if runs else []
+            override = data.draw(st.lists(st.sampled_from(runs), max_size=3)) if runs else []
+            case_fold = data.draw(st.booleans(), label="case_fold")
+            (work / "dict.txt").write_text("".join(w + "\n" for w in words), encoding="utf-8")
+            (work / "override.txt").write_text("".join(w + "\n" for w in override), encoding="utf-8")
+            argv = ["--dictionary", str(work / "dict.txt"), "--override-list", str(work / "override.txt")]
+            argv += ["--case-fold"] if case_fold else []
+            loaded = segment.LoadedDictionary(words, case_fold=case_fold)
+            tokens, sentences = segment.dict_segment(read, loaded, override)
+        assert self._spans(work, text, argv) == oracles.spans_json_reference(sentences, tokens)
+
+    @pytest.mark.parametrize("text", ["", " \n\t\r\n \u2028"], ids=["empty", "whitespace-only"])
+    def test_empty_and_whitespace_only_texts(self, tmp_path, text):
+        (tmp_path / "dict.txt").write_text("гл\n", encoding="utf-8")
+        expected = oracles.spans_json_reference([], [])
+        assert self._spans(tmp_path, text, ["--baseline"]) == expected
+        assert self._spans(tmp_path, text, ["--dictionary", str(tmp_path / "dict.txt")]) == expected
 
 
 class TestAtomicOutputs:
@@ -630,21 +710,23 @@ MESSAGE_PARTS = {
 
 class TestMalformedInputs:
     @staticmethod
-    def _error_line(tmp_path, argv):
-        """Run the CLI in tmp_path, which holds agg.json and in.txt; returns
-        its one stderr line after checking that it is an ERROR with exit 1."""
+    def _error_line(tmp_path, argv, stdin=b""):
+        """Run the CLI in tmp_path, which holds agg.json and in.txt, with
+        `stdin` as its input; returns its one stderr line after checking
+        that it is an ERROR with exit 1."""
         (tmp_path / "agg.json").write_text(json.dumps(_state(), ensure_ascii=False), encoding="utf-8")
         (tmp_path / "in.txt").write_text("Смотри гл. вторая", encoding="utf-8")
         src = str(Path(abbrevkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "abbrevkit.cli", *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+            input=stdin, capture_output=True, env=env, cwd=tmp_path,
         )
+        stderr = result.stderr.decode("utf-8")
         assert result.returncode == 1
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("ERROR "), result.stderr
+        assert "Traceback" not in stderr
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR "), stderr
         return lines[0]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -654,6 +736,17 @@ class TestMalformedInputs:
         line = self._error_line(tmp_path, argv)
         for part in MESSAGE_PARTS.get(case, ()):
             assert part in line, line
+
+    @pytest.mark.parametrize("argv, source", [
+        (["segment", "bad.txt", "--baseline"], "bad.txt"),
+        (["segment", "--baseline"], "<stdin>"),
+        (["segment", "-", "--baseline", "--spans"], "<stdin>"),
+    ], ids=["file", "stdin", "stdin-dash-spans"])
+    def test_segment_input_not_utf8_names_its_source(self, tmp_path, argv, source):
+        data = b"ab\xffc. Next."
+        (tmp_path / "bad.txt").write_bytes(data)
+        line = self._error_line(tmp_path, argv, stdin=data)
+        assert f"cannot read {source}:" in line and "0xff in position 2" in line, line
 
     def test_flag_error_beside_config_names_no_config(self, tmp_path):
         (tmp_path / "good.json").write_text('{"jobs": 1}', encoding="utf-8")

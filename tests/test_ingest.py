@@ -315,6 +315,23 @@ class TestFilesAndPersistence:
         agg.save(two)
         assert one.read_bytes() == two.read_bytes()
         assert _canonical(Aggregator.load(one)) == _canonical(agg)
+        # header: no FNAME flag (the temporary file's name stays out) and mtime 0
+        header = one.read_bytes()[:10]
+        assert header[3] & 0x08 == 0 and header[4:8] == bytes(4)
+
+    @pytest.mark.parametrize("name", ["agg.json", "agg.json.gz"])
+    def test_failed_save_leaves_old_state(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        agg = _fill([NgramRecord(("др",), 1995, 200, 9)])
+        agg.save(path)
+        old = path.read_bytes()
+        state = agg.to_state()
+        state["words"]["\ud800"] = {}  # a lone surrogate: encoding the payload fails mid-save
+        monkeypatch.setattr(Aggregator, "to_state", lambda self: state)
+        with pytest.raises(UnicodeEncodeError):
+            agg.save(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_reject_foreign_state(self, tmp_path):
         path = tmp_path / "x.json"

@@ -25,6 +25,7 @@ from abbrevkit.segment import (
 from abbrevkit import synth
 
 import oracles
+from helpers import wide_texts
 
 
 def _ends(spans):
@@ -294,21 +295,6 @@ class TestBoundaryF1:
         assert boundary_f1([], [5]) == (0.0, 0.0, 0.0)
 
 
-# wide alphabet for the oracle comparisons: both cases of Cyrillic and
-# Latin, a titlecase letter (not uppercase), digits that are not decimal
-# (superscript two, one half), underscore, a combining accent, no-break
-# space, line separator, tabs and newlines, and numbers with . and ,
-_WIDE_ATOMS = list("абвгАБВГabcABC\u01c5\u00b2\u00bd_\u0301\u00a0\u2028 \t\n.,!") + [
-    "гл", "Гл", "ГЛ", "ab", "Ab", "\u00b2гл", "\u00bdab", "_гл", "3гл", "x\u00b2y", "е\u0301ж",
-    "3", "3.14", "1,5", "..", ". ", ".\n", ". Да", ". да", ". \u01c5", ".\u00a0Z", ".\u2028Ж",
-]
-_wide_texts = st.builds(
-    lambda parts, final: "".join(parts) + ("." if final else ""),
-    st.lists(st.sampled_from(_WIDE_ATOMS), max_size=40),
-    st.booleans(),
-)
-
-
 def _drawn_dictionary(data, text):
     """A dictionary and an override list drawn from the text's own letter
     runs and their case variants, with case folding on or off; the
@@ -327,7 +313,7 @@ class TestPeriodRuleMatchesOracles:
     """The period rule against the token walk and the character scan it
     replaced (tests/oracles.py): same tokens, spans and boundaries."""
 
-    @given(_wide_texts, st.data())
+    @given(wide_texts, st.data())
     @settings(max_examples=400, deadline=None)
     def test_dict_segment_and_spans(self, text, data):
         loaded, override = _drawn_dictionary(data, text)
@@ -335,7 +321,7 @@ class TestPeriodRuleMatchesOracles:
         assert dict_segment(text, loaded, override) == (expected_tokens, expected)
         assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
 
-    @given(_wide_texts)
+    @given(wide_texts)
     @settings(max_examples=400, deadline=None)
     def test_baseline_and_tokens(self, text):
         assert baseline_segment(text) == oracles.baseline_segment_reference(text)
