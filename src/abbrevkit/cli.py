@@ -11,9 +11,9 @@ error included, is one ``ERROR`` line with exit 1.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -45,21 +45,16 @@ def _parse_window(value: str) -> tuple[int, int]:
 
 
 def _read_words(path: str) -> list[str]:
-    words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return words
+    with ingest.read_input(path) as handle:
+        lines = [line.strip() for line in handle.read().splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def _load_object(path: str, what: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot load {what} {path}: {exc}") from exc
+    with ingest.read_input(path) as handle:
+        doc = json.load(handle)
     if not isinstance(doc, dict):
-        raise CliError(f"{what} must be a JSON object, got {type(doc).__name__}")
+        raise CliError(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -76,8 +71,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     if not found.config or not found.rest or found.rest[0] not in commands:
         return parser.parse_args(argv)
     at = len(argv) - len(found.rest) + 1
-    flags = _config_flags(commands[found.rest[0]], _load_object(found.config, "config"))
+    config = _load_object(found.config, "config")
     try:
+        flags = _config_flags(commands[found.rest[0]], config)
         return parser.parse_args([*argv[:at], *flags, *argv[at:]])
     except CliError as exc:
         # the same error without the config's entries is the command line's own
@@ -202,7 +198,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.dictionary:
         loaded = segment.load_dictionary(args.dictionary)
         entries = [profiles[w] for w in sorted(profiles) if w in loaded]
-        dictionary_digest = hashlib.sha256(Path(args.dictionary).read_bytes()).hexdigest()
+        dictionary_digest = ingest.sha256_file(args.dictionary)
     needs_dict = [k for k in kinds if k != "p-series"]
     if needs_dict and entries is None:
         raise CliError(f"reports {needs_dict} need --dictionary")
@@ -240,8 +236,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _read_totals(path: str) -> dict[int, int]:
+    with ingest.read_input(path) as handle:
+        lines = handle.read().splitlines()
     totals: dict[int, int] = {}
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -270,7 +268,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
             args.dictionary, case_fold=True if args.case_fold else None
         )
     override = _read_words(args.override_list) if args.override_list else []
-    text = _read_text(args.input)
+    with ingest.read_input(None if args.input == "-" else args.input) as handle:
+        text = handle.read()
     # only --spans needs tokens; the boundaries come from periods alone
     tokens: list[segment.Token] = []
     if args.baseline:
@@ -286,20 +285,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
             for line in segment.sentence_texts(text, sentences):
                 out.write(line + "\n")
     return 0
-
-
-def _read_text(path: str) -> str:
-    """`segment`'s input, a file or stdin (``-``), read the same way from
-    either: strict UTF-8 with universal newlines (``\\r\\n`` and ``\\r``
-    become ``\\n``, as `Path.read_text` reads a file), so the byte
-    offsets of a text do not depend on where it came from."""
-    stdin = not path or path == "-"
-    raw = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read {'<stdin>' if stdin else path}: {exc}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write_spans(out: TextIO, sentences: Sequence[segment.SentenceSpan], tokens: Sequence[segment.Token]) -> None:
@@ -344,8 +329,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     doc = _load_object(args.spec, "spec")
     sentences = doc.pop("sentences", 1000)
     if type(sentences) is not int or sentences < 1:
-        raise CliError(f"spec sentences must be a positive int, got {sentences!r}")
-    spec = _spec_from_doc(doc)
+        raise CliError(f"spec {args.spec}: sentences must be a positive int, got {sentences!r}")
+    spec = _spec_from_doc(doc, args.spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = synth.generate_ngrams(spec, out_dir / "1grams.tsv", out_dir / "2grams.tsv")
@@ -363,7 +348,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_from_doc(doc: dict) -> synth.SynthSpec:
+def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
     def word_map(value, default_p: float) -> dict[str, float]:
         if isinstance(value, dict):
             return {w: float(p) for w, p in value.items()}
@@ -376,7 +361,7 @@ def _spec_from_doc(doc: dict) -> synth.SynthSpec:
     }
     unknown = set(doc) - set(casts) - {"abbrev_words", "common_words", "default_p1", "default_p0"}
     if unknown:
-        raise CliError(f"unknown spec fields: {sorted(unknown)}")
+        raise CliError(f"spec {path}: unknown fields {sorted(unknown)}")
     try:
         return synth.SynthSpec(
             abbrev_words=word_map(doc.get("abbrev_words", []), float(doc.get("default_p1", 0.955))),
@@ -384,7 +369,7 @@ def _spec_from_doc(doc: dict) -> synth.SynthSpec:
             **{key: cast(doc[key]) for key, cast in casts.items() if key in doc},
         )
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid spec: {exc}") from exc
+        raise CliError(f"spec {path}: {exc}") from None
 
 
 def cmd_params(args: argparse.Namespace) -> int:
@@ -533,7 +518,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
         if args.verbose:
             logger.setLevel(logging.DEBUG)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader left: exit 1, and quietly at the final flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError, OSError, likelihood.SearchExhaustedError) as exc:
         logger.error("%s", exc)
         return 1

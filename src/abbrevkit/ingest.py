@@ -17,11 +17,13 @@ import json
 import logging
 import multiprocessing
 import os
+import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +41,6 @@ __all__ = [
     "aggregate",
     "merge",
     "ingest_paths",
-    "open_text",
     "DEFAULT_WINDOW",
     "SCRIPT_RANGES",
     "FLAG_CLAMPED",
@@ -200,12 +201,29 @@ def is_candidate_word(word: str, letter_ranges: Sequence[tuple[int, int]]) -> bo
     return True
 
 
-def open_text(path: str | Path) -> io.TextIOBase:
-    """Open a corpus file for reading; gzip is detected by suffix."""
-    path = Path(path)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+@contextmanager
+def read_input(path: str | Path | None) -> Iterator[TextIO]:
+    """The read-side twin of `atomic_output`, through which every input is
+    read: a handle on `path` (stdin if None, gunzipped if it ends in
+    ``.gz``) as strict UTF-8 with universal newlines.  Any failure in the
+    block, reading or a ValueError on the content, becomes one ValueError
+    ``cannot read <path>: <reason>``."""
+    try:
+        raw = (io.BytesIO(sys.stdin.buffer.read()) if path is None
+               else gzip.open(path) if Path(path).suffix == ".gz" else open(path, "rb"))
+        with io.TextIOWrapper(raw, encoding="utf-8") as handle:
+            yield handle
+    except (OSError, EOFError, zlib.error, ValueError) as exc:
+        raise ValueError(f"cannot read {'<stdin>' if path is None else path}: {exc}") from None
+
+
+def sha256_file(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes, read a megabyte at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @contextmanager
@@ -300,15 +318,11 @@ class Aggregator:
             self.add_record(record)
 
     def consume_path(self, path: str | Path, on_error: str = "skip") -> None:
-        with open_text(path) as handle:
+        with read_input(path) as handle:
             self.consume_lines(handle, on_error)
 
     def fingerprint_path(self, path: str | Path) -> None:
-        digest = hashlib.sha256()
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-        self.fingerprints[str(path)] = digest.hexdigest()
+        self.fingerprints[str(path)] = sha256_file(path)
 
     # -- merging ----------------------------------------------------------
 
@@ -476,13 +490,9 @@ class Aggregator:
 
     @classmethod
     def load(cls, path: str | Path) -> "Aggregator":
-        path = Path(path)
-        if path.suffix == ".gz":
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                state = json.load(handle)
-        else:
-            state = json.loads(path.read_text(encoding="utf-8"))
-        return cls.from_state(state)
+        """Read a `save`d state; any failure names `path`."""
+        with read_input(path) as handle:
+            return cls.from_state(json.load(handle))
 
 
 def _is_count(value) -> bool:

@@ -327,25 +327,19 @@ def min_usage_for_error(
     if not params.p1 > params.p0:
         raise ValueError("min usage search needs p1 > p0")
     for total in range(0, total_cap + 1):
-        pmf0 = [binomial_pmf(total, n, params.p0) for n in range(total + 1)]
-        # suffix sums: tail[eta] = P(n >= eta | p0)
-        tail = 0.0
-        eta_a = None
-        tails = [0.0] * (total + 2)
+        # alpha of eta is the tail P(n >= eta | p0), summed down from n = N;
+        # it only grows, so the first sum above the target ends the scan
+        alpha, eta = 0.0, total + 1
         for n in range(total, -1, -1):
-            tail += pmf0[n]
-            tails[n] = tail
-        for eta in range(0, total + 1):
-            if tails[eta] <= alpha_target:
-                eta_a = eta
+            tail = alpha + binomial_pmf(total, n, params.p0)
+            if tail > alpha_target:
                 break
-        if eta_a is None:
+            alpha, eta = tail, n
+        if eta > total:
             continue
-        beta = beta_error(eta_a, total, params.p1)
+        beta = beta_error(eta, total, params.p1)
         if beta <= beta_target:
-            return MinUsageResult(
-                total=total, eta=eta_a, alpha=tails[eta_a], beta=beta
-            )
+            return MinUsageResult(total=total, eta=eta, alpha=alpha, beta=beta)
     raise SearchExhaustedError(
         f"no N <= {total_cap} reaches alpha <= {alpha_target} and beta <= {beta_target}"
     )

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .ingest import read_input
+
 __all__ = [
     "Token",
     "SentenceSpan",
@@ -54,9 +56,10 @@ KIND_OTHER = "other"
 
 
 class DictionaryLoadError(ValueError):
-    def __init__(self, reason: str, line_number: int = 0):
-        super().__init__(f"line {line_number}: {reason}" if line_number else reason)
-        self.reason = reason
+    """An unreadable or malformed dictionary; the message names the file."""
+
+    def __init__(self, message: str, line_number: int = 0):
+        super().__init__(message)
         self.line_number = line_number
 
 
@@ -217,48 +220,49 @@ def baseline_segment(text: str) -> list[SentenceSpan]:
 def load_dictionary(path: str | Path, case_fold: bool | None = None) -> LoadedDictionary:
     """Load stems from any dictionary output format: the JSON document,
     the TSV table (first column), or a plain word list; format is
-    detected from content.  Malformed files raise DictionaryLoadError
-    with the offending line number."""
-    path = Path(path)
+    detected from content.  Unreadable and malformed files raise
+    DictionaryLoadError naming `path` and the offending line."""
     try:
-        content = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DictionaryLoadError(f"cannot read {path}: {exc}") from exc
-    stripped = content.lstrip()
-    if stripped.startswith("{"):
+        with read_input(path) as handle:
+            content = handle.read()
+    except ValueError as exc:
+        raise DictionaryLoadError(str(exc)) from None
+
+    def error(reason: str, line_number: int = 0) -> DictionaryLoadError:
+        where = f"{path} line {line_number}" if line_number else path
+        return DictionaryLoadError(f"dictionary {where}: {reason}", line_number)
+
+    if content.lstrip().startswith("{"):
         try:
             doc = json.loads(content)
         except json.JSONDecodeError as exc:
-            raise DictionaryLoadError(f"invalid JSON dictionary: {exc}", exc.lineno) from exc
+            raise error(f"invalid JSON dictionary: {exc}", exc.lineno) from None
         if doc.get("format") != "abbrevkit-dictionary":
-            raise DictionaryLoadError(f"not a dictionary document: format={doc.get('format')!r}")
+            raise error(f"not a dictionary document: format={doc.get('format')!r}")
         entries, meta = doc.get("entries", []), doc.get("build_meta", {})
         if not isinstance(entries, list) or not isinstance(meta, dict):
-            raise DictionaryLoadError("dictionary 'entries' must be a list and 'build_meta' an object")
+            raise error("'entries' must be a list and 'build_meta' an object")
         words = [entry.get("word") if isinstance(entry, dict) else None for entry in entries]
         for index, word in enumerate(words):
             if not isinstance(word, str) or not word:
-                raise DictionaryLoadError(f"entry {index} needs a non-empty string 'word', got {word!r}")
+                raise error(f"entry {index} needs a non-empty string 'word', got {word!r}")
         fold = meta.get("case_fold", False) if case_fold is None else case_fold
         return LoadedDictionary(words, case_fold=fold)
     words = []
     for line_number, line in enumerate(content.splitlines(), 1):
-        line = line.rstrip("\r")
         if not line or line.startswith("#"):
             continue
         if "\t" in line:
             fields = line.split("\t")
             if len(fields) != 8:
-                raise DictionaryLoadError(
-                    f"expected 8 TSV columns, got {len(fields)}", line_number
-                )
+                raise error(f"expected 8 TSV columns, got {len(fields)}", line_number)
             word = fields[0]
         else:
             word = line.strip()
         if not word:
-            raise DictionaryLoadError("empty word", line_number)
+            raise error("empty word", line_number)
         if any(ch.isspace() for ch in word):
-            raise DictionaryLoadError(f"word contains whitespace: {word!r}", line_number)
+            raise error(f"word contains whitespace: {word!r}", line_number)
         words.append(word)
     return LoadedDictionary(words, case_fold=bool(case_fold))
 

@@ -2,7 +2,8 @@
 
 The statistical references compute in exact rational arithmetic
 (fractions and integer combinatorics), deliberately avoiding the
-log-space code paths under test.  Probabilities arrive as decimal
+log-space code paths under test; `min_usage_scan_reference` is the
+float scan that `min_usage_for_error` replaced, kept as written.  Probabilities arrive as decimal
 strings or floats with short decimal representations and are converted
 through their decimal repr, so 0.068 means exactly 17/250.  The
 segmentation references are the token walk and the character scan that
@@ -66,6 +67,34 @@ def min_usage_exact(p0, p1, alpha_target, beta_target, cap: int = 200):
         for eta in range(0, total + 1):
             if tail_ge_exact(eta, total, p0) <= a_t and head_lt_exact(eta, total, p1) <= b_t:
                 return total, eta
+    return None
+
+
+def min_usage_scan_reference(params, alpha_target: float, beta_target: float, total_cap: int = 10000):
+    """`min_usage_for_error` as it was before its scan stopped early: per N
+    the whole pmf list and suffix-sum array, then the first eta whose tail
+    meets the alpha target.  Returns the same MinUsageResult, or None
+    where the library raises SearchExhaustedError."""
+    from abbrevkit.likelihood import MinUsageResult, beta_error, binomial_pmf
+
+    for total in range(0, total_cap + 1):
+        pmf0 = [binomial_pmf(total, n, params.p0) for n in range(total + 1)]
+        # suffix sums: tail[eta] = P(n >= eta | p0)
+        tail = 0.0
+        eta_a = None
+        tails = [0.0] * (total + 2)
+        for n in range(total, -1, -1):
+            tail += pmf0[n]
+            tails[n] = tail
+        for eta in range(0, total + 1):
+            if tails[eta] <= alpha_target:
+                eta_a = eta
+                break
+        if eta_a is None:
+            continue
+        beta = beta_error(eta_a, total, params.p1)
+        if beta <= beta_target:
+            return MinUsageResult(total=total, eta=eta_a, alpha=tails[eta_a], beta=beta)
     return None
 
 

@@ -1,3 +1,4 @@
+import gzip
 import io
 import json
 import os
@@ -30,6 +31,12 @@ SPEC_DOC = {
     "title_like": ["гор", "ул"],
     "sentences": 40,
 }
+
+
+def _cli_env() -> dict:
+    """The environment of a CLI subprocess that imports this checkout's abbrevkit."""
+    src = str(Path(abbrevkit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture()
@@ -281,6 +288,20 @@ class TestSegmentCommand:
         assert capsys.readouterr().out == from_file
         text = "Один. Два.\nТри.\nЧетыре.\n"
         assert from_file == oracles.spans_json_reference(segment.baseline_segment(text), [])
+
+    @pytest.mark.parametrize("mode", [[], ["--spans"]], ids=["lines", "spans"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, mode):
+        # `segment ... | head -c 10`: the output is far larger than a pipe's buffer
+        (tmp_path / "in.txt").write_text("Один. Два три. " * 20000, encoding="utf-8")
+        with subprocess.Popen(
+            [sys.executable, "-m", "abbrevkit.cli", "segment", "in.txt", "--baseline", *mode],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), cwd=tmp_path,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 1
+        assert stderr == b""
 
     def test_needs_dictionary_without_baseline(self, tmp_path):
         text = tmp_path / "in.txt"
@@ -676,8 +697,15 @@ CONFIG_BUILD = ["--config", "bad.json", "build", "--aggregate", "agg.json", "--o
 CONFIG_STATS = ["--config", "bad.json", "stats", "--aggregate", "agg.json", "--out-dir", "r"]
 SYNTH = ["synth", "--spec", "bad.json", "--out-dir", "out"]
 
-# case -> (argv run in a directory holding bad.json = doc, agg.json, in.txt)
+# case -> (argv run in a directory holding agg.json, in.txt and, under each
+# bad.* name in argv, doc: as JSON, or as it is if bytes)
 MALFORMED = {
+    "aggregate-not-json": (BUILD, b"agg"),
+    "aggregate-gz-not-gzip": (["build", "--aggregate", "bad.json.gz", "--out-words", "d.txt"], b"{}"),
+    "corpus-line-malformed-abort": (
+        ["ingest", "--unigrams", "bad.tsv", "--output", "a.json", "--on-error", "abort"],
+        "др\t1995\t5\t1\nброкен\n".encode("utf-8"),
+    ),
     "aggregate-without-counters": (BUILD, _state(counters=None)),
     "aggregate-string-count": (BUILD, _state(words={"др": {"1995": [9, "12", 1]}})),
     "aggregate-top-level-list": (BUILD, [1]),
@@ -699,8 +727,13 @@ MALFORMED = {
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
 }
-# case -> parts its ERROR line must contain
+# case -> parts its ERROR line must contain, besides the name of its bad.*
+# file; config-scripts-number cannot name it, since "5" is a valid --scripts
+# string that only IngestConfig rejects, as it would the same flag
 MESSAGE_PARTS = {
+    "aggregate-not-json": ["cannot read bad.json:", "Expecting value"],
+    "aggregate-gz-not-gzip": ["cannot read bad.json.gz:", "Not a gzipped file"],
+    "corpus-line-malformed-abort": ["cannot read bad.tsv:", "line 2:"],
     "config-window-number": ["--window", "bad.json"],
     "aggregate-config-years-strings": ["year_min"],
     "aggregate-config-case-fold-string": ["case_fold"],
@@ -716,11 +749,9 @@ class TestMalformedInputs:
         that it is an ERROR with exit 1."""
         (tmp_path / "agg.json").write_text(json.dumps(_state(), ensure_ascii=False), encoding="utf-8")
         (tmp_path / "in.txt").write_text("Смотри гл. вторая", encoding="utf-8")
-        src = str(Path(abbrevkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "abbrevkit.cli", *argv],
-            input=stdin, capture_output=True, env=env, cwd=tmp_path,
+            input=stdin, capture_output=True, env=_cli_env(), cwd=tmp_path,
         )
         stderr = result.stderr.decode("utf-8")
         assert result.returncode == 1
@@ -732,19 +763,36 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_one_error_line_exit_1(self, tmp_path, case):
         argv, doc = MALFORMED[case]
-        (tmp_path / "bad.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        data = doc if isinstance(doc, bytes) else json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        names = [name for name in argv if name.startswith("bad.")]
+        for name in names:
+            (tmp_path / name).write_bytes(data)
         line = self._error_line(tmp_path, argv)
-        for part in MESSAGE_PARTS.get(case, ()):
+        for part in [*(names if case != "config-scripts-number" else ()), *MESSAGE_PARTS.get(case, ())]:
             assert part in line, line
 
     @pytest.mark.parametrize("argv, source", [
         (["segment", "bad.txt", "--baseline"], "bad.txt"),
         (["segment", "--baseline"], "<stdin>"),
         (["segment", "-", "--baseline", "--spans"], "<stdin>"),
-    ], ids=["file", "stdin", "stdin-dash-spans"])
+        (["segment", "in.txt", "--dictionary", "bad.txt"], "bad.txt"),
+        (["segment", "in.txt", "--baseline", "--override-list", "bad.txt"], "bad.txt"),
+        (["params", "--aggregate", "agg.json", "--seed-abbrevs", "bad.txt", "--seed-commons", "in.txt"], "bad.txt"),
+        (["--config", "bad.json", "segment", "in.txt", "--baseline"], "bad.json"),
+        (["synth", "--spec", "bad.json", "--out-dir", "out"], "bad.json"),
+        (["stats", "--aggregate", "agg.json", "--reports", "p-series", "--totals", "bad.txt", "--out-dir", "r"],
+         "bad.txt"),
+        (["build", "--aggregate", "bad.json", "--out-words", "d.txt"], "bad.json"),
+        (["build", "--aggregate", "bad.json.gz", "--out-words", "d.txt"], "bad.json.gz"),
+        (["ingest", "--unigrams", "bad.txt", "--output", "a.json"], "bad.txt"),
+        (["ingest", "--unigrams", "bad.txt", "in.txt", "--output", "a.json", "--jobs", "2"], "bad.txt"),
+        (["ingest", "--unigrams", "in.txt", "bad.txt.gz", "--output", "a.json", "--jobs", "2"], "bad.txt.gz"),
+    ], ids=["file", "stdin", "stdin-dash-spans", "dictionary", "override-list", "seed-list", "config", "spec",
+            "totals", "aggregate", "aggregate-gz", "corpus-shard", "corpus-shard-jobs2", "corpus-shard-gz-jobs2"])
     def test_segment_input_not_utf8_names_its_source(self, tmp_path, argv, source):
         data = b"ab\xffc. Next."
-        (tmp_path / "bad.txt").write_bytes(data)
+        if source != "<stdin>":
+            (tmp_path / source).write_bytes(gzip.compress(data) if source.endswith(".gz") else data)
         line = self._error_line(tmp_path, argv, stdin=data)
         assert f"cannot read {source}:" in line and "0xff in position 2" in line, line
 

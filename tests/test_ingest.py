@@ -1,11 +1,14 @@
+import ast
 import gzip
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abbrevkit
 from abbrevkit.ingest import (
     Aggregator,
     ConfigMismatchError,
@@ -399,3 +402,51 @@ class TestFinalizeWindows:
         agg.add_record(NgramRecord(("др", "."), 1950, 7, 1))
         profile = agg.finalize((1990, 2008))["др"]
         assert profile.series[1950].total == 7
+
+
+def _reads(source: str) -> list[str]:
+    """The reads of files or stdin in Python `source` that bypass
+    `read_input`: ``.read_text``, ``.read_bytes``, ``gzip.open``,
+    ``sys.stdin``, and any ``open`` call without a write mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "stdin" and getattr(node.value, "id", "") == "sys":
+            found.append("sys.stdin")
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("read_text", "read_bytes"):
+            found.append(name)
+        elif name == "open" and getattr(func, "value", None) is not None and getattr(func.value, "id", "") == "gzip":
+            found.append("gzip.open")
+        elif name == "open":
+            modes = [*node.args[:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            if not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wxa+") for m in modes):
+                found.append("open")
+    return found
+
+
+def test_only_ingest_reads_inputs():
+    package = Path(abbrevkit.__file__).parent
+    found = {
+        path.name: _reads(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ingest.py"
+    }
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("sys.stdin.buffer.read()", ["sys.stdin"]),
+    ("Path(p).read_text(encoding='utf-8')", ["read_text"]),
+    ("p.read_bytes()", ["read_bytes"]),
+    ("gzip.open(p, 'wb')", ["gzip.open"]),
+    ("open(p)", ["open"]),
+    ("open(p, 'rb')", ["open"]),
+    ("open(p, mode=m)", ["open"]),
+    ("io.open(p, encoding='utf-8')", ["open"]),
+    ("open(p, 'w', encoding='utf-8'); p.open('ab'); open(p, mode='x')", []),
+])
+def test_read_guard_sees_each_read(source, expected):
+    assert _reads(source) == expected

@@ -286,6 +286,19 @@ class TestMinUsage:
         assert oracles.min_usage_exact("0.068", "0.955", "0.001", "0.001") == MIN_USAGE_REF
         assert oracles.min_usage_exact("0.1", "0.9", "0.5", "0.5") == (1, 1)
 
+    @pytest.mark.parametrize("p0, p1", [(0.068, 0.955), (0.1, 0.9), (0.01, 0.5), (0.3, 0.7), (0.45, 0.55)])
+    @pytest.mark.parametrize("alpha_target, beta_target", [
+        (0.5, 0.5), (0.1, 0.01), (1e-3, 1e-3), (1e-2, 1e-6), (1e-6, 1e-2), (0.05, 0.2),
+    ])
+    def test_matches_full_scan(self, p0, p1, alpha_target, beta_target):
+        params = HypothesisParams(p0, p1, 1.0)
+        expected = oracles.min_usage_scan_reference(params, alpha_target, beta_target, total_cap=300)
+        if expected is None:
+            with pytest.raises(SearchExhaustedError):
+                min_usage_for_error(params, alpha_target, beta_target, total_cap=300)
+        else:
+            assert min_usage_for_error(params, alpha_target, beta_target, total_cap=300) == expected
+
     def test_inseparable_hypotheses_exhaust(self):
         params = HypothesisParams(0.5, 0.500001, 1.0)
         with pytest.raises(SearchExhaustedError):
