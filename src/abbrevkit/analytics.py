@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .ingest import WordProfile
 from .likelihood import ShareEstimate, estimate_share_params
 
@@ -129,6 +127,8 @@ def length_histogram(entries: Sequence[WordProfile]) -> Report:
 def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     """Least squares y = slope*x + intercept plus R^2 (1.0 for an exact
     fit, including the degenerate all-equal-y case)."""
+    import numpy as np  # only here, so that the other commands start without it
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)

@@ -44,6 +44,16 @@ def _parse_window(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}") from None
 
 
+def _parse_scripts(value: str) -> tuple[str, ...]:
+    scripts = tuple(s.strip() for s in value.split(",") if s.strip())
+    unknown = [s for s in scripts if s not in ingest.SCRIPT_RANGES]
+    if not scripts or unknown:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of scripts from {sorted(ingest.SCRIPT_RANGES)}, got {value!r}"
+        )
+    return scripts
+
+
 def _read_words(path: str) -> list[str]:
     with ingest.read_input(path) as handle:
         lines = [line.strip() for line in handle.read().splitlines()]
@@ -127,7 +137,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = ingest.IngestConfig(
         year_min=args.window[0],
         year_max=args.window[1],
-        scripts=tuple(s.strip() for s in args.scripts.split(",") if s.strip()),
+        scripts=args.scripts,
         case_fold=args.case_fold,
         year_floor=args.year_floor,
         year_ceiling=args.year_ceiling,
@@ -445,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="aggregate state file to write (.json or .json.gz)")
     p.add_argument("--window", type=_parse_window, default="1990:2008",
                    help="analysis year window, default %(default)s")
-    p.add_argument("--scripts", default="cyrillic,latin", help="comma-separated letter scripts, default %(default)s")
+    p.add_argument("--scripts", type=_parse_scripts, default="cyrillic,latin",
+                   help="comma-separated letter scripts, default %(default)s")
     p.add_argument("--case-fold", action="store_true",
                    help="lowercase word forms at ingestion (default: case-sensitive)")
     p.add_argument("--jobs", type=int, default=1, help="parallel parser processes, default %(default)s")

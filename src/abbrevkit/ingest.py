@@ -17,11 +17,13 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -190,15 +192,15 @@ def parse_line(
 def is_candidate_word(word: str, letter_ranges: Sequence[tuple[int, int]]) -> bool:
     """True when every character is a letter from one of the admitted
     codepoint ranges (rejects digits, punctuation, POS-tag underscores)."""
-    if not word:
-        return False
-    for ch in word:
-        if not ch.isalpha():
-            return False
-        cp = ord(ch)
-        if not any(lo <= cp <= hi for lo, hi in letter_ranges):
-            return False
-    return True
+    return word.isalpha() and _letter_class(letter_ranges).fullmatch(word) is not None
+
+
+def _letter_class(letter_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
+    """``[ranges]+`` compiled, to be matched only against words that pass
+    ``str.isalpha``; no ranges (or only inverted ones) match nothing."""
+    spans = [(max(lo, 0), min(hi, sys.maxunicode)) for lo, hi in letter_ranges]
+    body = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in spans if lo <= hi)
+    return re.compile(f"[{body}]+" if body else "(?!)")
 
 
 @contextmanager
@@ -234,7 +236,7 @@ def atomic_output(path: str | Path, binary: bool = False) -> Iterator[IO]:
     device (``/dev/stdout``) cannot be replaced, so it is written in
     place.  `Aggregator.save` and the CLI's output files use it."""
     def opened(file: Path, mode: str) -> IO:
-        return open(file, mode + "b") if binary else open(file, mode, encoding="utf-8")
+        return open(file, mode + "b") if binary else open(file, mode, encoding="utf-8", newline="\n")
 
     target = Path(path)
     if target.exists() and not target.is_file():
@@ -267,7 +269,7 @@ class Aggregator:
         self.counters = IngestCounters()
         self.fingerprints: dict[str, str] = {}
         self._counts: dict[str, dict[int, list[int]]] = {}
-        self._ranges = self.config.letter_ranges()
+        self._letters = _letter_class(self.config.letter_ranges()).fullmatch
 
     # -- building ---------------------------------------------------------
 
@@ -280,7 +282,8 @@ class Aggregator:
         if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "."):
             return
         word = tokens[0]
-        if not is_candidate_word(word, self._ranges):
+        # `is_candidate_word` with the pattern compiled once
+        if not (word.isalpha() and self._letters(word)):
             return
         if self.config.case_fold:
             word = word.lower()
@@ -372,7 +375,7 @@ class Aggregator:
             t_total = 0
             volumes = 0
             active = 0
-            shares: list[Fraction] = []
+            shares: list[tuple[int, int]] = []
             for year in sorted(years):
                 with_period, total, vols = years[year]
                 if total == 0 and with_period > 0:
@@ -388,7 +391,7 @@ class Aggregator:
                     volumes += vols
                     if total > 0:
                         active += 1
-                        shares.append(Fraction(with_period, total))
+                        shares.append((with_period, total))
             profiles[word] = WordProfile(
                 word=word,
                 series=series,
@@ -499,14 +502,20 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _median(values: list[Fraction]) -> Fraction | None:
-    if not values:
+def _median(shares: list[tuple[int, int]]) -> Fraction | None:
+    """The median of the shares ``with_period / total`` (each total > 0).
+    They are ordered by exact integer cross-products, and a `Fraction` is
+    built only for the middle one or two."""
+    if not shares:
         return None
-    ordered = sorted(values)
+    ordered = sorted(shares, key=_BY_SHARE)
     mid, odd = divmod(len(ordered), 2)
     if odd:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
+        return Fraction(*ordered[mid])
+    return (Fraction(*ordered[mid - 1]) + Fraction(*ordered[mid])) / 2
+
+
+_BY_SHARE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
 def merge(a: Aggregator, b: Aggregator) -> Aggregator:

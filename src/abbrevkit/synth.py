@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
+from .ingest import atomic_output
 
 __all__ = [
     "SynthSpec",
@@ -127,8 +127,11 @@ def generate_ngrams(
 
     Per word and year, the unigram line carries the drawn total N and
     the bigram line (emitted when nonzero) the binomial with-period
-    count n.  Returns line counts for reporting.
+    count n.  Both files are written through `atomic_output`.  Returns
+    line counts for reporting.
     """
+    import numpy as np  # only here, so that the other commands start without it
+
     rng = np.random.default_rng(spec.seed)
     years = list(range(spec.years[0], spec.years[1] + 1))
     lo, hi = spec.totals_range
@@ -139,8 +142,7 @@ def generate_ngrams(
 
     uni_lines = 0
     bi_lines = 0
-    with open(unigram_path, "w", encoding="utf-8", newline="\n") as uni, \
-            open(bigram_path, "w", encoding="utf-8", newline="\n") as bi:
+    with atomic_output(unigram_path) as uni, atomic_output(bigram_path) as bi:
         for word in words:
             p = probs[word]
             raw = np.exp(rng.uniform(log_lo, log_hi, size=len(years)))

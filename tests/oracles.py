@@ -9,7 +9,8 @@ through their decimal repr, so 0.068 means exactly 17/250.  The
 segmentation references are the token walk and the character scan that
 the period-driven segmenter replaced, and the ``--spans`` document is
 checked against the json.dumps call that the CLI's streaming writer
-replaced.
+replaced.  `is_candidate_word_reference` is the per-character range
+test that the compiled letter class replaced.
 """
 from __future__ import annotations
 
@@ -112,6 +113,19 @@ def fsum_range_reference(total: int, lo: int, hi: int, p: float) -> float:
     from abbrevkit.likelihood import binomial_pmf
 
     return math.fsum(binomial_pmf(total, n, p) for n in range(lo, hi + 1))
+
+
+def is_candidate_word_reference(word: str, letter_ranges) -> bool:
+    """`ingest.is_candidate_word` as a loop over characters and ranges."""
+    if not word:
+        return False
+    for ch in word:
+        if not ch.isalpha():
+            return False
+        cp = ord(ch)
+        if not any(lo <= cp <= hi for lo, hi in letter_ranges):
+            return False
+    return True
 
 
 # -- segmentation: the token walk and the character scan the segmenter

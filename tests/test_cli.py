@@ -1,3 +1,4 @@
+import ast
 import gzip
 import io
 import json
@@ -670,6 +671,99 @@ class TestHelp:
                 assert "".join(str(action.default).split()) in shown, action.dest
 
 
+# run in a fresh interpreter: each step is an import or the argv of one
+# cli.main call, and after each the script records whether numpy is loaded
+_NUMPY_PROBE = """
+import json, sys
+steps, out = json.loads(sys.argv[1]), sys.argv[2]
+loaded = []
+for step in steps:
+    if isinstance(step, str):
+        __import__(step)
+    else:
+        from abbrevkit.cli import main
+        if main(step) != 0:
+            raise SystemExit(f"{step} failed")
+    loaded.append([step, "numpy" in sys.modules])
+with open(out, "w") as handle:
+    json.dump(loaded, handle)
+"""
+
+
+class TestNumpyOnlyWhereUsed:
+    """numpy serves only `synth` and the frequency-by-length fit, so no
+    other command pays for importing it."""
+
+    def test_not_loaded_by_other_commands(self, corpus, aggregate_file, tmp_path):
+        words = str(tmp_path / "dict.txt")
+        text, override = str(corpus / "text.txt"), str(corpus / "override.txt")
+        (tmp_path / "commons.txt").write_text("слово\nдом\nгод\n", encoding="utf-8")
+        seeds = ["--seed-abbrevs", str(corpus / "abbreviations.txt"), "--seed-commons", str(tmp_path / "commons.txt")]
+        steps = [
+            "abbrevkit",
+            "abbrevkit.cli",
+            ["ingest", "--unigrams", str(corpus / "1grams.tsv"), "--bigrams", str(corpus / "2grams.tsv"),
+             "--output", str(tmp_path / "a.json.gz"), "--jobs", "2"],
+            ["build", "--aggregate", str(aggregate_file), "--method", "lrt", "--out-words", words,
+             "--out-json", str(tmp_path / "dict.json"), "--out-tsv", str(tmp_path / "dict.tsv")],
+            ["segment", text, "--dictionary", words, "--override-list", override, "--output", str(tmp_path / "s1")],
+            ["segment", text, "--dictionary", words, "--spans", "--output", str(tmp_path / "s2")],
+            ["segment", text, "--baseline", "--output", str(tmp_path / "s3")],
+            ["params", "--aggregate", str(aggregate_file), *seeds],
+            ["stats", "--aggregate", str(aggregate_file), "--dictionary", words, "--out-dir", str(tmp_path / "r"),
+             "--reports", "freq-by-length"],
+        ]
+        out = tmp_path / "loaded.json"
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(steps), str(out)],
+            env=_cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = [has_numpy for _, has_numpy in json.loads(out.read_text())]
+        # the last step fits a line with numpy, which shows the probe sees it
+        assert loaded == [False] * (len(steps) - 1) + [True]
+
+
+def test_no_module_level_numpy_import():
+    package = Path(abbrevkit.__file__).parent
+    found = {
+        path.name: _module_level_numpy(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert not any(found.values()), found
+
+
+def _module_level_numpy(source: str) -> list[int]:
+    """Lines of `source` that import numpy when the module is imported:
+    outside any function body, conditional and class bodies included."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            found.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import numpy as np", [1]),
+    ("import os, numpy.random", [1]),
+    ("from numpy import polyfit", [1]),
+    ("try:\n    import numpy\nexcept ImportError:\n    pass", [2]),
+    ("class A:\n    import numpy", [2]),
+    ("def f():\n    import numpy as np\n    return np", []),
+    ("class A:\n    def f(self):\n        from numpy import dot", []),
+    ("import numpyro\nfrom .numpy import x", []),
+])
+def test_numpy_guard_sees_each_import(source, expected):
+    assert _module_level_numpy(source) == expected
+
+
 def _state(**changes):
     state = Aggregator().to_state()
     state["words"] = {"др": {"1995": [9, 10, 1]}}
@@ -719,6 +813,7 @@ MALFORMED = {
     "config-jobs-list": (CONFIG_INGEST, {"jobs": [1]}),
     "config-window-number": (CONFIG_INGEST, {"window": 5}),
     "config-scripts-number": (CONFIG_INGEST, {"scripts": 5}),
+    "config-scripts-empty": (CONFIG_INGEST, {"scripts": ""}),
     "config-case-fold-string": (CONFIG_INGEST, {"case_fold": "no"}),
     "config-median-threshold-list": (CONFIG_BUILD, {"median_threshold": [1]}),
     "config-min-total-float": (CONFIG_BUILD, {"min_total": 3.7}),
@@ -727,14 +822,14 @@ MALFORMED = {
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
 }
-# case -> parts its ERROR line must contain, besides the name of its bad.*
-# file; config-scripts-number cannot name it, since "5" is a valid --scripts
-# string that only IngestConfig rejects, as it would the same flag
+# case -> parts its ERROR line must contain, besides the name of its bad.* file
 MESSAGE_PARTS = {
     "aggregate-not-json": ["cannot read bad.json:", "Expecting value"],
     "aggregate-gz-not-gzip": ["cannot read bad.json.gz:", "Not a gzipped file"],
     "corpus-line-malformed-abort": ["cannot read bad.tsv:", "line 2:"],
     "config-window-number": ["--window", "bad.json"],
+    "config-scripts-number": ["--scripts"],
+    "config-scripts-empty": ["--scripts"],
     "aggregate-config-years-strings": ["year_min"],
     "aggregate-config-case-fold-string": ["case_fold"],
     "aggregate-config-year-floor-float": ["year_floor"],
@@ -768,7 +863,7 @@ class TestMalformedInputs:
         for name in names:
             (tmp_path / name).write_bytes(data)
         line = self._error_line(tmp_path, argv)
-        for part in [*(names if case != "config-scripts-number" else ()), *MESSAGE_PARTS.get(case, ())]:
+        for part in [*names, *MESSAGE_PARTS.get(case, ())]:
             assert part in line, line
 
     @pytest.mark.parametrize("argv, source", [

@@ -1,6 +1,9 @@
 import ast
 import gzip
+import itertools
 import json
+import statistics
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,17 +13,21 @@ from hypothesis import strategies as st
 
 import abbrevkit
 from abbrevkit.ingest import (
+    SCRIPT_RANGES,
     Aggregator,
     ConfigMismatchError,
     IngestConfig,
     NgramRecord,
     ParseError,
+    _median,
     aggregate,
     ingest_paths,
     is_candidate_word,
     merge,
     parse_line,
 )
+
+import oracles
 
 CFG = IngestConfig()
 RANGES = CFG.letter_ranges()
@@ -123,6 +130,49 @@ class TestClassifyBigram:
         assert not is_candidate_word("слово", greek_only)
 
 
+# characters around the edges of the letter class: letters of every
+# admitted range and just outside it, letters of other scripts, combining
+# marks, non-BMP letters, a titlecase letter, digits, underscore, period
+_NEAR_LETTERS = sorted(
+    {chr(cp) for lo, hi in RANGES for cp in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)}
+    | set("ъЁёßæΩωאب\u01c5\u0301\u0306\u0483\U00010400\U0001d400\U00020000\u00b2_.1 ")
+)
+
+
+class TestLetterClass:
+    """The compiled letter class gives the verdicts of the per-character loop."""
+
+    def test_every_codepoint(self):
+        chars = map(chr, range(sys.maxunicode + 1))
+        differ = [ch for ch in chars if is_candidate_word(ch, RANGES) != oracles.is_candidate_word_reference(ch, RANGES)]
+        assert differ == []
+
+    @given(st.text(st.sampled_from(_NEAR_LETTERS) | st.characters(), max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_random_words(self, word):
+        assert is_candidate_word(word, RANGES) == oracles.is_candidate_word_reference(word, RANGES)
+
+    def test_every_subset_of_ranges(self):
+        words = ["", *_NEAR_LETTERS, "слово", "word", "Straße", "ёж", "sl_NOUN", "е\u0301ж", "a\U00010400"]
+        ranges = [r for script in sorted(SCRIPT_RANGES) for r in SCRIPT_RANGES[script]]
+        subsets = [subset for size in range(len(ranges) + 1) for subset in itertools.combinations(ranges, size)]
+        # an inverted range admits nothing, alone or beside others; bounds
+        # beyond the codepoints admit up to the first or last one
+        subsets += [((0x7A, 0x61),), ((0x7A, 0x61), (0x400, 0x4FF)), ((-5, 0x41),), ((0x10000, 0x200000),)]
+        for subset in subsets:
+            for word in words:
+                expected = oracles.is_candidate_word_reference(word, subset)
+                assert is_candidate_word(word, subset) == expected, (word, subset)
+        assert not any(is_candidate_word(word, ()) for word in words)
+
+    def test_aggregator_admits_what_the_predicate_admits(self):
+        words = ["слово", "Word", "ёж", "е\u0301ж", "ab1", "a\U00010400"]
+        for scripts in [(), ("latin",), ("cyrillic",), ("cyrillic", "latin")]:
+            config = IngestConfig(scripts=scripts)
+            profiles = aggregate([NgramRecord((w,), 2000, 5, 1) for w in words], config)
+            assert sorted(profiles) == sorted(w for w in words if is_candidate_word(w, config.letter_ranges()))
+
+
 class TestAggregate:
     def test_single_year_sum(self):
         profiles = aggregate([
@@ -191,6 +241,38 @@ class TestAggregate:
             NgramRecord(("др_NOUN",), 1995, 10, 1),
         ])
         assert profiles == {}
+
+
+# (with_period, total) pairs: ties in other terms (1/2, 2/4), zero counts,
+# and totals near 1e9 whose shares differ by less than a float can tell
+_NEAR = [(999_999_999, 1_000_000_000), (1_000_000_000, 1_000_000_001), (999_999_998, 999_999_999)]
+_TIES = [(1, 2), (2, 4), (500_000_000, 1_000_000_000), (0, 1), (0, 7), (3, 3), (1_000_000_000, 1_000_000_000)]
+
+
+class TestMedianOrder:
+    """`_median` orders shares by integer cross-products, with the result
+    of sorting them as Fractions."""
+
+    @staticmethod
+    def _reference(pairs):
+        ordered = sorted(Fraction(n, t) for n, t in pairs)
+        return statistics.median(ordered) if ordered else None
+
+    def test_float_keys_would_misorder(self):
+        low, high = _NEAR[0], _NEAR[1]
+        assert Fraction(*low) < Fraction(*high) and low[0] / low[1] == high[0] / high[1]
+        # sorted by float, `high` would stay first and be taken as the median
+        assert _median([high, low, (0, 5)]) == Fraction(*low)
+        assert _median([high, low, (0, 5), (1, 1)]) == (Fraction(*low) + Fraction(*high)) / 2
+
+    @given(st.lists(
+        st.sampled_from(_NEAR + _TIES)
+        | st.integers(1, 2 * 10**9).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t))),
+        max_size=25,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_fractions(self, pairs):
+        assert _median(pairs) == self._reference(pairs)
 
 
 def _records_strategy():

@@ -78,6 +78,17 @@ class TestGenerateNgrams:
         assert first[0].read_bytes() == second[0].read_bytes()
         assert first[1].read_bytes() == second[1].read_bytes()
 
+    def test_failed_write_keeps_old_files(self, tmp_path):
+        uni, bi = tmp_path / "1.tsv", tmp_path / "2.tsv"
+        uni.write_bytes(b"old\n")
+        bi.write_bytes(b"old\n")
+        # a word no UTF-8 encoder takes fails the write after both files opened
+        spec = SynthSpec(abbrev_words={"\ud800": 0.9}, common_words={"слово": 0.1})
+        with pytest.raises(UnicodeEncodeError):
+            generate_ngrams(spec, uni, bi)
+        assert uni.read_bytes() == bi.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1.tsv", "2.tsv"]
+
     def test_empirical_share_within_binomial_noise(self, tmp_path):
         spec = make_spec(3, 3, seed=21)
         uni, bi = tmp_path / "1.tsv", tmp_path / "2.tsv"
