@@ -7,13 +7,13 @@ from .dictionary import (
     AbbrevDictionary,
     AbbrevEntry,
     BuildOptions,
+    DecisionRecord,
     build_dictionary,
     decide_lrt,
     decide_median,
 )
 from .ingest import Aggregator, IngestConfig, NgramRecord, WordProfile, parse_line
 from .likelihood import (
-    DecisionRecord,
     HypothesisParams,
     alpha_error,
     beta_error,

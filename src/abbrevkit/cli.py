@@ -18,7 +18,7 @@ import sys
 from contextlib import nullcontext
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import analytics, dictionary, ingest, likelihood, segment, synth
 
@@ -44,14 +44,19 @@ def _parse_window(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}") from None
 
 
-def _parse_scripts(value: str) -> tuple[str, ...]:
-    scripts = tuple(s.strip() for s in value.split(",") if s.strip())
-    unknown = [s for s in scripts if s not in ingest.SCRIPT_RANGES]
-    if not scripts or unknown:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of scripts from {sorted(ingest.SCRIPT_RANGES)}, got {value!r}"
-        )
-    return scripts
+def _comma_list(what: str, choices: Iterable[str]) -> Callable[[str], tuple[str, ...]]:
+    """argparse type for a non-empty comma-separated list of `choices`."""
+    choices = sorted(choices)
+
+    def parse(value: str) -> tuple[str, ...]:
+        items = tuple(s.strip() for s in value.split(",") if s.strip())
+        if not items or any(item not in choices for item in items):
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {what} from {choices}, got {value!r}"
+            )
+        return items
+
+    return parse
 
 
 def _read_words(path: str) -> list[str]:
@@ -195,10 +200,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    kinds = [k.strip() for k in args.reports.split(",") if k.strip()]
-    unknown = [k for k in kinds if k not in analytics.REPORT_KINDS]
-    if unknown:
-        raise CliError(f"unknown report kinds {unknown}; available: {list(analytics.REPORT_KINDS)}")
     agg = ingest.Aggregator.load(args.aggregate)
     profiles = agg.finalize(args.window)
     effective_window = args.window or (agg.config.year_min, agg.config.year_max)
@@ -209,7 +210,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         loaded = segment.load_dictionary(args.dictionary)
         entries = [profiles[w] for w in sorted(profiles) if w in loaded]
         dictionary_digest = ingest.sha256_file(args.dictionary)
-    needs_dict = [k for k in kinds if k != "p-series"]
+    needs_dict = [k for k in args.reports if k != "p-series"]
     if needs_dict and entries is None:
         raise CliError(f"reports {needs_dict} need --dictionary")
 
@@ -217,7 +218,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     totals_by_year = _read_totals(args.totals) if args.totals else None
 
-    for kind in kinds:
+    for kind in args.reports:
         if kind == "rare-cumulative":
             report = analytics.rare_cumulative(entries, args.max_volumes)
         elif kind == "p-series":
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="aggregate state file to write (.json or .json.gz)")
     p.add_argument("--window", type=_parse_window, default="1990:2008",
                    help="analysis year window, default %(default)s")
-    p.add_argument("--scripts", type=_parse_scripts, default="cyrillic,latin",
+    p.add_argument("--scripts", type=_comma_list("scripts", ingest.SCRIPT_RANGES), default="cyrillic,latin",
                    help="comma-separated letter scripts, default %(default)s")
     p.add_argument("--case-fold", action="store_true",
                    help="lowercase word forms at ingestion (default: case-sensitive)")
@@ -485,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[aggregate, shares], help="emit analytics reports")
     p.add_argument("--dictionary", help="dictionary file (needed by all reports except p-series)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--reports", default=",".join(analytics.REPORT_KINDS),
+    p.add_argument("--reports", type=_comma_list("reports", analytics.REPORT_KINDS),
+                   default=",".join(analytics.REPORT_KINDS),
                    help="comma-separated subset of %(default)s")
     p.add_argument("--seed-abbrevs", help="seed abbreviation list for p-series")
     p.add_argument("--seed-commons", help="seed common-word list for p-series")

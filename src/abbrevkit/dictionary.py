@@ -17,11 +17,6 @@ from typing import Mapping, Sequence
 
 from .ingest import WordProfile
 from .likelihood import (
-    METHOD_LRT,
-    METHOD_MEDIAN,
-    VERDICT_ABBREVIATION,
-    VERDICT_COMMON,
-    DecisionRecord,
     HypothesisParams,
     alpha_error,
     beta_error,
@@ -30,6 +25,7 @@ from .likelihood import (
 )
 
 __all__ = [
+    "DecisionRecord",
     "AbbrevEntry",
     "AbbrevDictionary",
     "BuildOptions",
@@ -37,6 +33,8 @@ __all__ = [
     "FLAG_LOW_VOLUME",
     "FLAG_SHORT_TIMESPAN",
     "DEFAULT_MEDIAN_THRESHOLD",
+    "METHOD_LRT",
+    "METHOD_MEDIAN",
     "decide_median",
     "decide_lrt",
     "filter_occasional",
@@ -51,6 +49,9 @@ FLAG_LOW_VOLUME = "low-volume"
 FLAG_SHORT_TIMESPAN = "short-timespan"
 
 DEFAULT_MEDIAN_THRESHOLD = Fraction(9, 10)
+
+METHOD_LRT = "lrt"
+METHOD_MEDIAN = "median-threshold"
 
 METHODS = ("median", "lrt", "both-must-agree")
 
@@ -69,6 +70,20 @@ def as_fraction(value: Fraction | float | int | str) -> Fraction:
     return Fraction(value)
 
 
+@dataclass(frozen=True)
+class DecisionRecord:
+    """Verdict on one word form and the statistics of the rule that gave
+    it; the likelihood-ratio rule fills in eta, likelihood, alpha and
+    beta, the median-share rule leaves them None."""
+
+    is_abbreviation: bool
+    method: str
+    eta: float | None = None
+    likelihood: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
+
+
 def decide_median(profile: WordProfile, threshold: Fraction | float | str = DEFAULT_MEDIAN_THRESHOLD) -> DecisionRecord:
     """Median-share rule: abbreviation iff the median yearly share is
     strictly above the threshold ("more than 90%" at the default)."""
@@ -76,14 +91,7 @@ def decide_median(profile: WordProfile, threshold: Fraction | float | str = DEFA
     if not 0 < thr < 1:
         raise InvalidConfigError(f"median threshold must be in (0,1), got {thr}")
     med = profile.median_share
-    verdict = VERDICT_ABBREVIATION if med is not None and med > thr else VERDICT_COMMON
-    return DecisionRecord(
-        word=profile.word,
-        n=profile.n_total,
-        total=profile.N_total,
-        verdict=verdict,
-        method=METHOD_MEDIAN,
-    )
+    return DecisionRecord(med is not None and med > thr, METHOD_MEDIAN)
 
 
 def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord:
@@ -93,16 +101,10 @@ def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord
     statistics."""
     n, total = profile.n_total, profile.N_total
     if total == 0:
-        return DecisionRecord(
-            word=profile.word, n=n, total=total,
-            verdict=VERDICT_COMMON, method=METHOD_LRT,
-        )
+        return DecisionRecord(False, METHOD_LRT)
     eta = solve_threshold(total, params)
     return DecisionRecord(
-        word=profile.word,
-        n=n,
-        total=total,
-        verdict=VERDICT_ABBREVIATION if n > eta else VERDICT_COMMON,
+        is_abbreviation=n > eta,
         method=METHOD_LRT,
         eta=eta,
         likelihood=likelihood_ratio(n, total, params),
@@ -116,7 +118,6 @@ class AbbrevEntry:
     """One dictionary entry: the decision that admitted the word and the
     finalized profile it was made from."""
 
-    word: str
     decision: DecisionRecord
     profile: WordProfile
 
@@ -127,10 +128,7 @@ class AbbrevDictionary:
     build_meta: dict = field(default_factory=dict)
 
     def words(self) -> list[str]:
-        return [entry.word for entry in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        return [entry.profile.word for entry in self.entries]
 
 
 @dataclass(frozen=True)
@@ -192,8 +190,8 @@ def build_dictionary(
     Words with pooled totals below `min_total` are left undecided (the
     test has no power there) and counted in the build metadata.  With
     method ``both-must-agree`` a word enters only when the median rule
-    and the likelihood-ratio test both say abbreviation; the stored
-    decision is the statistics-bearing likelihood-ratio one.
+    and the likelihood-ratio test both say abbreviation: the test runs
+    on the words the median rule admits, and its decision is stored.
     """
     options = options or BuildOptions()
     window = None
@@ -208,18 +206,12 @@ def build_dictionary(
             continue
         if options.method == "median":
             decision = decide_median(profile, options.median_threshold)
-        elif options.method == "lrt":
+        elif options.method == "lrt" or decide_median(profile, options.median_threshold).is_abbreviation:
             decision = decide_lrt(profile, options.params)
         else:
-            med = decide_median(profile, options.median_threshold)
-            lrt = decide_lrt(profile, options.params)
-            decision = lrt if (med.is_abbreviation and lrt.is_abbreviation) else DecisionRecord(
-                word=word, n=profile.n_total, total=profile.N_total,
-                verdict=VERDICT_COMMON, method=METHOD_LRT,
-            )
-        if not decision.is_abbreviation:
             continue
-        candidates.append(AbbrevEntry(word, decision, profile))
+        if decision.is_abbreviation:
+            candidates.append(AbbrevEntry(decision, profile))
     kept, removed = filter_occasional(candidates, options.min_volumes, options.min_active_years)
     removal_counts = {FLAG_LOW_VOLUME: 0, FLAG_SHORT_TIMESPAN: 0}
     for _, reasons in removed:
@@ -270,7 +262,7 @@ def dictionary_to_tsv(dictionary: AbbrevDictionary) -> str:
         lines.append(
             "\t".join(
                 (
-                    e.word,
+                    p.word,
                     _share_repr(p.median_share),
                     str(p.n_total),
                     str(p.N_total),
@@ -301,7 +293,7 @@ def dictionary_to_json(dictionary: AbbrevDictionary) -> str:
         "build_meta": dictionary.build_meta,
         "entries": [
             {
-                "word": e.word,
+                "word": e.profile.word,
                 "median_share": float(e.profile.median_share) if e.profile.median_share is not None else None,
                 "median_share_exact": str(e.profile.median_share) if e.profile.median_share is not None else None,
                 "n_total": e.profile.n_total,

@@ -22,15 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "HypothesisParams",
-    "DecisionRecord",
     "ShareEstimate",
     "MinUsageResult",
     "SearchExhaustedError",
     "EstimationError",
-    "VERDICT_ABBREVIATION",
-    "VERDICT_COMMON",
-    "METHOD_LRT",
-    "METHOD_MEDIAN",
     "binomial_pmf",
     "log_binomial_pmf",
     "likelihood_ratio",
@@ -41,12 +36,6 @@ __all__ = [
     "min_usage_for_error",
     "estimate_share_params",
 ]
-
-VERDICT_ABBREVIATION = "abbreviation"
-VERDICT_COMMON = "common-word"
-METHOD_LRT = "lrt"
-METHOD_MEDIAN = "median-threshold"
-
 
 class SearchExhaustedError(RuntimeError):
     """No sample size within the configured cap meets the error targets."""
@@ -80,29 +69,6 @@ class HypothesisParams:
             raise ValueError(f"p0 must not exceed p1, got p0={self.p0} > p1={self.p1}")
         if not self.c > 0.0:
             raise ValueError(f"decision threshold C must be positive, got {self.c}")
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """Outcome of classifying one word form.
-
-    For the likelihood-ratio method all statistics are filled in; for the
-    median-share method eta, likelihood, alpha and beta stay None.
-    """
-
-    word: str
-    n: int
-    total: int
-    verdict: str
-    method: str
-    eta: float | None = None
-    likelihood: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-
-    @property
-    def is_abbreviation(self) -> bool:
-        return self.verdict == VERDICT_ABBREVIATION
 
 
 def log_binomial_pmf(total: int, successes: int, p: float) -> float:
@@ -140,6 +106,14 @@ def binomial_pmf(total: int, successes: int, p: float) -> float:
     return math.exp(log_binomial_pmf(total, successes, p))
 
 
+def _log_ratio_terms(params: HypothesisParams) -> tuple[float, float]:
+    """Slope ln(p1(1-p0) / (p0(1-p1))) and offset ln((1-p1)/(1-p0)) of
+    the log likelihood ratio, which is n * slope + total * offset."""
+    p0, p1 = params.p0, params.p1
+    slope = math.log(p1) + math.log1p(-p0) - math.log(p0) - math.log1p(-p1)
+    return slope, math.log1p(-p1) - math.log1p(-p0)
+
+
 def log_likelihood_ratio(n: float, total: int, params: HypothesisParams) -> float:
     """Log of P(n | abbreviation) / P(n | common word).
 
@@ -148,9 +122,7 @@ def log_likelihood_ratio(n: float, total: int, params: HypothesisParams) -> floa
     which is defined for any real n and strictly increasing in n
     whenever p1 > p0.
     """
-    p0, p1 = params.p0, params.p1
-    slope = math.log(p1) + math.log1p(-p0) - math.log(p0) - math.log1p(-p1)
-    offset = math.log1p(-p1) - math.log1p(-p0)
+    slope, offset = _log_ratio_terms(params)
     return n * slope + total * offset
 
 
@@ -173,12 +145,10 @@ def solve_threshold(total: int, params: HypothesisParams) -> float:
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    p0, p1 = params.p0, params.p1
-    if not p1 > p0:
-        raise ValueError(f"threshold needs p1 > p0, got p0={p0}, p1={p1}")
-    slope = math.log(p1) + math.log1p(-p0) - math.log(p0) - math.log1p(-p1)
-    numer = math.log(params.c) + total * (math.log1p(-p0) - math.log1p(-p1))
-    return numer / slope
+    if not params.p1 > params.p0:
+        raise ValueError(f"threshold needs p1 > p0, got p0={params.p0}, p1={params.p1}")
+    slope, offset = _log_ratio_terms(params)
+    return (math.log(params.c) - total * offset) / slope
 
 
 # The remainder bounds of _range_mass are padded by a factor 4 (ln 4 in

@@ -1,5 +1,6 @@
 import ast
 import gzip
+import importlib
 import io
 import json
 import os
@@ -733,6 +734,18 @@ def test_no_module_level_numpy_import():
     assert not any(found.values()), found
 
 
+def test_every_export_resolves():
+    # a name left in an __all__ after its definition moved or went
+    package = Path(abbrevkit.__file__).parent
+    modules = [importlib.import_module(f"abbrevkit.{path.stem}") for path in sorted(package.glob("*.py"))]
+    stale = {
+        module.__name__: [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        for module in modules
+    }
+    assert "abbrevkit.__init__" in stale and "abbrevkit.dictionary" in stale
+    assert not any(stale.values()), stale
+
+
 def _module_level_numpy(source: str) -> list[int]:
     """Lines of `source` that import numpy when the module is imported:
     outside any function body, conditional and class bodies included."""
@@ -818,6 +831,8 @@ MALFORMED = {
     "config-median-threshold-list": (CONFIG_BUILD, {"median_threshold": [1]}),
     "config-min-total-float": (CONFIG_BUILD, {"min_total": 3.7}),
     "config-reports-list": (CONFIG_STATS, {"reports": ["dynamics"]}),
+    "config-reports-unknown": (CONFIG_STATS, {"reports": "bogus"}),
+    "config-reports-empty": (CONFIG_STATS, {"reports": ","}),
     "flag-min-total-not-int": (["build", "--aggregate", "agg.json", "--min-total", "x", "--out-words", "d.txt"], {}),
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
@@ -830,6 +845,8 @@ MESSAGE_PARTS = {
     "config-window-number": ["--window", "bad.json"],
     "config-scripts-number": ["--scripts"],
     "config-scripts-empty": ["--scripts"],
+    "config-reports-unknown": ["--reports"],
+    "config-reports-empty": ["--reports"],
     "aggregate-config-years-strings": ["year_min"],
     "aggregate-config-case-fold-string": ["case_fold"],
     "aggregate-config-year-floor-float": ["year_floor"],

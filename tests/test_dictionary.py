@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abbrevkit.dictionary import (
+    METHOD_LRT,
+    METHOD_MEDIAN,
     AbbrevEntry,
     BuildOptions,
+    DecisionRecord,
     InvalidConfigError,
     as_fraction,
     build_dictionary,
@@ -19,14 +22,7 @@ from abbrevkit.dictionary import (
     filter_occasional,
 )
 from abbrevkit.ingest import IngestConfig, WordProfile
-from abbrevkit.likelihood import (
-    METHOD_LRT,
-    METHOD_MEDIAN,
-    VERDICT_ABBREVIATION,
-    VERDICT_COMMON,
-    DecisionRecord,
-    HypothesisParams,
-)
+from abbrevkit.likelihood import HypothesisParams
 from helpers import build_profiles, profile_of
 
 PARAMS = HypothesisParams(0.068, 0.955, 1.0)
@@ -87,14 +83,14 @@ class TestDecideMedian:
     def test_above_threshold(self):
         profile = profile_of("др", {1995: (96, 100), 1996: (97, 100), 1997: (95, 100)})
         decision = decide_median(profile, "0.9")
-        assert decision.verdict == VERDICT_ABBREVIATION
+        assert decision.is_abbreviation
         assert decision.method == METHOD_MEDIAN
-        assert decision.eta is None and decision.alpha is None
+        assert (decision.eta, decision.likelihood, decision.alpha, decision.beta) == (None,) * 4
 
     def test_exact_threshold_excluded(self):
         profile = profile_of("др", {1995: (9, 10)})
         assert profile.median_share == Fraction(9, 10)
-        assert decide_median(profile, "0.9").verdict == VERDICT_COMMON
+        assert not decide_median(profile, "0.9").is_abbreviation
 
     def test_undefined_median_is_common(self):
         # data only outside the aggregates window: no evidence
@@ -104,7 +100,7 @@ class TestDecideMedian:
             window=(1990, 2008),
         )["др"]
         assert profile.median_share is None
-        assert decide_median(profile).verdict == VERDICT_COMMON
+        assert not decide_median(profile).is_abbreviation
 
     def test_threshold_domain(self):
         profile = profile_of("др", {1995: (9, 10)})
@@ -118,22 +114,22 @@ class TestDecideMedian:
         raised = {year: (t, t) for year, (n, t) in base.items()}
         low = decide_median(profile_of("w", base))
         high = decide_median(profile_of("w", raised))
-        if low.verdict == VERDICT_ABBREVIATION:
-            assert high.verdict == VERDICT_ABBREVIATION
+        if low.is_abbreviation:
+            assert high.is_abbreviation
 
 
 class TestDecideLrt:
     def test_always_with_period(self):
         profile = profile_of("др", {1995: (40, 40)})
         decision = decide_lrt(profile, PARAMS)
-        assert decision.verdict == VERDICT_ABBREVIATION
-        assert decision.n == decision.total == 40
+        assert decision.is_abbreviation
+        assert profile.n_total == profile.N_total == 40
         assert decision.likelihood > 1.0
         assert 0 <= decision.alpha <= 1 and 0 <= decision.beta <= 1
 
     def test_never_with_period(self):
         profile = profile_of("др", {1995: (0, 40)})
-        assert decide_lrt(profile, PARAMS).verdict == VERDICT_COMMON
+        assert not decide_lrt(profile, PARAMS).is_abbreviation
 
     def test_no_usage_undecidable(self):
         profile = build_profiles(
@@ -142,7 +138,7 @@ class TestDecideLrt:
             window=(1990, 2008),
         )["др"]
         decision = decide_lrt(profile, PARAMS)
-        assert decision.verdict == VERDICT_COMMON
+        assert not decision.is_abbreviation
         assert decision.eta is None and decision.likelihood is None
 
     def test_decision_matches_threshold(self):
@@ -157,17 +153,17 @@ class TestDecideLrt:
         n = min(n, total - 1) if total > 0 else 0
         low = decide_lrt(profile_of("w", {1995: (n, total)}), PARAMS)
         high = decide_lrt(profile_of("w", {1995: (min(n + 1, total), total)}), PARAMS)
-        if low.verdict == VERDICT_ABBREVIATION:
-            assert high.verdict == VERDICT_ABBREVIATION
+        if low.is_abbreviation:
+            assert high.is_abbreviation
 
 
 def _entry(word, volumes, years):
-    decision = DecisionRecord(word=word, n=50, total=50, verdict=VERDICT_ABBREVIATION, method=METHOD_MEDIAN)
+    decision = DecisionRecord(is_abbreviation=True, method=METHOD_MEDIAN)
     profile = WordProfile(
         word=word, series={}, window=(1990, 2008), n_total=50, N_total=50,
         median_share=Fraction(1), active_years=years, volumes_total=volumes,
     )
-    return AbbrevEntry(word=word, decision=decision, profile=profile)
+    return AbbrevEntry(decision=decision, profile=profile)
 
 
 class TestFilterOccasional:
@@ -229,10 +225,21 @@ class TestBuildDictionary:
 
     def test_both_must_agree_subset(self):
         profiles = _corpus()
-        both = set(build_dictionary(profiles, BuildOptions(method="both-must-agree")).words())
+        # the median rule alone admits "мед" (11 years at 100%, one large
+        # year at 0%), the test alone admits "лрт" (80% every year)
+        profiles.update(build_profiles({
+            "мед": {**{1990 + i: (10, 10, 5) for i in range(11)}, 2001: (0, 1000, 5)},
+            "лрт": {y: (80, 100, 5) for y in ABBREV_YEARS},
+        }))
+        built = build_dictionary(profiles, BuildOptions(method="both-must-agree"))
         med = set(build_dictionary(profiles, BuildOptions(method="median")).words())
         lrt = set(build_dictionary(profiles, BuildOptions(method="lrt")).words())
-        assert both <= med and both <= lrt
+        assert med - lrt == {"мед"} and lrt - med == {"лрт"}
+        assert built.words() == sorted(med & lrt) == ["гл", "др"]
+        for entry in built.entries:
+            assert entry.decision.method == METHOD_LRT
+            assert entry.decision.eta is not None
+            assert entry.decision == decide_lrt(entry.profile, BuildOptions().params)
 
     def test_min_total_gate(self):
         profiles = build_profiles({"гл": {1995: (30, 30, 9), 1996: (5, 5, 5)}})

@@ -254,7 +254,7 @@ class TestBoundedErrorSums:
         total = 10**9
         profile = profile_of("слово", {2000: (total // 2, total)})
         decision = decide_lrt(profile, HypothesisParams(0.068, 0.955, c))
-        assert decision.total == total
+        assert profile.N_total == total
         assert decision.alpha == 0.0 and decision.beta == 0.0
         assert 0 < len(calls) <= 300
 
