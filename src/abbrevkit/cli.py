@@ -44,6 +44,21 @@ def _parse_window(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}") from None
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an int no smaller than `low`."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = None
+        if number is None or number < low:
+            raise argparse.ArgumentTypeError(f"expected an int >= {low}, got {value!r}")
+        return number
+
+    return parse
+
+
 def _comma_list(what: str, choices: Iterable[str]) -> Callable[[str], tuple[str, ...]]:
     """argparse type for a non-empty comma-separated list of `choices`."""
     choices = sorted(choices)
@@ -460,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated letter scripts, default %(default)s")
     p.add_argument("--case-fold", action="store_true",
                    help="lowercase word forms at ingestion (default: case-sensitive)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel parser processes, default %(default)s")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel parser processes, default %(default)s")
     p.add_argument("--on-error", choices=("skip", "abort"), default="skip",
                    help="malformed line policy, default %(default)s")
     p.add_argument("--year-floor", type=int, default=1500, help="reject years below this, default %(default)s")
@@ -493,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-commons", help="seed common-word list for p-series")
     p.add_argument("--dynamics-window", type=_parse_window, default="1940:2008",
                    help="dynamics year range, default %(default)s")
-    p.add_argument("--top-k", type=int, default=300, help="top entries tracked by dynamics, default %(default)s")
+    p.add_argument("--top-k", type=_int_at_least(0), default=300, help="top entries tracked by dynamics, default %(default)s")
     p.add_argument("--max-volumes", type=int, default=10, help="rare-cumulative x-axis limit, default %(default)s")
     p.add_argument("--totals", help="optional 'year TAB total' file to normalize dynamics")
     p.set_defaults(func=cmd_stats)

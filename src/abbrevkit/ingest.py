@@ -81,8 +81,7 @@ class NgramRecord(NamedTuple):
     volume_count: int
 
 
-@dataclass(frozen=True)
-class YearlyUsage:
+class YearlyUsage(NamedTuple):
     year: int
     with_period: int
     total: int
@@ -459,6 +458,9 @@ class Aggregator:
             agg.counters = IngestCounters(**state["counters"])
         except TypeError as exc:
             raise ValueError(f"aggregate state: {exc}") from None
+        bad = {path: value for path, value in state["fingerprints"].items() if type(value) is not str}
+        if bad:
+            raise ValueError(f"aggregate state: fingerprints must be strings, got {bad}")
         agg.fingerprints = dict(state["fingerprints"])
         lo, hi = agg.config.year_min, agg.config.year_max
         for word, years in state["words"].items():

@@ -9,10 +9,11 @@ of title-like prefixes.  So the dictionary changes a boundary only at
 override-listed stems; with an empty dictionary the rule is the naive
 period-space-capital pattern, the measurable baseline.
 
-`sentence_spans` applies the rule without tokenizing.  `dict_segment`
-also tokenizes, fusing a dictionary stem with its period into one
-abbreviation token, and gives each sentence its token range; the CLI
-calls it only for ``--spans``.
+`sentence_spans` applies the rule without tokenizing.  `tokenize`,
+given a dictionary, fuses a dictionary stem with its period into one
+abbreviation token in its single pass; `dict_segment` adds each
+sentence's token range, and the CLI calls it only for ``--spans``.
+Tokens and sentences are named tuples.
 
 All spans are byte offsets into the UTF-8 encoding of the input.
 """
@@ -22,9 +23,8 @@ import bisect
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import read_input
 
@@ -63,16 +63,14 @@ class DictionaryLoadError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int  # byte offset, inclusive
     end: int    # byte offset, exclusive
     kind: str
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
+class SentenceSpan(NamedTuple):
     start: int
     end: int
     token_start: int | None = None
@@ -107,25 +105,38 @@ _PERIOD_RE = re.compile(r"\.(?=\s+(\S))", re.UNICODE)
 _RUN_RE = re.compile(r"[^\W\d_]*", re.UNICODE)
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, dictionary: LoadedDictionary | None = None) -> list[Token]:
     """Split text into word/number/punctuation/other tokens with byte
-    spans; whitespace becomes the gaps between spans."""
+    spans; whitespace becomes the gaps between spans.  A period directly
+    after a word whose stem is in `dictionary` fuses with it into one
+    abbreviation token."""
+    dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
     tokens: list[Token] = []
-    pos = 0  # byte offset of the match; the matches tile the text
+    end = 0  # byte offset after the match; the matches tile the text
     for chunk in _TOKEN_RE.findall(text):
-        size = len(chunk.encode("utf-8"))
-        if not chunk.isspace():
-            first = chunk[0]
-            if first.isdigit():
-                kind = KIND_NUMBER
-            elif first.isalpha():
-                kind = KIND_WORD
-            elif unicodedata.category(first).startswith("P"):
-                kind = KIND_PUNCT
-            else:
-                kind = KIND_OTHER
-            tokens.append(Token(chunk, pos, pos + size, kind))
-        pos += size
+        start = end
+        end += len(chunk.encode("utf-8"))
+        if chunk.isspace():
+            continue
+        first = chunk[0]
+        if first.isdigit():
+            kind = KIND_NUMBER
+        elif first.isalpha():
+            kind = KIND_WORD
+        elif (
+            chunk == "."
+            and tokens
+            and (word := tokens[-1]).end == start
+            and word.kind == KIND_WORD
+            and word.text in dictionary
+        ):
+            tokens[-1] = Token(word.text + ".", word.start, end, KIND_ABBREV)
+            continue
+        elif unicodedata.category(first).startswith("P"):
+            kind = KIND_PUNCT
+        else:
+            kind = KIND_OTHER
+        tokens.append(Token(chunk, start, end, kind))
     return tokens
 
 
@@ -179,27 +190,9 @@ def dict_segment(
     dictionary: LoadedDictionary | None = None,
     override: Iterable[str] = (),
 ) -> tuple[list[Token], list[SentenceSpan]]:
-    """Tokenize and split into sentences using the dictionary.
-
-    A period directly after a word whose stem is in the dictionary fuses
-    with it into one abbreviation token.  Sentences are those of
-    `sentence_spans`, each with the range of tokens it covers.
-    """
-    dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
-    tokens: list[Token] = []
-    for token in tokenize(text):
-        prev = tokens[-1] if tokens else None
-        if (
-            token.text == "."
-            and prev is not None
-            and prev.kind == KIND_WORD
-            and prev.end == token.start
-            and prev.text in dictionary
-        ):
-            tokens[-1] = Token(prev.text + ".", prev.start, token.end, KIND_ABBREV)
-        else:
-            tokens.append(token)
-
+    """`tokenize` with the dictionary, and the sentences of
+    `sentence_spans`, each with the range of tokens it covers."""
+    tokens = tokenize(text, dictionary)
     ends = [token.end for token in tokens]
     sentences = []
     first = 0
@@ -244,10 +237,12 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None) -> LoadedDi
             raise error("'entries' must be a list and 'build_meta' an object")
         words = [entry.get("word") if isinstance(entry, dict) else None for entry in entries]
         for index, word in enumerate(words):
-            if not isinstance(word, str) or not word:
-                raise error(f"entry {index} needs a non-empty string 'word', got {word!r}")
-        fold = meta.get("case_fold", False) if case_fold is None else case_fold
-        return LoadedDictionary(words, case_fold=fold)
+            if not isinstance(word, str) or not word or any(ch.isspace() for ch in word):
+                raise error(f"entry {index} needs a non-empty string 'word' without whitespace, got {word!r}")
+        fold = meta.get("case_fold", False)
+        if type(fold) is not bool:
+            raise error(f"build_meta case_fold must be true or false, got {fold!r}")
+        return LoadedDictionary(words, case_fold=fold if case_fold is None else case_fold)
     words = []
     for line_number, line in enumerate(content.splitlines(), 1):
         if not line or line.startswith("#"):

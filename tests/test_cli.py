@@ -366,7 +366,7 @@ class TestSegmentWithoutTokens:
     def test_spans_tokenize(self, inputs, monkeypatch, capsys):
         calls = []
         real = segment.tokenize
-        monkeypatch.setattr(segment, "tokenize", lambda text: calls.append(text) or real(text))
+        monkeypatch.setattr(segment, "tokenize", lambda text, *rest: calls.append(text) or real(text, *rest))
         assert main(["segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"), "--spans"]) == 0
         assert len(calls) == 1
         assert len(json.loads(capsys.readouterr().out)["tokens"]) == 12
@@ -833,6 +833,13 @@ MALFORMED = {
     "config-reports-list": (CONFIG_STATS, {"reports": ["dynamics"]}),
     "config-reports-unknown": (CONFIG_STATS, {"reports": "bogus"}),
     "config-reports-empty": (CONFIG_STATS, {"reports": ","}),
+    "flag-jobs-negative": (["ingest", "--unigrams", "in.txt", "--output", "a.json", "--jobs", "-3"], {}),
+    "flag-top-k-negative": (["stats", "--aggregate", "agg.json", "--top-k", "-5", "--out-dir", "r"], {}),
+    "config-jobs-zero": (CONFIG_INGEST, {"jobs": 0}),
+    "config-top-k-negative": (CONFIG_STATS, {"top_k": -5}),
+    "aggregate-fingerprint-not-string": (BUILD, _state(fingerprints={"x.tsv": 5})),
+    "dictionary-case-fold-string": (SEGMENT, _dictionary_doc(build_meta={"case_fold": "false"})),
+    "dictionary-entry-with-space": (SEGMENT, _dictionary_doc(entries=[{"word": "a b"}])),
     "flag-min-total-not-int": (["build", "--aggregate", "agg.json", "--min-total", "x", "--out-words", "d.txt"], {}),
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
@@ -847,6 +854,13 @@ MESSAGE_PARTS = {
     "config-scripts-empty": ["--scripts"],
     "config-reports-unknown": ["--reports"],
     "config-reports-empty": ["--reports"],
+    "flag-jobs-negative": ["--jobs", "'-3'"],
+    "flag-top-k-negative": ["--top-k", "'-5'"],
+    "config-jobs-zero": ["--jobs", "bad.json"],
+    "config-top-k-negative": ["--top-k", "bad.json"],
+    "aggregate-fingerprint-not-string": ["fingerprints", "x.tsv"],
+    "dictionary-case-fold-string": ["case_fold", "'false'"],
+    "dictionary-entry-with-space": ["whitespace", "'a b'"],
     "aggregate-config-years-strings": ["year_min"],
     "aggregate-config-case-fold-string": ["case_fold"],
     "aggregate-config-year-floor-float": ["year_floor"],

@@ -319,6 +319,7 @@ class TestPeriodRuleMatchesOracles:
         loaded, override = _drawn_dictionary(data, text)
         expected_tokens, expected = oracles.dict_segment_reference(text, loaded, override)
         assert dict_segment(text, loaded, override) == (expected_tokens, expected)
+        assert tokenize(text, loaded) == expected_tokens
         assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
 
     @given(wide_texts)
@@ -335,6 +336,7 @@ class TestPeriodRuleMatchesOracles:
             loaded = LoadedDictionary(spec.abbrev_words, case_fold=case_fold)
             expected = oracles.dict_segment_reference(text, loaded, spec.title_like)
             assert dict_segment(text, loaded, spec.title_like) == expected
+            assert tokenize(text, loaded) == expected[0]
             assert sentence_spans(text, loaded, spec.title_like) == [
                 SentenceSpan(s.start, s.end) for s in expected[1]
             ]
