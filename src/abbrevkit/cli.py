@@ -38,10 +38,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_window(value: str) -> tuple[int, int]:
     try:
-        lo, hi = value.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, value.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected first <= last year, got {value!r}")
+    return lo, hi
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -174,11 +176,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     if not (args.out_tsv or args.out_json or args.out_words):
         raise CliError("build needs at least one of --out-tsv/--out-json/--out-words")
+    if (args.alpha_target is None) != (args.beta_target is None):
+        raise CliError("--alpha-target and --beta-target go together: give both or neither")
     agg = ingest.Aggregator.load(args.aggregate)
     profiles = agg.finalize(args.window)
     params = likelihood.HypothesisParams(args.p0, args.p1, args.C)
     min_total = args.min_total
-    if args.alpha_target is not None and args.beta_target is not None:
+    if args.alpha_target is not None:
         # error targets pin the evidence gate at the smallest workable N
         result = likelihood.min_usage_for_error(params, args.alpha_target, args.beta_target)
         min_total = max(min_total, result.total)
@@ -490,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.955, help="abbreviation with-period share, default %(default)s")
     p.add_argument("--alpha-target", type=float, help="with --beta-target: raise the evidence gate to the smallest N meeting both error targets")
     p.add_argument("--beta-target", type=float, help="see --alpha-target")
-    p.add_argument("--min-total", type=int, default=40, help="evidence gate on pooled usage, default %(default)s")
-    p.add_argument("--min-volumes", type=int, default=2, help="occasionalism filter, default %(default)s")
-    p.add_argument("--min-active-years", type=int, default=2, help="occasionalism filter, default %(default)s")
+    p.add_argument("--min-total", type=_int_at_least(0), default=40, help="evidence gate on pooled usage, default %(default)s")
+    p.add_argument("--min-volumes", type=_int_at_least(0), default=2, help="occasionalism filter, default %(default)s")
+    p.add_argument("--min-active-years", type=_int_at_least(0), default=2, help="occasionalism filter, default %(default)s")
     p.add_argument("--out-tsv", help="write the TSV table here")
     p.add_argument("--out-json", help="write the JSON document here")
     p.add_argument("--out-words", help="write the plain word list here")
@@ -509,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dynamics-window", type=_parse_window, default="1940:2008",
                    help="dynamics year range, default %(default)s")
     p.add_argument("--top-k", type=_int_at_least(0), default=300, help="top entries tracked by dynamics, default %(default)s")
-    p.add_argument("--max-volumes", type=int, default=10, help="rare-cumulative x-axis limit, default %(default)s")
+    p.add_argument("--max-volumes", type=_int_at_least(1), default=10, help="rare-cumulative x-axis limit, default %(default)s")
     p.add_argument("--totals", help="optional 'year TAB total' file to normalize dynamics")
     p.set_defaults(func=cmd_stats)
 

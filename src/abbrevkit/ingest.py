@@ -39,9 +39,6 @@ __all__ = [
     "ParseError",
     "ConfigMismatchError",
     "parse_line",
-    "is_candidate_word",
-    "aggregate",
-    "merge",
     "ingest_paths",
     "DEFAULT_WINDOW",
     "SCRIPT_RANGES",
@@ -116,7 +113,7 @@ class WordProfile:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Everything that shapes aggregation; merge requires exact equality."""
+    """Everything that shapes aggregation; `update` requires exact equality."""
 
     year_min: int = DEFAULT_WINDOW[0]
     year_max: int = DEFAULT_WINDOW[1]
@@ -186,12 +183,6 @@ def parse_line(
     if volume_count > match_count:
         raise ParseError(f"volume_count {volume_count} exceeds match_count {match_count}", line_number)
     return NgramRecord(tokens, year, match_count, volume_count)
-
-
-def is_candidate_word(word: str, letter_ranges: Sequence[tuple[int, int]]) -> bool:
-    """True when every character is a letter from one of the admitted
-    codepoint ranges (rejects digits, punctuation, POS-tag underscores)."""
-    return word.isalpha() and _letter_class(letter_ranges).fullmatch(word) is not None
 
 
 def _letter_class(letter_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
@@ -281,7 +272,7 @@ class Aggregator:
         if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "."):
             return
         word = tokens[0]
-        # `is_candidate_word` with the pattern compiled once
+        # the candidate filter: letters only, each from an admitted range
         if not (word.isalpha() and self._letters(word)):
             return
         if self.config.case_fold:
@@ -520,26 +511,9 @@ def _median(shares: list[tuple[int, int]]) -> Fraction | None:
 _BY_SHARE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def merge(a: Aggregator, b: Aggregator) -> Aggregator:
-    """Combine two aggregation states into a new one (commutative,
-    associative, with the empty aggregator as identity)."""
-    out = Aggregator(a.config)
-    out.update(a)
-    out.update(b)
-    return out
-
-
-def aggregate(records: Iterable[NgramRecord], config: IngestConfig | None = None) -> dict[str, WordProfile]:
-    """One-shot aggregation of already-parsed records into profiles."""
+def _ingest_worker(payload: tuple[IngestConfig, list[str], str]) -> Aggregator:
+    config, paths, on_error = payload
     agg = Aggregator(config)
-    for record in records:
-        agg.add_record(record)
-    return agg.finalize()
-
-
-def _ingest_worker(payload: tuple[dict, list[str], str]) -> Aggregator:
-    config_kwargs, paths, on_error = payload
-    agg = Aggregator(IngestConfig(**config_kwargs))
     for path in paths:
         agg.fingerprint_path(path)
         agg.consume_path(path, on_error)
@@ -560,15 +534,14 @@ def ingest_paths(
     paths = [str(p) for p in unigram_paths] + [str(p) for p in bigram_paths]
     if not paths:
         raise ValueError("no input files to ingest")
-    config_kwargs = asdict(config)
     if jobs <= 1 or len(paths) == 1:
-        return _ingest_worker((config_kwargs, paths, on_error))
+        return _ingest_worker((config, paths, on_error))
     chunks: list[list[str]] = [[] for _ in range(min(jobs, len(paths)))]
     for index, path in enumerate(paths):
         chunks[index % len(chunks)].append(path)
     with multiprocessing.Pool(len(chunks)) as pool:
         shards: Iterator[Aggregator] = pool.imap_unordered(
-            _ingest_worker, [(config_kwargs, chunk, on_error) for chunk in chunks]
+            _ingest_worker, [(config, chunk, on_error) for chunk in chunks]
         )
         merged = Aggregator(config)
         for shard in shards:

@@ -44,8 +44,6 @@ __all__ = [
     "dict_segment",
     "load_dictionary",
     "sentence_texts",
-    "boundary_offsets",
-    "boundary_f1",
 ]
 
 KIND_WORD = "word"
@@ -270,24 +268,3 @@ def sentence_texts(text: str, sentences: Sequence[SentenceSpan]) -> list[str]:
         piece = source[span.start:span.end].decode("utf-8")
         out.append(" ".join(piece.split()))
     return out
-
-
-def boundary_offsets(sentences: Sequence[SentenceSpan]) -> list[int]:
-    return [span.end for span in sentences]
-
-
-def boundary_f1(predicted: Iterable[int], gold: Iterable[int]) -> tuple[float, float, float]:
-    """Precision, recall and F1 of predicted boundary offsets."""
-    pred = set(predicted)
-    ref = set(gold)
-    if not pred and not ref:
-        return 1.0, 1.0, 1.0
-    hits = len(pred & ref)
-    precision = hits / len(pred) if pred else 0.0
-    recall = hits / len(ref) if ref else 0.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return precision, recall, f1

@@ -1,9 +1,13 @@
-"""Shared fixture builders and text strategies for the test suite."""
+"""Shared fixture builders, text strategies and boundary scoring for the
+test suite."""
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
 from abbrevkit.ingest import Aggregator, IngestConfig, NgramRecord, WordProfile
+from abbrevkit.segment import SentenceSpan
 
 # wide alphabet for the oracle comparisons: both cases of Cyrillic and
 # Latin, a titlecase letter (not uppercase), digits that are not decimal
@@ -25,6 +29,14 @@ def texts_of(atoms: list[str]) -> st.SearchStrategy[str]:
 
 
 wide_texts = texts_of(WIDE_ATOMS)
+
+
+def aggregate(records: Iterable[NgramRecord], config: IngestConfig | None = None) -> dict[str, WordProfile]:
+    """One-shot aggregation of already-parsed records into profiles."""
+    agg = Aggregator(config)
+    for record in records:
+        agg.add_record(record)
+    return agg.finalize()
 
 
 def build_profiles(
@@ -56,3 +68,24 @@ def profile_of(
     window: tuple[int, int] | None = None,
 ) -> WordProfile:
     return build_profiles({word: years}, config, window)[word]
+
+
+def boundary_offsets(sentences: Sequence[SentenceSpan]) -> list[int]:
+    return [span.end for span in sentences]
+
+
+def boundary_f1(predicted: Iterable[int], gold: Iterable[int]) -> tuple[float, float, float]:
+    """Precision, recall and F1 of predicted boundary offsets."""
+    pred = set(predicted)
+    ref = set(gold)
+    if not pred and not ref:
+        return 1.0, 1.0, 1.0
+    hits = len(pred & ref)
+    precision = hits / len(pred) if pred else 0.0
+    recall = hits / len(ref) if ref else 0.0
+    f1 = (
+        2 * precision * recall / (precision + recall)
+        if precision + recall > 0
+        else 0.0
+    )
+    return precision, recall, f1

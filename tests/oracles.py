@@ -116,7 +116,8 @@ def fsum_range_reference(total: int, lo: int, hi: int, p: float) -> float:
 
 
 def is_candidate_word_reference(word: str, letter_ranges) -> bool:
-    """`ingest.is_candidate_word` as a loop over characters and ranges."""
+    """The candidate filter of `Aggregator.add_record` (`str.isalpha`, then
+    the compiled letter class) as a loop over characters and ranges."""
     if not word:
         return False
     for ch in word:

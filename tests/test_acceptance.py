@@ -25,16 +25,10 @@ from abbrevkit.likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from abbrevkit.segment import (
-    LoadedDictionary,
-    baseline_segment,
-    boundary_f1,
-    boundary_offsets,
-    dict_segment,
-)
+from abbrevkit.segment import LoadedDictionary, baseline_segment, dict_segment
 from abbrevkit.synth import SynthSpec, generate_ngrams, generate_text, make_spec, make_vocabulary
 from abbrevkit import analytics
-from helpers import build_profiles
+from helpers import boundary_f1, boundary_offsets, build_profiles
 import oracles
 
 REF = HypothesisParams(0.068, 0.955, 1.0)

@@ -843,6 +843,27 @@ MALFORMED = {
     "flag-min-total-not-int": (["build", "--aggregate", "agg.json", "--min-total", "x", "--out-words", "d.txt"], {}),
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
+    "flag-window-inverted": (["build", "--aggregate", "agg.json", "--window", "2008:1990", "--out-words", "d.txt"], {}),
+    "config-window-inverted": (CONFIG_BUILD, {"window": "2008:1990"}),
+    "flag-mean-window-inverted": (["params", "--aggregate", "agg.json", "--seed-abbrevs", "in.txt",
+                                   "--seed-commons", "in.txt", "--mean-window", "2008:1998"], {}),
+    "config-mean-window-inverted": (CONFIG_STATS, {"mean_window": "2008:1998"}),
+    "flag-dynamics-window-inverted": (["stats", "--aggregate", "agg.json", "--dynamics-window", "2008:1940",
+                                       "--out-dir", "r"], {}),
+    "config-dynamics-window-inverted": (CONFIG_STATS, {"dynamics_window": "2008:1940"}),
+    "flag-alpha-target-alone": (["build", "--aggregate", "agg.json", "--alpha-target", "0.001", "--out-words", "d.txt"],
+                                {}),
+    "flag-beta-target-alone": (["build", "--aggregate", "agg.json", "--beta-target", "0.001", "--out-words", "d.txt"],
+                               {}),
+    "flag-min-total-negative": (["build", "--aggregate", "agg.json", "--min-total", "-1", "--out-words", "d.txt"], {}),
+    "flag-min-volumes-negative": (["build", "--aggregate", "agg.json", "--min-volumes", "-2", "--out-words", "d.txt"],
+                                  {}),
+    "config-min-volumes-negative": (CONFIG_BUILD, {"min_volumes": -2}),
+    "flag-min-active-years-negative": (["build", "--aggregate", "agg.json", "--min-active-years", "-1",
+                                        "--out-words", "d.txt"], {}),
+    "config-min-active-years-negative": (CONFIG_BUILD, {"min_active_years": -1}),
+    "flag-max-volumes-zero": (["stats", "--aggregate", "agg.json", "--max-volumes", "0", "--out-dir", "r"], {}),
+    "config-max-volumes-zero": (CONFIG_STATS, {"max_volumes": 0}),
 }
 # case -> parts its ERROR line must contain, besides the name of its bad.* file
 MESSAGE_PARTS = {
@@ -864,6 +885,21 @@ MESSAGE_PARTS = {
     "aggregate-config-years-strings": ["year_min"],
     "aggregate-config-case-fold-string": ["case_fold"],
     "aggregate-config-year-floor-float": ["year_floor"],
+    "flag-window-inverted": ["--window", "'2008:1990'"],
+    "config-window-inverted": ["--window", "'2008:1990'"],
+    "flag-mean-window-inverted": ["--mean-window", "'2008:1998'"],
+    "config-mean-window-inverted": ["--mean-window", "'2008:1998'"],
+    "flag-dynamics-window-inverted": ["--dynamics-window", "'2008:1940'"],
+    "config-dynamics-window-inverted": ["--dynamics-window", "'2008:1940'"],
+    "flag-alpha-target-alone": ["--alpha-target", "--beta-target"],
+    "flag-beta-target-alone": ["--alpha-target", "--beta-target"],
+    "flag-min-total-negative": ["--min-total", "'-1'"],
+    "flag-min-volumes-negative": ["--min-volumes", "'-2'"],
+    "config-min-volumes-negative": ["--min-volumes", "'-2'"],
+    "flag-min-active-years-negative": ["--min-active-years", "'-1'"],
+    "config-min-active-years-negative": ["--min-active-years", "'-1'"],
+    "flag-max-volumes-zero": ["--max-volumes", "'0'"],
+    "config-max-volumes-zero": ["--max-volumes", "'0'"],
 }
 
 

@@ -19,18 +19,23 @@ from abbrevkit.ingest import (
     IngestConfig,
     NgramRecord,
     ParseError,
+    _letter_class,
     _median,
-    aggregate,
     ingest_paths,
-    is_candidate_word,
-    merge,
     parse_line,
 )
 
 import oracles
+from helpers import aggregate
 
 CFG = IngestConfig()
 RANGES = CFG.letter_ranges()
+
+
+def _candidate(word: str, letter_ranges) -> bool:
+    """The candidate filter `Aggregator.add_record` runs: `str.isalpha`,
+    then the letter class compiled from `letter_ranges`."""
+    return word.isalpha() and _letter_class(letter_ranges).fullmatch(word) is not None
 
 
 class TestParseLine:
@@ -114,20 +119,20 @@ class TestClassifyBigram:
         for first in firsts:
             for second in seconds:
                 profiles = aggregate([NgramRecord((first, second), 2000, 5, 1)])
-                expected = second == "." and is_candidate_word(first, RANGES)
+                expected = second == "." and _candidate(first, RANGES)
                 assert list(profiles) == ([first] if expected else []), (first, second)
                 if expected:
                     assert profiles[first].n_total == 5
 
     def test_script_whitelist(self):
-        assert is_candidate_word("слово", RANGES)
-        assert is_candidate_word("word", RANGES)
-        assert is_candidate_word("ё", RANGES)
-        assert not is_candidate_word("слово1", RANGES)
-        assert not is_candidate_word("sl_NOUN", RANGES)
-        assert not is_candidate_word("", RANGES)
+        assert _candidate("слово", RANGES)
+        assert _candidate("word", RANGES)
+        assert _candidate("ё", RANGES)
+        assert not _candidate("слово1", RANGES)
+        assert not _candidate("sl_NOUN", RANGES)
+        assert not _candidate("", RANGES)
         greek_only = IngestConfig(scripts=("latin",)).letter_ranges()
-        assert not is_candidate_word("слово", greek_only)
+        assert not _candidate("слово", greek_only)
 
 
 # characters around the edges of the letter class: letters of every
@@ -144,13 +149,13 @@ class TestLetterClass:
 
     def test_every_codepoint(self):
         chars = map(chr, range(sys.maxunicode + 1))
-        differ = [ch for ch in chars if is_candidate_word(ch, RANGES) != oracles.is_candidate_word_reference(ch, RANGES)]
+        differ = [ch for ch in chars if _candidate(ch, RANGES) != oracles.is_candidate_word_reference(ch, RANGES)]
         assert differ == []
 
     @given(st.text(st.sampled_from(_NEAR_LETTERS) | st.characters(), max_size=8))
     @settings(max_examples=500, deadline=None)
     def test_random_words(self, word):
-        assert is_candidate_word(word, RANGES) == oracles.is_candidate_word_reference(word, RANGES)
+        assert _candidate(word, RANGES) == oracles.is_candidate_word_reference(word, RANGES)
 
     def test_every_subset_of_ranges(self):
         words = ["", *_NEAR_LETTERS, "слово", "word", "Straße", "ёж", "sl_NOUN", "е\u0301ж", "a\U00010400"]
@@ -162,15 +167,15 @@ class TestLetterClass:
         for subset in subsets:
             for word in words:
                 expected = oracles.is_candidate_word_reference(word, subset)
-                assert is_candidate_word(word, subset) == expected, (word, subset)
-        assert not any(is_candidate_word(word, ()) for word in words)
+                assert _candidate(word, subset) == expected, (word, subset)
+        assert not any(_candidate(word, ()) for word in words)
 
     def test_aggregator_admits_what_the_predicate_admits(self):
         words = ["слово", "Word", "ёж", "е\u0301ж", "ab1", "a\U00010400"]
         for scripts in [(), ("latin",), ("cyrillic",), ("cyrillic", "latin")]:
             config = IngestConfig(scripts=scripts)
             profiles = aggregate([NgramRecord((w,), 2000, 5, 1) for w in words], config)
-            assert sorted(profiles) == sorted(w for w in words if is_candidate_word(w, config.letter_ranges()))
+            assert sorted(profiles) == sorted(w for w in words if _candidate(w, config.letter_ranges()))
 
 
 class TestAggregate:
@@ -295,6 +300,14 @@ def _fill(records):
     return agg
 
 
+def _combined(*aggs: Aggregator) -> Aggregator:
+    """`aggs` folded by `Aggregator.update` into a fresh aggregator."""
+    out = Aggregator(aggs[0].config)
+    for agg in aggs:
+        out.update(agg)
+    return out
+
+
 def _canonical(agg: Aggregator) -> str:
     state = agg.to_state()
     state["fingerprints"] = {}
@@ -307,14 +320,14 @@ class TestMergeMonoid:
     @settings(max_examples=50, deadline=None)
     def test_identity(self, records):
         agg = _fill(records)
-        assert _canonical(merge(Aggregator(CFG), agg)) == _canonical(agg)
-        assert _canonical(merge(agg, Aggregator(CFG))) == _canonical(agg)
+        assert _canonical(_combined(Aggregator(CFG), agg)) == _canonical(agg)
+        assert _canonical(_combined(agg, Aggregator(CFG))) == _canonical(agg)
 
     @given(st.lists(_records_strategy(), max_size=20), st.lists(_records_strategy(), max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_commutative(self, left, right):
         a, b = _fill(left), _fill(right)
-        assert _canonical(merge(a, b)) == _canonical(merge(b, a))
+        assert _canonical(_combined(a, b)) == _canonical(_combined(b, a))
 
     @given(
         st.lists(_records_strategy(), max_size=15),
@@ -324,7 +337,7 @@ class TestMergeMonoid:
     @settings(max_examples=50, deadline=None)
     def test_associative(self, one, two, three):
         a, b, c = _fill(one), _fill(two), _fill(three)
-        assert _canonical(merge(merge(a, b), c)) == _canonical(merge(a, merge(b, c)))
+        assert _canonical(_combined(_combined(a, b), c)) == _canonical(_combined(a, _combined(b, c)))
 
     @given(st.lists(_records_strategy(), max_size=30))
     @settings(max_examples=50, deadline=None)
@@ -340,7 +353,7 @@ class TestMergeMonoid:
 
     def test_config_mismatch_rejected(self):
         with pytest.raises(ConfigMismatchError):
-            merge(Aggregator(IngestConfig(case_fold=True)), Aggregator(CFG))
+            _combined(Aggregator(IngestConfig(case_fold=True)), Aggregator(CFG))
 
 
 class TestConsumption:

@@ -14,8 +14,6 @@ from abbrevkit.segment import (
     LoadedDictionary,
     SentenceSpan,
     baseline_segment,
-    boundary_f1,
-    boundary_offsets,
     dict_segment,
     load_dictionary,
     sentence_spans,
@@ -25,7 +23,7 @@ from abbrevkit.segment import (
 from abbrevkit import synth
 
 import oracles
-from helpers import wide_texts
+from helpers import boundary_f1, boundary_offsets, wide_texts
 
 
 def _ends(spans):
