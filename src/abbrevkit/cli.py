@@ -16,9 +16,9 @@ import logging
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 from . import analytics, dictionary, ingest, likelihood, segment, synth
 
@@ -301,58 +301,81 @@ def cmd_segment(args: argparse.Namespace) -> int:
     with ingest.read_input(None if args.input == "-" else args.input) as handle:
         text = handle.read()
     # only --spans needs tokens; the boundaries come from periods alone
-    tokens: list[segment.Token] = []
+    columns: tuple[Sequence, ...] = ((), (), (), ())
     if args.baseline:
         sentences = segment.baseline_segment(text)
     elif args.spans:
-        tokens, sentences = segment.dict_segment(text, loaded, override)
+        columns, sentences = segment.token_columns(text, loaded, override)
     else:
         sentences = segment.sentence_spans(text, loaded, override)
+    if args.spans:
+        sys.stdout.flush()  # the document goes to the binary layer beneath
+        with ingest.atomic_output(args.output, binary=True) if args.output else nullcontext(sys.stdout.buffer) as out:
+            _write_spans(out, sentences, *columns)
+        return 0
     with ingest.atomic_output(args.output) if args.output else nullcontext(sys.stdout) as out:
-        if args.spans:
-            _write_spans(out, sentences, tokens)
-        else:
-            for line in segment.sentence_texts(text, sentences):
-                out.write(line + "\n")
+        for line in segment.sentence_texts(text, sentences):
+            out.write(line + "\n")
     return 0
 
 
-def _write_spans(out: TextIO, sentences: Sequence[segment.SentenceSpan], tokens: Sequence[segment.Token]) -> None:
-    """Write the ``--spans`` document a chunk of records at a time.  The
-    bytes are those of ``json.dumps(doc, ensure_ascii=False,
+def _write_spans(
+    out: BinaryIO,
+    sentences: Sequence[segment.SentenceSpan],
+    texts: Sequence[str],
+    starts: Sequence[int],
+    ends: Sequence[int],
+    kinds: Sequence[str],
+) -> None:
+    """Write the ``--spans`` document from the sentences and the token
+    columns of `segment.token_columns`, a bounded batch of records at a
+    time.  The bytes are the UTF-8 of ``json.dumps(doc, ensure_ascii=False,
     sort_keys=True, indent=2) + "\\n"``, whose pure-Python encoder (the
-    one `indent` selects) took most of the call: each record is a fixed
-    template with its keys in sorted order, and strings go through the C
-    `encode_basestring` that json.dumps uses for them."""
+    one `indent` selects) is slow.  Each record is a fixed template with
+    its keys in sorted order; a token's template, its quoted text
+    included, and its kind piece are made once per distinct text and
+    kind, so a batch of tokens is one bytes ``%`` of joined templates."""
     quote = json.encoder.encode_basestring
 
-    def number(value: int | None) -> str:
-        return "null" if value is None else str(value)
+    def number(value: int | None) -> bytes:
+        return b"null" if value is None else b"%d" % value
 
-    out.write('{\n  "sentences": ')
-    _write_array(out, (
-        f'    {{\n      "end": {s.end},\n      "start": {s.start},\n      "token_end": '
-        f'{number(s.token_end)},\n      "token_start": {number(s.token_start)}\n    }}'
-        for s in sentences
-    ))
-    out.write(',\n  "tokens": ')
-    _write_array(out, (
-        f'    {{\n      "end": {t.end},\n      "kind": {quote(t.kind)},\n      "start": '
-        f'{t.start},\n      "text": {quote(t.text)}\n    }}'
-        for t in tokens
-    ))
-    out.write("\n}\n")
+    def sentence_records(lo: int, hi: int) -> bytes:
+        return b"".join(
+            b',\n    {\n      "end": %d,\n      "start": %d,\n      "token_end": %b,\n      "token_start": %b\n    }'
+            % (s.end, s.start, number(s.token_end), number(s.token_start))
+            for s in sentences[lo:hi]
+        )
+
+    kind_pieces = {kind: f',\n      "kind": {quote(kind)},\n      "start": '.encode() for kind in set(kinds)}
+    templates = {
+        text: b',\n    {\n      "end": %d%b%d' + f',\n      "text": {quote(text)}\n    }}'.replace("%", "%%").encode()
+        for text in dict.fromkeys(texts)
+    }
+
+    def token_records(lo: int, hi: int) -> bytes:
+        values = zip(ends[lo:hi], map(kind_pieces.__getitem__, kinds[lo:hi]), starts[lo:hi])
+        return b"".join(map(templates.__getitem__, texts[lo:hi])) % tuple(chain.from_iterable(values))
+
+    out.write(b'{\n  "sentences": ')
+    _write_array(out, len(sentences), sentence_records)
+    out.write(b',\n  "tokens": ')
+    _write_array(out, len(texts), token_records)
+    out.write(b"\n}\n")
 
 
-def _write_array(out: TextIO, records: Iterable[str]) -> None:
-    """A JSON array of rendered records as indent=2 lays it out at the
-    top level of the document; ``[]`` when there are none."""
-    records = iter(records)
-    opening = "[\n"
-    while batch := list(islice(records, 4096)):  # about 0.5 MB a write
-        out.write(opening + ",\n".join(batch))
-        opening = ",\n"
-    out.write("[]" if opening == "[\n" else "\n  ]")
+def _write_array(out: BinaryIO, size: int, records: Callable[[int, int], bytes]) -> None:
+    """A JSON array of `size` records as indent=2 lays it out at the top
+    level of the document, one bounded batch at a time; `records(lo, hi)`
+    renders records lo..hi-1, each starting with the separator
+    ``b",\\n"`` that the first record drops.  ``[]`` when there are none."""
+    if not size:
+        out.write(b"[]")
+        return
+    for lo in range(0, size, 4096):  # about 0.5 MB a write
+        batch = records(lo, lo + 4096)
+        out.write(b"[" + batch[1:] if lo == 0 else batch)
+    out.write(b"\n  ]")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

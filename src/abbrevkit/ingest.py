@@ -125,6 +125,13 @@ class IngestConfig:
     def __post_init__(self) -> None:
         if self.year_min > self.year_max:
             raise ValueError(f"empty year window {self.year_min}..{self.year_max}")
+        if self.year_floor > self.year_ceiling:
+            raise ValueError(f"year_floor {self.year_floor} is above year_ceiling {self.year_ceiling}")
+        if not self.year_floor <= self.year_min <= self.year_max <= self.year_ceiling:
+            raise ValueError(
+                f"year window {self.year_min}..{self.year_max} is not inside "
+                f"year_floor..year_ceiling {self.year_floor}..{self.year_ceiling}"
+            )
         unknown = [s for s in self.scripts if s not in SCRIPT_RANGES]
         if unknown:
             raise ValueError(f"unknown scripts: {unknown}; known: {sorted(SCRIPT_RANGES)}")
@@ -447,7 +454,7 @@ class Aggregator:
         try:
             agg = cls(IngestConfig(**state["config"]))
             agg.counters = IngestCounters(**state["counters"])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"aggregate state: {exc}") from None
         bad = {path: value for path, value in state["fingerprints"].items() if type(value) is not str}
         if bad:

@@ -9,20 +9,22 @@ of title-like prefixes.  So the dictionary changes a boundary only at
 override-listed stems; with an empty dictionary the rule is the naive
 period-space-capital pattern, the measurable baseline.
 
-`sentence_spans` applies the rule without tokenizing.  `tokenize`,
-given a dictionary, fuses a dictionary stem with its period into one
-abbreviation token in its single pass; `dict_segment` adds each
-sentence's token range, and the CLI calls it only for ``--spans``.
-Tokens and sentences are named tuples.
+`sentence_spans` applies the rule without tokenizing.  `token_columns`
+tokenizes in one pass into columns (texts, byte starts, byte ends,
+kinds), fusing a dictionary stem with its period into one abbreviation
+token, and gives each sentence its token range; the CLI calls it only
+for ``--spans``.  `tokenize` and `dict_segment` are views of that pass
+as `Token` and `SentenceSpan` named tuples.
 
 All spans are byte offsets into the UTF-8 encoding of the input.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import re
 import unicodedata
+from bisect import bisect_right
+from itertools import accumulate, chain, compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -38,10 +40,9 @@ __all__ = [
     "KIND_PUNCT",
     "KIND_NUMBER",
     "KIND_OTHER",
-    "tokenize",
+    "token_columns",
     "sentence_spans",
     "baseline_segment",
-    "dict_segment",
     "load_dictionary",
     "sentence_texts",
 ]
@@ -91,9 +92,10 @@ class LoadedDictionary:
 
 EMPTY_DICTIONARY = LoadedDictionary(())
 
-# number (periods between digits stay inside), word, whitespace run,
-# then any single leftover character
-_TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)+|\d+|[^\W\d_]+|\s+|.", re.UNICODE)
+# word, whitespace run, number (periods between digits stay inside),
+# then any single leftover character; no character starts more than one
+# of the first four, and words, the most common, are tried first
+_TOKEN_RE = re.compile(r"[^\W\d_]+|\s+|\d+(?:[.,]\d+)+|\d+|.", re.UNICODE)
 
 # a candidate period: whitespace and then a non-space character (group 1)
 # follow it
@@ -103,39 +105,72 @@ _PERIOD_RE = re.compile(r"\.(?=\s+(\S))", re.UNICODE)
 _RUN_RE = re.compile(r"[^\W\d_]*", re.UNICODE)
 
 
-def tokenize(text: str, dictionary: LoadedDictionary | None = None) -> list[Token]:
-    """Split text into word/number/punctuation/other tokens with byte
-    spans; whitespace becomes the gaps between spans.  A period directly
-    after a word whose stem is in `dictionary` fuses with it into one
-    abbreviation token."""
+def token_columns(
+    text: str,
+    dictionary: LoadedDictionary | None = None,
+    override: Iterable[str] = (),
+) -> tuple[tuple[list[str], list[int], list[int], list[str]], list[SentenceSpan]]:
+    """The tokens of `text` as four columns -- texts, byte starts, byte
+    ends (exclusive) and kinds -- and the sentences of `sentence_spans`,
+    each with the range of tokens it covers.
+
+    Word, number, punctuation and other tokens; whitespace becomes the
+    gaps between spans.  A period directly after a word whose stem is in
+    `dictionary` fuses with it into one abbreviation token.  The
+    `_TOKEN_RE` matches tile the text, so the byte ends are a running
+    sum of their UTF-8 sizes; size and kind are worked out once per
+    distinct match, as matches repeat.
+    """
     dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
-    tokens: list[Token] = []
-    end = 0  # byte offset after the match; the matches tile the text
-    for chunk in _TOKEN_RE.findall(text):
-        start = end
-        end += len(chunk.encode("utf-8"))
+    chunks = _TOKEN_RE.findall(text)
+    sizes: dict[str, int] = {}
+    kind_of: dict[str, str] = {}  # "" for whitespace, which is no token
+    abbreviations: dict[str, str] = {}  # dictionary stem -> stem + "."
+    for chunk in dict.fromkeys(chunks):
+        sizes[chunk] = len(chunk.encode("utf-8"))
+        lead = chunk[0]
         if chunk.isspace():
-            continue
-        first = chunk[0]
-        if first.isdigit():
+            kind = ""
+        elif lead.isdigit():
             kind = KIND_NUMBER
-        elif first.isalpha():
+        elif lead.isalpha():
             kind = KIND_WORD
-        elif (
-            chunk == "."
-            and tokens
-            and (word := tokens[-1]).end == start
-            and word.kind == KIND_WORD
-            and word.text in dictionary
-        ):
-            tokens[-1] = Token(word.text + ".", word.start, end, KIND_ABBREV)
-            continue
-        elif unicodedata.category(first).startswith("P"):
+            if chunk in dictionary:
+                abbreviations[chunk] = chunk + "."
+        elif unicodedata.category(lead).startswith("P"):
             kind = KIND_PUNCT
         else:
             kind = KIND_OTHER
-        tokens.append(Token(chunk, start, end, kind))
-    return tokens
+        kind_of[chunk] = kind
+    ends = list(accumulate(map(sizes.__getitem__, chunks)))
+    kinds = list(map(kind_of.__getitem__, chunks))
+    if abbreviations:
+        dot = -1  # list.index finds the periods at C speed
+        for _ in range(chunks.count(".")):
+            dot = chunks.index(".", dot + 1)
+            if dot and chunks[dot - 1] in abbreviations:
+                # the stem's chunk becomes the abbreviation; the period's is dropped
+                chunks[dot - 1] = abbreviations[chunks[dot - 1]]
+                kinds[dot - 1] = KIND_ABBREV
+                ends[dot - 1] = ends[dot]
+                kinds[dot] = ""
+    texts = list(compress(chunks, kinds))
+    starts = list(compress(chain((0,), ends), kinds))
+    ends = list(compress(ends, kinds))
+    kinds = list(filter(None, kinds))
+
+    sentences = []
+    first = 0
+    for span in sentence_spans(text, dictionary, override):
+        last = bisect_right(ends, span.end, first)
+        sentences.append(SentenceSpan(span.start, span.end, first, last))
+        first = last
+    return (texts, starts, ends, kinds), sentences
+
+
+def tokenize(text: str, dictionary: LoadedDictionary | None = None) -> list[Token]:
+    """The tokens of `token_columns`, as `Token`s."""
+    return list(map(Token, *token_columns(text, dictionary)[0]))
 
 
 def sentence_spans(
@@ -188,17 +223,10 @@ def dict_segment(
     dictionary: LoadedDictionary | None = None,
     override: Iterable[str] = (),
 ) -> tuple[list[Token], list[SentenceSpan]]:
-    """`tokenize` with the dictionary, and the sentences of
-    `sentence_spans`, each with the range of tokens it covers."""
-    tokens = tokenize(text, dictionary)
-    ends = [token.end for token in tokens]
-    sentences = []
-    first = 0
-    for span in sentence_spans(text, dictionary, override):
-        last = bisect.bisect_right(ends, span.end)
-        sentences.append(SentenceSpan(span.start, span.end, first, last))
-        first = last
-    return tokens, sentences
+    """The tokens and sentences of `token_columns`, the tokens as
+    `Token`s."""
+    columns, sentences = token_columns(text, dictionary, override)
+    return list(map(Token, *columns)), sentences
 
 
 def baseline_segment(text: str) -> list[SentenceSpan]:

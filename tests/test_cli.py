@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abbrevkit
-from abbrevkit import dictionary, segment
+from abbrevkit import dictionary, segment, synth
 from abbrevkit.cli import build_parser, main
 from abbrevkit.ingest import Aggregator
 
@@ -331,8 +331,10 @@ class TestSegmentCommand:
 
 
 class TestSegmentWithoutTokens:
-    """Only --spans tokenizes: with tokenize patched to raise, both modes
-    still segment.  --spans writes its JSON without json.dumps."""
+    """Only --spans tokenizes: with `token_columns`, the one tokenizer
+    pass that `tokenize` and `dict_segment` also go through, patched to
+    raise, both modes still segment.  --spans calls it once and writes
+    its JSON without json.dumps."""
 
     @pytest.fixture()
     def inputs(self, tmp_path):
@@ -343,11 +345,11 @@ class TestSegmentWithoutTokens:
         return tmp_path
 
     @staticmethod
-    def _refuse(text):
-        raise AssertionError("tokenize called")
+    def _refuse(text, *rest):
+        raise AssertionError("token_columns called")
 
     def test_dictionary_mode(self, inputs, monkeypatch, capsys):
-        monkeypatch.setattr(segment, "tokenize", self._refuse)
+        monkeypatch.setattr(segment, "token_columns", self._refuse)
         assert main([
             "segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"),
             "--override-list", str(inputs / "override.txt"),
@@ -357,16 +359,18 @@ class TestSegmentWithoutTokens:
         ]
 
     def test_baseline_mode(self, inputs, monkeypatch, capsys):
-        monkeypatch.setattr(segment, "tokenize", self._refuse)
+        monkeypatch.setattr(segment, "token_columns", self._refuse)
         assert main(["segment", str(inputs / "in.txt"), "--baseline"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "Смотри гл.", "Вторая часть.", "Он уехал в гор.", "Казань вчера.",
         ]
+        assert main(["segment", str(inputs / "in.txt"), "--baseline", "--spans"]) == 0
+        assert json.loads(capsys.readouterr().out)["tokens"] == []
 
     def test_spans_tokenize(self, inputs, monkeypatch, capsys):
         calls = []
-        real = segment.tokenize
-        monkeypatch.setattr(segment, "tokenize", lambda text, *rest: calls.append(text) or real(text, *rest))
+        real = segment.token_columns
+        monkeypatch.setattr(segment, "token_columns", lambda text, *rest: calls.append(text) or real(text, *rest))
         assert main(["segment", str(inputs / "in.txt"), "--dictionary", str(inputs / "dict.txt"), "--spans"]) == 0
         assert len(calls) == 1
         assert len(json.loads(capsys.readouterr().out)["tokens"]) == 12
@@ -390,8 +394,8 @@ class TestSegmentWithoutTokens:
 # the wide alphabet plus what JSON escapes: quote, backslash, every
 # control character, the line separator (in the wide alphabet) and a
 # letter outside the BMP; \r and \r\n, which the CLI reads as \n, shift
-# the byte offsets that follow them
-_SPANS_TEXTS = texts_of([*WIDE_ATOMS, '"', "\\", *map(chr, range(0x20)), "\r\n", "\U0001d400", ". \U0001d400"])
+# the byte offsets that follow them; "%" is the writer's format character
+_SPANS_TEXTS = texts_of([*WIDE_ATOMS, '"', "\\", "%", *map(chr, range(0x20)), "\r\n", "\U0001d400", ". \U0001d400"])
 
 
 class TestSpansMatchOracle:
@@ -431,6 +435,24 @@ class TestSpansMatchOracle:
         expected = oracles.spans_json_reference([], [])
         assert self._spans(tmp_path, text, ["--baseline"]) == expected
         assert self._spans(tmp_path, text, ["--dictionary", str(tmp_path / "dict.txt")]) == expected
+
+
+    @pytest.mark.parametrize("mode", ["dictionary", "baseline"])
+    def test_arrays_past_two_write_batches(self, tmp_path, mode):
+        """Both arrays hold more than two write batches of 4096 records."""
+        spec = synth.make_spec(12, 60, seed=13)
+        text = synth.generate_text(spec, 9000).text
+        if mode == "baseline":
+            argv, tokens, sentences = ["--baseline"], [], oracles.baseline_segment_reference(text)
+        else:
+            (tmp_path / "dict.txt").write_text("".join(w + "\n" for w in sorted(spec.abbrev_words)), encoding="utf-8")
+            (tmp_path / "override.txt").write_text("".join(w + "\n" for w in spec.title_like), encoding="utf-8")
+            argv = ["--dictionary", str(tmp_path / "dict.txt"), "--override-list", str(tmp_path / "override.txt")]
+            loaded = segment.LoadedDictionary(spec.abbrev_words)
+            tokens, sentences = oracles.dict_segment_reference(text, loaded, spec.title_like)
+            assert len(tokens) > 2 * 4096 and any(t.kind == segment.KIND_ABBREV for t in tokens)
+        assert len(sentences) > 2 * 4096
+        assert self._spans(tmp_path, text, argv) == oracles.spans_json_reference(sentences, tokens)
 
 
 class TestAtomicOutputs:
@@ -821,6 +843,8 @@ MALFORMED = {
     "aggregate-config-years-strings": (BUILD, _config_state(year_min="1990", year_max="2008")),
     "aggregate-config-case-fold-string": (BUILD, _config_state(case_fold="no")),
     "aggregate-config-year-floor-float": (BUILD, _config_state(year_floor=1500.0)),
+    "aggregate-config-floor-above-ceiling": (BUILD, _config_state(year_floor=2100, year_ceiling=1500)),
+    "aggregate-config-window-below-floor": (BUILD, _config_state(year_floor=2001)),
     "dictionary-entry-without-word": (SEGMENT, _dictionary_doc(entries=[{"words": "гл"}])),
     "dictionary-meta-not-object": (SEGMENT, _dictionary_doc(build_meta=[1])),
     "config-jobs-list": (CONFIG_INGEST, {"jobs": [1]}),
@@ -864,6 +888,10 @@ MALFORMED = {
     "config-min-active-years-negative": (CONFIG_BUILD, {"min_active_years": -1}),
     "flag-max-volumes-zero": (["stats", "--aggregate", "agg.json", "--max-volumes", "0", "--out-dir", "r"], {}),
     "config-max-volumes-zero": (CONFIG_STATS, {"max_volumes": 0}),
+    "flag-year-floor-above-ceiling": (["ingest", "--unigrams", "in.txt", "--output", "a.json",
+                                       "--year-floor", "2100", "--year-ceiling", "1500"], {}),
+    "flag-window-below-year-floor": (["ingest", "--unigrams", "in.txt", "--output", "a.json",
+                                      "--window", "1990:2008", "--year-floor", "2001"], {}),
 }
 # case -> parts its ERROR line must contain, besides the name of its bad.* file
 MESSAGE_PARTS = {
@@ -885,6 +913,10 @@ MESSAGE_PARTS = {
     "aggregate-config-years-strings": ["year_min"],
     "aggregate-config-case-fold-string": ["case_fold"],
     "aggregate-config-year-floor-float": ["year_floor"],
+    "aggregate-config-floor-above-ceiling": ["aggregate state:", "year_floor 2100 is above year_ceiling 1500"],
+    "aggregate-config-window-below-floor": ["aggregate state:", "1990..2008 is not inside", "2001..2100"],
+    "flag-year-floor-above-ceiling": ["year_floor 2100 is above year_ceiling 1500"],
+    "flag-window-below-year-floor": ["1990..2008 is not inside", "2001..2100"],
     "flag-window-inverted": ["--window", "'2008:1990'"],
     "config-window-inverted": ["--window", "'2008:1990'"],
     "flag-mean-window-inverted": ["--mean-window", "'2008:1998'"],

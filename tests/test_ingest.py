@@ -444,6 +444,19 @@ class TestFilesAndPersistence:
         with pytest.raises(ValueError, match=f"'др' has year key '{key}'"):
             Aggregator.from_state(state)
 
+    @pytest.mark.parametrize("limits, message", [
+        ({"year_floor": 2100, "year_ceiling": 1500}, "year_floor 2100 is above year_ceiling 1500"),
+        ({"year_floor": 2001}, "year window 1990..2008 is not inside year_floor..year_ceiling 2001..2100"),
+        ({"year_ceiling": 2000}, "year window 1990..2008 is not inside year_floor..year_ceiling 1500..2000"),
+    ], ids=["floor-above-ceiling", "window-below-floor", "window-above-ceiling"])
+    def test_year_limits_hold_the_window(self, limits, message):
+        with pytest.raises(ValueError, match=message):
+            IngestConfig(**limits)
+        state = Aggregator().to_state()
+        state["config"].update(limits)
+        with pytest.raises(ValueError, match=f"aggregate state: {message}"):
+            Aggregator.from_state(state)
+
     def test_parallel_matches_sequential(self, tmp_path):
         import random
 
