@@ -153,9 +153,16 @@ def _write_output(path: str | Path, payload: str) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.unigrams and not args.bigrams:
         raise CliError("nothing to ingest: no 1-gram or 2-gram files given")
+    files: dict[tuple[int, int], str] = {}
     for path in args.unigrams + args.bigrams:
         if not Path(path).exists():
             raise CliError(f"input file not found: {path}")
+        # a shard given twice, under any spelling, would count every line twice
+        info = os.stat(path)
+        key = (info.st_dev, info.st_ino)
+        if key in files:
+            raise CliError(f"input file given twice: {files[key]} and {path} are the same file")
+        files[key] = path
     cfg = ingest.IngestConfig(
         year_min=args.window[0],
         year_max=args.window[1],
@@ -502,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated letter scripts, default %(default)s")
     p.add_argument("--case-fold", action="store_true",
                    help="lowercase word forms at ingestion (default: case-sensitive)")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel parser processes, default %(default)s")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="parser processes, this one included, default %(default)s")
     p.add_argument("--on-error", choices=("skip", "abort"), default="skip",
                    help="malformed line policy, default %(default)s")
     p.add_argument("--year-floor", type=int, default=1500, help="reject years below this, default %(default)s")

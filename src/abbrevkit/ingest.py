@@ -173,7 +173,7 @@ def parse_line(
     tokens = tuple(ngram.split(" "))
     if len(tokens) > 2:
         raise ParseError(f"ngram has {len(tokens)} tokens, expected 1 or 2", line_number)
-    if any(not tok for tok in tokens):
+    if "" in tokens:
         raise ParseError("empty token in ngram field", line_number)
     try:
         year = int(year_s)
@@ -200,18 +200,42 @@ def _letter_class(letter_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
     return re.compile(f"[{body}]+" if body else "(?!)")
 
 
+class _DigestTap(io.RawIOBase):
+    """A raw binary file that feeds every byte read from it to `digest`."""
+
+    def __init__(self, raw: IO[bytes], digest) -> None:
+        self._raw = raw
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:size])
+        return size
+
+
 @contextmanager
-def read_input(path: str | Path | None) -> Iterator[TextIO]:
+def read_input(path: str | Path | None, digest=None) -> Iterator[TextIO]:
     """The read-side twin of `atomic_output`, through which every input is
     read: a handle on `path` (stdin if None, gunzipped if it ends in
     ``.gz``) as strict UTF-8 with universal newlines.  Any failure in the
     block, reading or a ValueError on the content, becomes one ValueError
-    ``cannot read <path>: <reason>``."""
+    ``cannot read <path>: <reason>``.  With a hashlib `digest`, the file's
+    own bytes (still compressed for ``.gz``) are fed to it as they are
+    read, and the rest of the file after the block, so that it ends as
+    the digest of the whole file."""
     try:
-        raw = (io.BytesIO(sys.stdin.buffer.read()) if path is None
-               else gzip.open(path) if Path(path).suffix == ".gz" else open(path, "rb"))
-        with io.TextIOWrapper(raw, encoding="utf-8") as handle:
-            yield handle
+        with (io.BytesIO(sys.stdin.buffer.read()) if path is None else open(path, "rb", buffering=0)) as raw:
+            source = raw if digest is None else _DigestTap(raw, digest)
+            binary = (gzip.GzipFile(fileobj=source, mode="rb") if path is not None and Path(path).suffix == ".gz"
+                      else io.BufferedReader(source))
+            with io.TextIOWrapper(binary, encoding="utf-8") as handle:
+                yield handle
+                if digest is not None:
+                    for _ in iter(lambda: source.read(1 << 20), b""):
+                        pass
     except (OSError, EOFError, zlib.error, ValueError) as exc:
         raise ValueError(f"cannot read {'<stdin>' if path is None else path}: {exc}") from None
 
@@ -270,59 +294,80 @@ class Aggregator:
 
     # -- building ---------------------------------------------------------
 
-    def add_record(self, record: NgramRecord) -> None:
-        if not self.config.year_min <= record.year <= self.config.year_max:
-            return
-        tokens = record.tokens
-        # a 1-gram gives total usage; only the 2-gram shape ``word .`` gives
-        # with-period usage
-        if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "."):
-            return
-        word = tokens[0]
-        # the candidate filter: letters only, each from an admitted range
-        if not (word.isalpha() and self._letters(word)):
-            return
-        if self.config.case_fold:
-            word = word.lower()
-        cell = self._cell(word, record.year)
-        if len(tokens) == 1:
-            cell[1] += record.match_count
-        else:
-            cell[0] += record.match_count
-            cell[2] += record.volume_count
-
-    def _cell(self, word: str, year: int) -> list[int]:
-        years = self._counts.get(word)
-        if years is None:
-            years = self._counts[word] = {}
-        cell = years.get(year)
-        if cell is None:
-            cell = years[year] = [0, 0, 0]
-        return cell
-
     def consume_lines(self, lines: Iterable[str], on_error: str = "skip") -> None:
+        """Fold corpus lines into the counts: each line is accepted or
+        rejected exactly as `parse_line` would, and an accepted record
+        counts if its year is in the window and its ngram is a candidate
+        word or ``word .``.  A rejected line is counted as skipped, or
+        under ``abort`` raises `parse_line`'s ParseError."""
         if on_error not in ("skip", "abort"):
             raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-        floor, ceiling = self.config.year_floor, self.config.year_ceiling
-        for line_number, line in enumerate(lines, 1):
-            if not line or line == "\n":
-                continue
-            try:
-                record = parse_line(line, line_number, floor, ceiling)
-            except ParseError:
-                if on_error == "abort":
-                    raise
-                self.counters.lines_skipped += 1
-                continue
-            self.counters.lines_parsed += 1
-            self.add_record(record)
+        abort = on_error == "abort"
+        config = self.config
+        floor, ceiling = config.year_floor, config.year_ceiling
+        lo, hi = config.year_min, config.year_max
+        fold = config.case_fold
+        letters = self._letters
+        counts = self._counts
+        parsed = skipped = 0
+        try:
+            for line_number, line in enumerate(lines, 1):
+                if not line or line == "\n":
+                    continue
+                # the fields and the accept test of `parse_line`, which alone
+                # words the reason of a rejected line
+                try:
+                    ngram, year_s, match_s, volume_s = line.rstrip("\n").rstrip("\r").split("\t")
+                    tokens = ngram.split(" ")
+                    year = int(year_s)
+                    match_count = int(match_s)
+                    volume_count = int(volume_s)
+                except ValueError:
+                    accepted = False
+                else:
+                    accepted = (len(tokens) <= 2 and "" not in tokens and floor <= year <= ceiling
+                                and 1 <= volume_count <= match_count)
+                if not accepted:
+                    if abort:
+                        parse_line(line, line_number, floor, ceiling)
+                    skipped += 1
+                    continue
+                parsed += 1
+                if not lo <= year <= hi:
+                    continue
+                # a 1-gram gives total usage; only the 2-gram shape ``word .``
+                # gives with-period usage
+                word = tokens[0]
+                bigram = len(tokens) == 2
+                if bigram and tokens[1] != ".":
+                    continue
+                # the candidate filter: letters only, each from an admitted range
+                if not (word.isalpha() and letters(word)):
+                    continue
+                if fold:
+                    word = word.lower()
+                years = counts.get(word)
+                if years is None:
+                    years = counts[word] = {}
+                cell = years.get(year)
+                if cell is None:
+                    cell = years[year] = [0, 0, 0]
+                if bigram:
+                    cell[0] += match_count
+                    cell[2] += volume_count
+                else:
+                    cell[1] += match_count
+        finally:
+            self.counters.lines_parsed += parsed
+            self.counters.lines_skipped += skipped
 
     def consume_path(self, path: str | Path, on_error: str = "skip") -> None:
-        with read_input(path) as handle:
+        """`consume_lines` over a file, whose sha256 (of the bytes on disk,
+        taken in the same read) goes into `fingerprints`."""
+        digest = hashlib.sha256()
+        with read_input(path, digest) as handle:
             self.consume_lines(handle, on_error)
-
-    def fingerprint_path(self, path: str | Path) -> None:
-        self.fingerprints[str(path)] = sha256_file(path)
+        self.fingerprints[str(path)] = digest.hexdigest()
 
     # -- merging ----------------------------------------------------------
 
@@ -466,7 +511,7 @@ class Aggregator:
                 raise ValueError(f"aggregate state: word {word!r} must map years to cells")
             cells = agg._counts[word] = {}
             for key, cell in years.items():
-                # `to_state` writes str(year), and `add_record` keeps only years in the window
+                # `to_state` writes str(year), and `consume_lines` keeps only years in the window
                 year = int(key) if key.removeprefix("-").isdecimal() else None
                 if year is None or str(year) != key or not lo <= year <= hi:
                     raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
@@ -518,11 +563,10 @@ def _median(shares: list[tuple[int, int]]) -> Fraction | None:
 _BY_SHARE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _ingest_worker(payload: tuple[IngestConfig, list[str], str]) -> Aggregator:
+def _ingest_chunk(payload: tuple[IngestConfig, list[str], str]) -> Aggregator:
     config, paths, on_error = payload
     agg = Aggregator(config)
     for path in paths:
-        agg.fingerprint_path(path)
         agg.consume_path(path, on_error)
     return agg
 
@@ -534,23 +578,25 @@ def ingest_paths(
     jobs: int = 1,
     on_error: str = "skip",
 ) -> Aggregator:
-    """Ingest all shards, optionally in parallel, and return the merged
-    aggregation state.  Results are independent of the job count.
+    """Ingest all shards in `jobs` processes, this one included, and
+    return the merged aggregation state.  Results are independent of the
+    job count.
     """
     config = config or IngestConfig()
     paths = [str(p) for p in unigram_paths] + [str(p) for p in bigram_paths]
     if not paths:
         raise ValueError("no input files to ingest")
-    if jobs <= 1 or len(paths) == 1:
-        return _ingest_worker((config, paths, on_error))
-    chunks: list[list[str]] = [[] for _ in range(min(jobs, len(paths)))]
-    for index, path in enumerate(paths):
-        chunks[index % len(chunks)].append(path)
-    with multiprocessing.Pool(len(chunks)) as pool:
+    count = max(1, min(jobs, len(paths)))
+    if count == 1:
+        return _ingest_chunk((config, paths, on_error))
+    chunks = [paths[first::count] for first in range(count)]
+    # the workers take every chunk but the first, which this process parses
+    # meanwhile; their shards are then folded into its aggregate
+    with multiprocessing.Pool(count - 1) as pool:
         shards: Iterator[Aggregator] = pool.imap_unordered(
-            _ingest_worker, [(config, chunk, on_error) for chunk in chunks]
+            _ingest_chunk, [(config, chunk, on_error) for chunk in chunks[1:]]
         )
-        merged = Aggregator(config)
+        merged = _ingest_chunk((config, chunks[0], on_error))
         for shard in shards:
             merged.update(shard)
     return merged

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from abbrevkit.ingest import Aggregator, IngestConfig, NgramRecord, WordProfile
 from abbrevkit.segment import SentenceSpan
 
+import oracles
+
 # wide alphabet for the oracle comparisons: both cases of Cyrillic and
 # Latin, a titlecase letter (not uppercase), digits that are not decimal
 # (superscript two, one half), underscore, a combining accent, no-break
@@ -35,7 +37,7 @@ def aggregate(records: Iterable[NgramRecord], config: IngestConfig | None = None
     """One-shot aggregation of already-parsed records into profiles."""
     agg = Aggregator(config)
     for record in records:
-        agg.add_record(record)
+        oracles.add_record_reference(agg, record)
     return agg.finalize()
 
 
@@ -44,20 +46,22 @@ def build_profiles(
     config: IngestConfig | None = None,
     window: tuple[int, int] | None = None,
 ) -> dict[str, WordProfile]:
-    """Aggregate synthetic counts through the real ingestion path.
+    """Aggregate synthetic counts through the reference record fold,
+    which the equivalence tests tie to `Aggregator.consume_lines`.
 
     counts maps word -> year -> (with_period, total) or
     (with_period, total, volumes_with_period).
     """
     agg = Aggregator(config or IngestConfig())
+    fold = oracles.add_record_reference
     for word, years in counts.items():
         for year, cell in years.items():
             with_period, total = cell[0], cell[1]
             volumes = cell[2] if len(cell) > 2 else max(1, with_period)
             if total > 0:
-                agg.add_record(NgramRecord((word,), year, total, max(1, min(total, total // 10 + 1))))
+                fold(agg, NgramRecord((word,), year, total, max(1, min(total, total // 10 + 1))))
             if with_period > 0:
-                agg.add_record(NgramRecord((word, "."), year, with_period, max(1, min(with_period, volumes))))
+                fold(agg, NgramRecord((word, "."), year, with_period, max(1, min(with_period, volumes))))
     return agg.finalize(window)
 
 

@@ -10,7 +10,9 @@ segmentation references are the token walk and the character scan that
 the period-driven segmenter replaced, and the ``--spans`` document is
 checked against the json.dumps call that the CLI's streaming writer
 replaced.  `is_candidate_word_reference` is the per-character range
-test that the compiled letter class replaced.
+test that the compiled letter class replaced.  `add_record_reference`
+and `consume_lines_reference` are the record fold and the per-line loop
+(`parse_line`, then the fold) that `Aggregator.consume_lines` replaced.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import unicodedata
 from fractions import Fraction
 from typing import Iterable
 
+from abbrevkit.ingest import Aggregator, NgramRecord, ParseError, parse_line
 from abbrevkit.segment import (
     EMPTY_DICTIONARY,
     KIND_ABBREV,
@@ -116,8 +119,8 @@ def fsum_range_reference(total: int, lo: int, hi: int, p: float) -> float:
 
 
 def is_candidate_word_reference(word: str, letter_ranges) -> bool:
-    """The candidate filter of `Aggregator.add_record` (`str.isalpha`, then
-    the compiled letter class) as a loop over characters and ranges."""
+    """The candidate filter of `Aggregator.consume_lines` (`str.isalpha`,
+    then the compiled letter class) as a loop over characters and ranges."""
     if not word:
         return False
     for ch in word:
@@ -127,6 +130,59 @@ def is_candidate_word_reference(word: str, letter_ranges) -> bool:
         if not any(lo <= cp <= hi for lo, hi in letter_ranges):
             return False
     return True
+
+
+# -- ingest: the record fold and the per-line loop that
+# `Aggregator.consume_lines` replaced, kept as written.
+
+def add_record_reference(agg: Aggregator, record: NgramRecord) -> None:
+    """Fold one parsed record into `agg`'s counts."""
+    if not agg.config.year_min <= record.year <= agg.config.year_max:
+        return
+    tokens = record.tokens
+    # a 1-gram gives total usage; only the 2-gram shape ``word .`` gives
+    # with-period usage
+    if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "."):
+        return
+    word = tokens[0]
+    # the candidate filter: letters only, each from an admitted range
+    if not (word.isalpha() and agg._letters(word)):
+        return
+    if agg.config.case_fold:
+        word = word.lower()
+    cell = _cell_reference(agg, word, record.year)
+    if len(tokens) == 1:
+        cell[1] += record.match_count
+    else:
+        cell[0] += record.match_count
+        cell[2] += record.volume_count
+
+
+def _cell_reference(agg: Aggregator, word: str, year: int) -> list[int]:
+    years = agg._counts.get(word)
+    if years is None:
+        years = agg._counts[word] = {}
+    cell = years.get(year)
+    if cell is None:
+        cell = years[year] = [0, 0, 0]
+    return cell
+
+
+def consume_lines_reference(agg: Aggregator, lines: Iterable[str], on_error: str = "skip") -> None:
+    """Each line through `parse_line`, then `add_record_reference`."""
+    floor, ceiling = agg.config.year_floor, agg.config.year_ceiling
+    for line_number, line in enumerate(lines, 1):
+        if not line or line == "\n":
+            continue
+        try:
+            record = parse_line(line, line_number, floor, ceiling)
+        except ParseError:
+            if on_error == "abort":
+                raise
+            agg.counters.lines_skipped += 1
+            continue
+        agg.counters.lines_parsed += 1
+        add_record_reference(agg, record)
 
 
 # -- segmentation: the token walk and the character scan the segmenter

@@ -3,6 +3,8 @@ import gzip
 import importlib
 import io
 import json
+import logging
+import multiprocessing
 import os
 import re
 import stat
@@ -106,6 +108,33 @@ class TestIngestCommand:
         assert main(["ingest", *args, "--output", str(seq), "--jobs", "1"]) == 0
         assert main(["ingest", *args, "--output", str(par), "--jobs", "3"]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["in-this-process", "in-a-worker"])
+    def test_abort_in_either_chunk(self, tmp_path, caplog, bad):
+        """With --jobs 2 this process parses the first file and a worker the
+        second; a malformed line in either is one ERROR naming its file,
+        and no worker outlives the command."""
+        shards = [tmp_path / "first.tsv", tmp_path / "second.tsv"]
+        for index, shard in enumerate(shards):
+            shard.write_text("др\t1995\t5\t1\n" * 200 + ("broken\n" if index == bad else ""), encoding="utf-8")
+        out = tmp_path / "a.json"
+        with caplog.at_level(logging.ERROR):
+            code = main(["ingest", "--unigrams", *map(str, shards), "--output", str(out),
+                         "--on-error", "abort", "--jobs", "2"])
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot read {shards[bad]}: line 201: expected 4 tab-separated fields, got 1"]
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_hard_link_is_the_same_shard(self, tmp_path):
+        shard = tmp_path / "a.tsv"
+        shard.write_text("др\t1995\t5\t1\n", encoding="utf-8")
+        os.link(shard, tmp_path / "b.tsv")
+        out = tmp_path / "agg.json"
+        assert main(["ingest", "--unigrams", str(shard), "--bigrams", str(tmp_path / "b.tsv"),
+                     "--output", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestBuildCommand:
@@ -568,7 +597,8 @@ class TestParamsCommand:
             lines.append(f"год\t{year}\t100\t10\n")  # never with period
         src.write_text("".join(lines), encoding="utf-8")
         agg = tmp_path / "agg.json"
-        assert main(["ingest", "--unigrams", str(src), "--bigrams", str(src), "--output", str(agg)]) == 0
+        # one file holds both kinds of line; given twice it would be refused
+        assert main(["ingest", "--unigrams", str(src), "--output", str(agg)]) == 0
         abbrevs = tmp_path / "a.txt"
         abbrevs.write_text("др\n", encoding="utf-8")
         commons = tmp_path / "c.txt"
@@ -835,6 +865,13 @@ MALFORMED = {
         ["ingest", "--unigrams", "bad.tsv", "--output", "a.json", "--on-error", "abort"],
         "др\t1995\t5\t1\nброкен\n".encode("utf-8"),
     ),
+    "corpus-shard-given-twice": (
+        ["ingest", "--unigrams", "bad.tsv", "bad.tsv", "--output", "a.json"], "др\t1995\t5\t1\n".encode("utf-8"),
+    ),
+    "corpus-shard-two-spellings": (
+        ["ingest", "--unigrams", "bad.tsv", "--bigrams", "./bad.tsv", "--output", "a.json"],
+        "др\t1995\t5\t1\n".encode("utf-8"),
+    ),
     "aggregate-without-counters": (BUILD, _state(counters=None)),
     "aggregate-string-count": (BUILD, _state(words={"др": {"1995": [9, "12", 1]}})),
     "aggregate-top-level-list": (BUILD, [1]),
@@ -898,6 +935,8 @@ MESSAGE_PARTS = {
     "aggregate-not-json": ["cannot read bad.json:", "Expecting value"],
     "aggregate-gz-not-gzip": ["cannot read bad.json.gz:", "Not a gzipped file"],
     "corpus-line-malformed-abort": ["cannot read bad.tsv:", "line 2:"],
+    "corpus-shard-given-twice": ["input file given twice: bad.tsv and bad.tsv"],
+    "corpus-shard-two-spellings": ["input file given twice: bad.tsv and ./bad.tsv"],
     "config-window-number": ["--window", "bad.json"],
     "config-scripts-number": ["--scripts"],
     "config-scripts-empty": ["--scripts"],

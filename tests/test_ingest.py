@@ -1,5 +1,6 @@
 import ast
 import gzip
+import hashlib
 import itertools
 import json
 import statistics
@@ -23,6 +24,8 @@ from abbrevkit.ingest import (
     _median,
     ingest_paths,
     parse_line,
+    read_input,
+    sha256_file,
 )
 
 import oracles
@@ -33,7 +36,7 @@ RANGES = CFG.letter_ranges()
 
 
 def _candidate(word: str, letter_ranges) -> bool:
-    """The candidate filter `Aggregator.add_record` runs: `str.isalpha`,
+    """The candidate filter `Aggregator.consume_lines` runs: `str.isalpha`,
     then the letter class compiled from `letter_ranges`."""
     return word.isalpha() and _letter_class(letter_ranges).fullmatch(word) is not None
 
@@ -296,7 +299,7 @@ def _records_strategy():
 def _fill(records):
     agg = Aggregator(CFG)
     for record in records:
-        agg.add_record(record)
+        oracles.add_record_reference(agg, record)
     return agg
 
 
@@ -345,7 +348,7 @@ class TestMergeMonoid:
         whole = _fill(records)
         quarters = [Aggregator(CFG) for _ in range(4)]
         for index, record in enumerate(records):
-            quarters[index % 4].add_record(record)
+            oracles.add_record_reference(quarters[index % 4], record)
         combined = Aggregator(CFG)
         for quarter in quarters:
             combined.update(quarter)
@@ -378,6 +381,176 @@ class TestConsumption:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             Aggregator(CFG).consume_lines([], on_error="explode")
+
+
+# pieces of corpus lines around every edge of `parse_line`'s accept test:
+# what `int` takes beyond plain digits (spaces, a sign, underscores, other
+# decimal digits, a carriage return), ints too large to take, years at
+# and beyond the limits and the window, volumes of 0 and above the match
+# count, and ngrams of 0 to 3 tokens with empty ones
+_NGRAMS = ["др", "Др", "ДР", "ab", "Ab", "слово", "ёж", "ß", "İ", "Ω", "а_NOUN", "12", "т.е", ".",
+           "др .", "Др .", "ab .", "слово .", "др ,", "12 .", "др ..", "a  .", " др", "др ", "", " ",
+           "a b c", "др . .", "др\r", "Straße ."]
+_YEARS = ["1995", "1990", "2008", "1989", "2009", "1499", "1500", "2100", "2101", " 1995", "+1995",
+          "1_995", "\u0661\u0669\u0669\u0665", "1995\r", "-1995", "1995.0", "x", "", "9" * 30, "1" * 5000]
+_COUNTS = ["0", "1", "2", "5", "12", " 12", "+5", "1_000", "\u0662\u0660\u0660\u0660", "-1", "5\r", "x", "",
+           "9" * 40, "1" * 5000]
+_ENDS = ["\n", "\r\n", "", "\r", "\r\r\n", "\n\n"]
+
+
+@st.composite
+def _corpus_lines(draw):
+    fields = [draw(st.sampled_from(_NGRAMS)), draw(st.sampled_from(_YEARS)),
+              draw(st.sampled_from(_COUNTS)), draw(st.sampled_from(_COUNTS))]
+    arity = draw(st.sampled_from([4, 4, 4, 4, 3, 5]))
+    fields = fields[:arity] + [draw(st.sampled_from(_COUNTS))] * (arity - 4)
+    return draw(st.sampled_from(["", "\n"])) if draw(st.integers(0, 15)) == 0 else (
+        "\t".join(fields) + draw(st.sampled_from(_ENDS)))
+
+
+_CONFIGS = st.builds(
+    IngestConfig,
+    year_min=st.sampled_from([1990, 1995]),
+    year_max=st.sampled_from([1995, 2008]),
+    scripts=st.sampled_from([(), ("latin",), ("cyrillic",), ("cyrillic", "latin")]),
+    case_fold=st.booleans(),
+    year_floor=st.sampled_from([1500, 1990]),
+    year_ceiling=st.sampled_from([2008, 2100]),
+)
+
+
+def _consumed(consume, config, lines, on_error):
+    """The aggregator `consume` fills from `lines`, and the ParseError it
+    raised, if any."""
+    agg = Aggregator(config)
+    try:
+        consume(agg, lines, on_error)
+    except ParseError as exc:
+        return agg, exc
+    return agg, None
+
+
+class TestConsumeLinesMatchesReference:
+    """`Aggregator.consume_lines` gives the counters, the counts and the
+    ParseError of `parse_line` plus the reference record fold."""
+
+    @staticmethod
+    def _check(config, lines, on_error):
+        fast, fast_error = _consumed(Aggregator.consume_lines, config, lines, on_error)
+        ref, ref_error = _consumed(oracles.consume_lines_reference, config, lines, on_error)
+        assert fast.counters == ref.counters
+        assert _canonical(fast) == _canonical(ref)
+        assert (fast_error is None) == (ref_error is None)
+        if ref_error is not None:
+            assert (fast_error.line_number, fast_error.reason) == (ref_error.line_number, ref_error.reason)
+            assert str(fast_error) == str(ref_error)
+
+    @given(_CONFIGS, st.lists(_corpus_lines(), max_size=30), st.sampled_from(["skip", "abort"]))
+    @settings(max_examples=400, deadline=None)
+    def test_random_lines(self, config, lines, on_error):
+        self._check(config, lines, on_error)
+
+    @pytest.mark.parametrize("on_error", ["skip", "abort"])
+    def test_every_piece(self, on_error):
+        """Each piece once beside plain values, with case folding on and off."""
+        lines = [f"{ngram}\t1995\t5\t1\n" for ngram in _NGRAMS]
+        lines += [f"др\t{year}\t5\t1\n" for year in _YEARS]
+        lines += [f"др .\t1995\t{count}\t1\n" for count in _COUNTS]
+        lines += [f"др .\t1995\t12\t{count}\n" for count in _COUNTS]
+        lines += ["др\t1995\t5\n", "др\t1995\t5\t1\t1\n", "др\t1995\r\t5\t1\n", "\n", ""]
+        for case_fold in (False, True):
+            config = IngestConfig(case_fold=case_fold)
+            self._check(config, lines, "skip")
+            if on_error == "abort":
+                for line in lines:
+                    self._check(config, ["слово\t2000\t7\t2\n", line], "abort")
+
+    def test_counters_kept_up_to_an_abort(self):
+        agg = Aggregator(CFG)
+        lines = ["др\t1995\t5\t1\n", "др\t1989\t5\t1\n", "\n", "broken\n", "др\t1995\t5\t1\n"]
+        with pytest.raises(ParseError, match="line 4: expected 4 tab-separated fields, got 1"):
+            agg.consume_lines(lines, on_error="abort")
+        assert (agg.counters.lines_parsed, agg.counters.lines_skipped) == (2, 0)
+        agg.consume_lines(lines)
+        assert (agg.counters.lines_parsed, agg.counters.lines_skipped) == (5, 1)
+
+
+def _shard_lines(seed: int, count: int) -> str:
+    import random
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        word = rng.choice(["др", "гл", "тов", "слово", "год", "Word", "x1"])
+        year = rng.randint(1985, 2010)
+        match = rng.randint(1, 500)
+        ngram = f"{word} ." if rng.random() < 0.5 else word
+        lines.append(f"{ngram}\t{year}\t{match}\t{max(1, match // 5)}\n" if rng.random() < 0.9 else "bad line\n")
+    return "".join(lines)
+
+
+class TestFingerprints:
+    """A shard's fingerprint, taken in the read that parses it, is the
+    sha256 of the file's bytes, compressed or not."""
+
+    @staticmethod
+    def _files(tmp_path):
+        text = _shard_lines(1, 300)
+        one, two = text[: len(text) // 2].encode(), text[len(text) // 2:].encode()
+        files = {
+            "plain.tsv": text.encode(),
+            "one.tsv.gz": gzip.compress(text.encode()),
+            "two-members.tsv.gz": gzip.compress(one) + gzip.compress(two),
+            "zero-padded.tsv.gz": gzip.compress(text.encode()) + bytes(1000),
+            "empty.tsv": b"",
+            "empty.tsv.gz": b"",
+            "no-final-newline.tsv": text.rstrip("\n").encode(),
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        return [tmp_path / name for name in files]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fingerprint_is_sha256_of_file(self, tmp_path, jobs):
+        paths = self._files(tmp_path)
+        agg = ingest_paths(paths, [], CFG, jobs=jobs)
+        assert agg.fingerprints == {str(path): sha256_file(path) for path in paths}
+        assert agg.fingerprints[str(paths[4])] == hashlib.sha256(b"").hexdigest()
+        # every member of a multi-member archive is parsed: the three
+        # archives and the plain file hold the same lines, the last file
+        # all of them too
+        once = Aggregator(CFG)
+        once.consume_lines(_shard_lines(1, 300).splitlines(keepends=True))
+        assert agg.counters.lines_parsed == 5 * once.counters.lines_parsed
+        assert agg.counters.lines_skipped == 5 * once.counters.lines_skipped
+
+    @pytest.mark.parametrize("name", ["big.tsv", "big.tsv.gz"])
+    def test_unread_rest_is_hashed(self, tmp_path, name):
+        """A block that stops reading early still leaves the digest of the
+        whole file."""
+        path = tmp_path / name
+        data = _shard_lines(2, 60_000).encode()
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        digest = hashlib.sha256()
+        with read_input(path, digest) as handle:
+            handle.readline()
+        assert digest.hexdigest() == sha256_file(path)
+
+
+@pytest.mark.parametrize("files", [1, 2, 3, 5])
+def test_state_bytes_independent_of_jobs(tmp_path, files):
+    paths = []
+    for index in range(files):
+        path = tmp_path / f"shard{index}.tsv{'.gz' if index == 2 else ''}"
+        data = _shard_lines(10 + index, 200).encode()
+        path.write_bytes(gzip.compress(data) if index == 2 else data)
+        paths.append(path)
+    states = set()
+    for jobs in (1, 2, 3, 4):
+        out = tmp_path / f"jobs{jobs}.json"
+        ingest_paths(paths[:1], paths[1:], CFG, jobs=jobs).save(out)
+        states.add(out.read_bytes())
+    assert len(states) == 1
 
 
 class TestFilesAndPersistence:
@@ -485,8 +658,8 @@ class TestFilesAndPersistence:
 
     def test_case_fold_merges_forms(self):
         agg = Aggregator(IngestConfig(case_fold=True))
-        agg.add_record(NgramRecord(("Др", "."), 1995, 10, 1))
-        agg.add_record(NgramRecord(("др",), 1995, 30, 1))
+        oracles.add_record_reference(agg, NgramRecord(("Др", "."), 1995, 10, 1))
+        oracles.add_record_reference(agg, NgramRecord(("др",), 1995, 30, 1))
         profile = agg.finalize()["др"]
         assert profile.series[1995].with_period == 10
         assert profile.series[1995].total == 30
@@ -495,10 +668,10 @@ class TestFilesAndPersistence:
 class TestFinalizeWindows:
     def test_narrower_aggregate_window(self):
         agg = Aggregator(IngestConfig(year_min=1940, year_max=2008))
-        agg.add_record(NgramRecord(("др", "."), 1950, 7, 1))
-        agg.add_record(NgramRecord(("др",), 1950, 10, 1))
-        agg.add_record(NgramRecord(("др", "."), 2000, 90, 9))
-        agg.add_record(NgramRecord(("др",), 2000, 100, 10))
+        oracles.add_record_reference(agg, NgramRecord(("др", "."), 1950, 7, 1))
+        oracles.add_record_reference(agg, NgramRecord(("др",), 1950, 10, 1))
+        oracles.add_record_reference(agg, NgramRecord(("др", "."), 2000, 90, 9))
+        oracles.add_record_reference(agg, NgramRecord(("др",), 2000, 100, 10))
         profile = agg.finalize((1990, 2008))["др"]
         assert 1950 in profile.series  # retained for dynamics
         assert profile.N_total == 100  # aggregates cover the sub-window only
@@ -507,7 +680,7 @@ class TestFinalizeWindows:
 
     def test_every_year_normalized(self):
         agg = Aggregator(IngestConfig(year_min=1940, year_max=2008))
-        agg.add_record(NgramRecord(("др", "."), 1950, 7, 1))
+        oracles.add_record_reference(agg, NgramRecord(("др", "."), 1950, 7, 1))
         profile = agg.finalize((1990, 2008))["др"]
         assert profile.series[1950].total == 7
 
