@@ -22,7 +22,7 @@ from .likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from .segment import baseline_segment, dict_segment, load_dictionary, sentence_spans
+from .segment import baseline_segment, load_dictionary, sentence_spans
 from .synth import SynthSpec, generate_ngrams, generate_text
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "build_dictionary",
     "decide_lrt",
     "decide_median",
-    "dict_segment",
     "generate_ngrams",
     "generate_text",
     "likelihood_ratio",

@@ -11,6 +11,7 @@ error included, is one ``ERROR`` line with exit 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -233,9 +234,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     entries = None
     dictionary_digest = None
     if args.dictionary:
-        loaded = segment.load_dictionary(args.dictionary)
+        digest = hashlib.sha256()
+        loaded = segment.load_dictionary(args.dictionary, digest=digest)
         entries = [profiles[w] for w in sorted(profiles) if w in loaded]
-        dictionary_digest = ingest.sha256_file(args.dictionary)
+        dictionary_digest = digest.hexdigest()
     needs_dict = [k for k in args.reports if k != "p-series"]
     if needs_dict and entries is None:
         raise CliError(f"reports {needs_dict} need --dictionary")

@@ -240,15 +240,6 @@ def read_input(path: str | Path | None, digest=None) -> Iterator[TextIO]:
         raise ValueError(f"cannot read {'<stdin>' if path is None else path}: {exc}") from None
 
 
-def sha256_file(path: str | Path) -> str:
-    """Hex sha256 of a file's bytes, read a megabyte at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @contextmanager
 def atomic_output(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A handle (UTF-8 text, or bytes if `binary`) on a new file beside
@@ -507,6 +498,9 @@ class Aggregator:
         agg.fingerprints = dict(state["fingerprints"])
         lo, hi = agg.config.year_min, agg.config.year_max
         for word, years in state["words"].items():
+            # `consume_lines` keeps only words that pass `str.isalpha`
+            if not word or any(map(str.isspace, word)):
+                raise ValueError(f"aggregate state: word key {word!r} is empty or holds whitespace")
             if not isinstance(years, dict):
                 raise ValueError(f"aggregate state: word {word!r} must map years to cells")
             cells = agg._counts[word] = {}

@@ -67,8 +67,8 @@ class HypothesisParams:
             raise ValueError(f"p1 must be in (0,1), got {self.p1}")
         if self.p0 > self.p1:
             raise ValueError(f"p0 must not exceed p1, got p0={self.p0} > p1={self.p1}")
-        if not self.c > 0.0:
-            raise ValueError(f"decision threshold C must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"decision threshold C must be positive and finite, got {self.c}")
 
 
 def log_binomial_pmf(total: int, successes: int, p: float) -> float:
@@ -145,9 +145,13 @@ def solve_threshold(total: int, params: HypothesisParams) -> float:
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    if not params.p1 > params.p0:
-        raise ValueError(f"threshold needs p1 > p0, got p0={params.p0}, p1={params.p1}")
     slope, offset = _log_ratio_terms(params)
+    # the float slope can be just above zero at p0 == p1, and zero or
+    # below for p1 barely above p0
+    if not (params.p1 > params.p0 and slope > 0.0):
+        raise ValueError(
+            f"threshold needs p1 > p0 and a positive log-ratio slope, got p0={params.p0}, p1={params.p1}"
+        )
     return (math.log(params.c) - total * offset) / slope
 
 

@@ -9,12 +9,11 @@ of title-like prefixes.  So the dictionary changes a boundary only at
 override-listed stems; with an empty dictionary the rule is the naive
 period-space-capital pattern, the measurable baseline.
 
-`sentence_spans` applies the rule without tokenizing.  `token_columns`
-tokenizes in one pass into columns (texts, byte starts, byte ends,
-kinds), fusing a dictionary stem with its period into one abbreviation
-token, and gives each sentence its token range; the CLI calls it only
-for ``--spans``.  `tokenize` and `dict_segment` are views of that pass
-as `Token` and `SentenceSpan` named tuples.
+`sentence_spans` applies the rule without tokenizing.  `token_columns`,
+the one tokenizer, makes one pass into columns (texts, byte starts,
+byte ends, kinds), fusing a dictionary stem with its period into one
+abbreviation token, and gives each sentence its token range; the CLI
+calls it only for ``--spans``.
 
 All spans are byte offsets into the UTF-8 encoding of the input.
 """
@@ -31,7 +30,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .ingest import read_input
 
 __all__ = [
-    "Token",
     "SentenceSpan",
     "LoadedDictionary",
     "DictionaryLoadError",
@@ -60,13 +58,6 @@ class DictionaryLoadError(ValueError):
     def __init__(self, message: str, line_number: int = 0):
         super().__init__(message)
         self.line_number = line_number
-
-
-class Token(NamedTuple):
-    text: str
-    start: int  # byte offset, inclusive
-    end: int    # byte offset, exclusive
-    kind: str
 
 
 class SentenceSpan(NamedTuple):
@@ -168,11 +159,6 @@ def token_columns(
     return (texts, starts, ends, kinds), sentences
 
 
-def tokenize(text: str, dictionary: LoadedDictionary | None = None) -> list[Token]:
-    """The tokens of `token_columns`, as `Token`s."""
-    return list(map(Token, *token_columns(text, dictionary)[0]))
-
-
 def sentence_spans(
     text: str,
     dictionary: LoadedDictionary | None = None,
@@ -218,17 +204,6 @@ def sentence_spans(
     return spans
 
 
-def dict_segment(
-    text: str,
-    dictionary: LoadedDictionary | None = None,
-    override: Iterable[str] = (),
-) -> tuple[list[Token], list[SentenceSpan]]:
-    """The tokens and sentences of `token_columns`, the tokens as
-    `Token`s."""
-    columns, sentences = token_columns(text, dictionary, override)
-    return list(map(Token, *columns)), sentences
-
-
 def baseline_segment(text: str) -> list[SentenceSpan]:
     """The naive period-space-capital pattern: the one boundary rule
     with an empty dictionary, so every period followed by whitespace and
@@ -236,13 +211,15 @@ def baseline_segment(text: str) -> list[SentenceSpan]:
     return sentence_spans(text, EMPTY_DICTIONARY)
 
 
-def load_dictionary(path: str | Path, case_fold: bool | None = None) -> LoadedDictionary:
+def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None) -> LoadedDictionary:
     """Load stems from any dictionary output format: the JSON document,
     the TSV table (first column), or a plain word list; format is
     detected from content.  Unreadable and malformed files raise
-    DictionaryLoadError naming `path` and the offending line."""
+    DictionaryLoadError naming `path` and the offending line.  A hashlib
+    `digest` is fed the file's bytes in the read that loads them (see
+    `read_input`)."""
     try:
-        with read_input(path) as handle:
+        with read_input(path, digest) as handle:
             content = handle.read()
     except ValueError as exc:
         raise DictionaryLoadError(str(exc)) from None

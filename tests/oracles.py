@@ -21,7 +21,7 @@ import math
 import re
 import unicodedata
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from abbrevkit.ingest import Aggregator, NgramRecord, ParseError, parse_line
 from abbrevkit.segment import (
@@ -33,7 +33,6 @@ from abbrevkit.segment import (
     KIND_WORD,
     LoadedDictionary,
     SentenceSpan,
-    Token,
 )
 
 
@@ -191,6 +190,15 @@ def consume_lines_reference(agg: Aggregator, lines: Iterable[str], on_error: str
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)+|\d+|[^\W\d_]+|\s+|.", re.UNICODE)
 
 
+class Token(NamedTuple):
+    """A reference token; equal to the same row of `token_columns`."""
+
+    text: str
+    start: int  # byte offset, inclusive
+    end: int    # byte offset, exclusive
+    kind: str
+
+
 def _byte_offsets(text: str) -> list[int]:
     """UTF-8 byte offset of every char index of text, plus its end."""
     byte_at = [0] * (len(text) + 1)
@@ -343,15 +351,17 @@ def baseline_segment_reference(text: str) -> list[SentenceSpan]:
 # -- the --spans document as json.dumps wrote it before the CLI streamed it
 
 
-def spans_json_reference(sentences: Iterable[SentenceSpan], tokens: Iterable[Token]) -> str:
+def spans_json_reference(sentences: Iterable[SentenceSpan], tokens: Iterable[tuple[str, int, int, str]]) -> str:
+    """`tokens` as (text, start, end, kind) rows: `Token`s, or the rows
+    of `token_columns`."""
     doc = {
         "sentences": [
             {"start": s.start, "end": s.end, "token_start": s.token_start, "token_end": s.token_end}
             for s in sentences
         ],
         "tokens": [
-            {"text": t.text, "start": t.start, "end": t.end, "kind": t.kind}
-            for t in tokens
+            {"text": text, "start": start, "end": end, "kind": kind}
+            for text, start, end, kind in tokens
         ],
     }
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"

@@ -25,7 +25,7 @@ from abbrevkit.likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from abbrevkit.segment import LoadedDictionary, baseline_segment, dict_segment
+from abbrevkit.segment import LoadedDictionary, baseline_segment, token_columns
 from abbrevkit.synth import SynthSpec, generate_ngrams, generate_text, make_spec, make_vocabulary
 from abbrevkit import analytics
 from helpers import boundary_f1, boundary_offsets, build_profiles
@@ -348,7 +348,7 @@ def test_criterion_09_segmenter():
     spec = make_spec(12, 60, seed=909)
     sample = generate_text(spec, 1000)
     loaded = LoadedDictionary(spec.abbrev_words)
-    tokens, sents = dict_segment(sample.text, loaded, override=spec.title_like)
+    _, sents = token_columns(sample.text, loaded, override=spec.title_like)
     base = baseline_segment(sample.text)
     _, _, f1_dict = boundary_f1(boundary_offsets(sents), sample.boundaries)
     _, _, f1_base = boundary_f1(boundary_offsets(base), sample.boundaries)
@@ -356,13 +356,13 @@ def test_criterion_09_segmenter():
 
     def assert_lossless(text, dictionary):
         source = text.encode("utf-8")
-        toks, spans = dict_segment(text, dictionary)
+        (texts, starts, ends, _), spans = token_columns(text, dictionary)
         cursor = 0
-        for token in toks:
-            gap = source[cursor:token.start]
+        for token_text, start, end in zip(texts, starts, ends):
+            gap = source[cursor:start]
             assert gap == b"" or gap.decode("utf-8").isspace()
-            assert source[token.start:token.end].decode("utf-8") == token.text
-            cursor = token.end
+            assert source[start:end].decode("utf-8") == token_text
+            cursor = end
         assert cursor == len(source) or source[cursor:].decode("utf-8").isspace()
         return spans
 

@@ -1,5 +1,6 @@
 import ast
 import gzip
+import hashlib
 import importlib
 import io
 import json
@@ -227,6 +228,21 @@ class TestStatsCommand:
         assert doc["meta"]["window"] == [1990, 2008]
         assert len(doc["meta"]["dictionary_fingerprint"]) == 64
 
+    @pytest.mark.parametrize("name", ["dict.tsv", "dict.tsv.gz", "dict.json"])
+    def test_dictionary_fingerprint_is_sha256_of_file(self, aggregate_file, tmp_path, name):
+        """The fingerprint is taken in the read that loads the dictionary:
+        the sha256 of the file's bytes, still compressed for ``.gz``."""
+        built = ["--out-tsv", str(tmp_path / "dict.tsv"), "--out-json", str(tmp_path / "dict.json")]
+        assert main(["build", "--aggregate", str(aggregate_file), *built]) == 0
+        (tmp_path / "dict.tsv.gz").write_bytes(gzip.compress((tmp_path / "dict.tsv").read_bytes()))
+        path, out = tmp_path / name, tmp_path / "reports"
+        assert main([
+            "stats", "--aggregate", str(aggregate_file), "--dictionary", str(path),
+            "--reports", "length-histogram", "--out-dir", str(out),
+        ]) == 0
+        doc = json.loads((out / "length-histogram.json").read_text(encoding="utf-8"))
+        assert doc["meta"]["dictionary_fingerprint"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_macro_estimation_flag(self, corpus, aggregate_file, tmp_path, capsys):
         commons = tmp_path / "commons.txt"
         commons.write_text("слово\nдом\n", encoding="utf-8")
@@ -360,9 +376,8 @@ class TestSegmentCommand:
 
 
 class TestSegmentWithoutTokens:
-    """Only --spans tokenizes: with `token_columns`, the one tokenizer
-    pass that `tokenize` and `dict_segment` also go through, patched to
-    raise, both modes still segment.  --spans calls it once and writes
+    """Only --spans tokenizes: with `token_columns`, the one tokenizer,
+    patched to raise, both modes still segment.  --spans calls it once and writes
     its JSON without json.dumps."""
 
     @pytest.fixture()
@@ -406,8 +421,8 @@ class TestSegmentWithoutTokens:
 
     def test_spans_without_json_dumps(self, inputs, monkeypatch, capsys):
         text = (inputs / "in.txt").read_text(encoding="utf-8")
-        tokens, sentences = segment.dict_segment(text, segment.LoadedDictionary(["гл", "гор"]))
-        expected = oracles.spans_json_reference(sentences, tokens)
+        columns, sentences = segment.token_columns(text, segment.LoadedDictionary(["гл", "гор"]))
+        expected = oracles.spans_json_reference(sentences, zip(*columns))
 
         def refuse(*args, **kwargs):
             raise AssertionError("json.dumps called")
@@ -455,7 +470,8 @@ class TestSpansMatchOracle:
             argv = ["--dictionary", str(work / "dict.txt"), "--override-list", str(work / "override.txt")]
             argv += ["--case-fold"] if case_fold else []
             loaded = segment.LoadedDictionary(words, case_fold=case_fold)
-            tokens, sentences = segment.dict_segment(read, loaded, override)
+            columns, sentences = segment.token_columns(read, loaded, override)
+            tokens = list(zip(*columns))
         assert self._spans(work, text, argv) == oracles.spans_json_reference(sentences, tokens)
 
     @pytest.mark.parametrize("text", ["", " \n\t\r\n \u2028"], ids=["empty", "whitespace-only"])
@@ -929,6 +945,12 @@ MALFORMED = {
                                        "--year-floor", "2100", "--year-ceiling", "1500"], {}),
     "flag-window-below-year-floor": (["ingest", "--unigrams", "in.txt", "--output", "a.json",
                                       "--window", "1990:2008", "--year-floor", "2001"], {}),
+    "flag-c-infinite": (["build", "--aggregate", "agg.json", "--method", "lrt", "--C", "inf", "--min-total", "1",
+                         "--out-words", "d.txt"], {}),
+    "flag-p0-p1-adjacent": (["build", "--aggregate", "agg.json", "--method", "lrt", "--p0", "0.4389616300445631",
+                             "--p1", "0.4389616300445632", "--min-total", "1", "--out-words", "d.txt"], {}),
+    "aggregate-word-empty": (BUILD, _state(words={"": {"1995": [9, 10, 1]}})),
+    "aggregate-word-with-tab": (BUILD, _state(words={"a\tb c": {"1995": [9, 10, 1]}})),
 }
 # case -> parts its ERROR line must contain, besides the name of its bad.* file
 MESSAGE_PARTS = {
@@ -956,6 +978,10 @@ MESSAGE_PARTS = {
     "aggregate-config-window-below-floor": ["aggregate state:", "1990..2008 is not inside", "2001..2100"],
     "flag-year-floor-above-ceiling": ["year_floor 2100 is above year_ceiling 1500"],
     "flag-window-below-year-floor": ["1990..2008 is not inside", "2001..2100"],
+    "flag-c-infinite": ["decision threshold C", "inf"],
+    "flag-p0-p1-adjacent": ["p0=0.4389616300445631", "p1=0.4389616300445632"],
+    "aggregate-word-empty": ["aggregate state:", "word key ''"],
+    "aggregate-word-with-tab": ["aggregate state:", "word key 'a\\tb c'"],
     "flag-window-inverted": ["--window", "'2008:1990'"],
     "config-window-inverted": ["--window", "'2008:1990'"],
     "flag-mean-window-inverted": ["--mean-window", "'2008:1998'"],

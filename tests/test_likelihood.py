@@ -154,6 +154,15 @@ class TestSolveThreshold:
         with pytest.raises(ValueError):
             solve_threshold(10, HypothesisParams(0.3, 0.3, 1.0))
 
+    @pytest.mark.parametrize("p0, p1", [(0.4389616300445631, 0.4389616300445632), (0.1, 0.10000000000000002)])
+    def test_rejects_a_slope_rounded_to_zero_or_below(self, p0, p1):
+        # p1 > p0, yet the float slope is 0 (eta divides by it) or negative
+        # (eta turns negative and every decided word is admitted)
+        params = HypothesisParams(p0, p1, 1.0)
+        assert likelihood._log_ratio_terms(params)[0] <= 0.0
+        with pytest.raises(ValueError, match=f"p0={p0}, p1={p1}"):
+            solve_threshold(10, params)
+
 
 class TestErrorProbabilities:
     def test_alpha_whole_support(self):
@@ -359,3 +368,7 @@ class TestHypothesisParams:
             HypothesisParams(0.9, 0.1)
         with pytest.raises(ValueError):
             HypothesisParams(0.1, 0.9, 0.0)
+        for c in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="C must be positive and finite"):
+                HypothesisParams(0.1, 0.9, c)
+        assert HypothesisParams(0.1, 0.9, 1e308).c == 1e308

@@ -14,11 +14,10 @@ from abbrevkit.segment import (
     LoadedDictionary,
     SentenceSpan,
     baseline_segment,
-    dict_segment,
     load_dictionary,
     sentence_spans,
     sentence_texts,
-    tokenize,
+    token_columns,
 )
 from abbrevkit import synth
 
@@ -60,69 +59,68 @@ class TestBaseline:
 class TestDictSegment:
     def test_dictionary_hit_lowercase_merges(self):
         loaded = LoadedDictionary({"гл"})
-        tokens, sents = dict_segment("Смотри гл. вторая", loaded)
+        (texts, _, _, kinds), sents = token_columns("Смотри гл. вторая", loaded)
         assert len(sents) == 1
-        fused = [t for t in tokens if t.kind == KIND_ABBREV]
-        assert len(fused) == 1 and fused[0].text == "гл."
+        assert [text for text, kind in zip(texts, kinds) if kind == KIND_ABBREV] == ["гл."]
 
     def test_empty_dict_final_period_separate(self):
-        tokens, sents = dict_segment("Он пришел.", LoadedDictionary(()))
+        (texts, _, _, kinds), sents = token_columns("Он пришел.", LoadedDictionary(()))
         assert len(sents) == 1
-        assert tokens[-1].kind == KIND_PUNCT and tokens[-1].text == "."
+        assert kinds[-1] == KIND_PUNCT and texts[-1] == "."
 
     def test_abbreviation_at_end_of_text_keeps_period(self):
-        tokens, sents = dict_segment("Смотри гл.", LoadedDictionary({"гл"}))
+        (_, _, ends, kinds), sents = token_columns("Смотри гл.", LoadedDictionary({"гл"}))
         assert len(sents) == 1
-        assert tokens[-1].kind == KIND_ABBREV
-        assert sents[0].end == tokens[-1].end
+        assert kinds[-1] == KIND_ABBREV
+        assert sents[0].end == ends[-1]
 
     def test_hit_before_capital_still_boundary(self):
-        tokens, sents = dict_segment("Смотри гл. Вторая часть", LoadedDictionary({"гл"}))
+        (_, _, _, kinds), sents = token_columns("Смотри гл. Вторая часть", LoadedDictionary({"гл"}))
         assert len(sents) == 2
-        assert tokens[1].kind == KIND_ABBREV  # attached despite the boundary
+        assert kinds[1] == KIND_ABBREV  # attached despite the boundary
 
     def test_override_suppresses_boundary(self):
         loaded = LoadedDictionary({"гор"})
-        _, plain = dict_segment("Он уехал в гор. Казань вчера", loaded)
+        _, plain = token_columns("Он уехал в гор. Казань вчера", loaded)
         assert len(plain) == 2
-        _, overridden = dict_segment("Он уехал в гор. Казань вчера", loaded, override={"гор"})
+        _, overridden = token_columns("Он уехал в гор. Казань вчера", loaded, override={"гор"})
         assert len(overridden) == 1
 
     def test_numbers_never_consult_dictionary(self):
         loaded = LoadedDictionary({"3"})
-        tokens, sents = dict_segment("Пи это 3.14 точно. Да.", loaded)
+        (texts, _, _, kinds), sents = token_columns("Пи это 3.14 точно. Да.", loaded)
         assert len(sents) == 2
-        assert any(t.kind == KIND_NUMBER and t.text == "3.14" for t in tokens)
+        assert ("3.14", KIND_NUMBER) in zip(texts, kinds)
 
     def test_case_fold_lookup(self):
         loaded = LoadedDictionary({"гл"}, case_fold=True)
-        _, sents = dict_segment("Смотри Гл. вторая", loaded)
+        _, sents = token_columns("Смотри Гл. вторая", loaded)
         assert len(sents) == 1
 
     def test_kind_invariant(self):
         loaded = LoadedDictionary({"гл"})
-        tokens, _ = dict_segment("гл. и гл и х. гл.", loaded)
-        for token in tokens:
-            if token.kind == KIND_ABBREV:
-                assert token.text.endswith(".")
-                assert token.text[:-1] in loaded
+        (texts, _, _, kinds), _ = token_columns("гл. и гл и х. гл.", loaded)
+        for text, kind in zip(texts, kinds):
+            if kind == KIND_ABBREV:
+                assert text.endswith(".")
+                assert text[:-1] in loaded
 
 
 class TestSpans:
     @staticmethod
     def _assert_lossless(text):
         source = text.encode("utf-8")
-        tokens, sentences = dict_segment(text, LoadedDictionary({"гл", "др"}))
+        (texts, starts, ends, _), sentences = token_columns(text, LoadedDictionary({"гл", "др"}))
         cursor = 0
         rebuilt = bytearray()
-        for token in tokens:
-            assert cursor <= token.start <= token.end <= len(source)
-            gap = source[cursor:token.start]
+        for token_text, start, end in zip(texts, starts, ends):
+            assert cursor <= start <= end <= len(source)
+            gap = source[cursor:start]
             assert gap.decode("utf-8").isspace() or gap == b""
             rebuilt += gap
-            assert source[token.start:token.end].decode("utf-8") == token.text
-            rebuilt += source[token.start:token.end]
-            cursor = token.end
+            assert source[start:end].decode("utf-8") == token_text
+            rebuilt += source[start:end]
+            cursor = end
         rebuilt += source[cursor:]
         assert bytes(rebuilt) == source
         # sentences partition the token sequence
@@ -131,8 +129,8 @@ class TestSpans:
             assert span.token_start == expected_start
             assert span.token_end > span.token_start
             expected_start = span.token_end
-        if tokens:
-            assert expected_start == len(tokens)
+        if texts:
+            assert expected_start == len(texts)
 
     def test_spans_reconstruct_fixtures(self):
         for text in [
@@ -156,7 +154,7 @@ class TestBaselineEquivalence:
     @given(st.text(alphabet="абвГД .,310\n я", max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_empty_dictionary_matches_baseline(self, text):
-        _, sents = dict_segment(text, LoadedDictionary(()))
+        _, sents = token_columns(text, LoadedDictionary(()))
         base = baseline_segment(text)
         assert [(s.start, s.end) for s in sents] == [(s.start, s.end) for s in base]
 
@@ -172,7 +170,7 @@ class TestBaselineEquivalence:
                 ),
                 sentence_count=25,
             )
-            _, sents = dict_segment(sample.text, LoadedDictionary(()))
+            _, sents = token_columns(sample.text, LoadedDictionary(()))
             assert _ends(sents) == _ends(baseline_segment(sample.text))
 
 
@@ -183,8 +181,8 @@ class TestMonotoneDictionary:
     )
     @settings(max_examples=150, deadline=None)
     def test_adding_words_never_adds_boundaries(self, text, words):
-        _, before = dict_segment(text, LoadedDictionary(()))
-        _, after = dict_segment(text, LoadedDictionary(words))
+        _, before = token_columns(text, LoadedDictionary(()))
+        _, after = token_columns(text, LoadedDictionary(words))
         assert len(after) <= len(before)
         assert set(_ends(after)) <= set(_ends(before))
 
@@ -192,7 +190,7 @@ class TestMonotoneDictionary:
         text = "Смотри гл. Вторая часть. Иди в гор. Казань."
         counts = []
         for words in [set(), {"гл"}, {"гл", "гор"}]:
-            _, sents = dict_segment(text, LoadedDictionary(words), override={"гор"})
+            _, sents = token_columns(text, LoadedDictionary(words), override={"гор"})
             counts.append(len(sents))
         assert counts == sorted(counts, reverse=True)
 
@@ -202,7 +200,7 @@ class TestSegmenterBeatsBaseline:
         spec = synth.make_spec(12, 60, seed=11)
         sample = synth.generate_text(spec, 300)
         loaded = LoadedDictionary(spec.abbrev_words)
-        _, sents = dict_segment(sample.text, loaded, override=spec.title_like)
+        _, sents = token_columns(sample.text, loaded, override=spec.title_like)
         base = baseline_segment(sample.text)
         _, _, dict_f1 = boundary_f1(boundary_offsets(sents), sample.boundaries)
         _, _, base_f1 = boundary_f1(boundary_offsets(base), sample.boundaries)
@@ -262,8 +260,8 @@ class TestLoadDictionary:
 
 class TestTokenizeKinds:
     def test_classification(self):
-        tokens = tokenize("Гл. 3.14 :— слово7")
-        kinds = [(t.text, t.kind) for t in tokens]
+        texts, _, _, token_kinds = token_columns("Гл. 3.14 :— слово7")[0]
+        kinds = list(zip(texts, token_kinds))
         assert ("Гл", KIND_WORD) in kinds
         assert (".", KIND_PUNCT) in kinds
         assert ("3.14", KIND_NUMBER) in kinds
@@ -272,7 +270,7 @@ class TestTokenizeKinds:
 
     def test_sentence_texts_flatten_newlines(self):
         text = "Первое\nпредложение. Второе."
-        _, sents = dict_segment(text, LoadedDictionary(()))
+        _, sents = token_columns(text, LoadedDictionary(()))
         lines = sentence_texts(text, sents)
         assert lines == ["Первое предложение.", "Второе."]
 
@@ -316,8 +314,9 @@ class TestPeriodRuleMatchesOracles:
     def test_dict_segment_and_spans(self, text, data):
         loaded, override = _drawn_dictionary(data, text)
         expected_tokens, expected = oracles.dict_segment_reference(text, loaded, override)
-        assert dict_segment(text, loaded, override) == (expected_tokens, expected)
-        assert tokenize(text, loaded) == expected_tokens
+        columns, sentences = token_columns(text, loaded, override)
+        assert (list(zip(*columns)), sentences) == (expected_tokens, expected)
+        assert list(zip(*token_columns(text, loaded)[0])) == expected_tokens
         assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
 
     @given(wide_texts)
@@ -325,7 +324,7 @@ class TestPeriodRuleMatchesOracles:
     def test_baseline_and_tokens(self, text):
         assert baseline_segment(text) == oracles.baseline_segment_reference(text)
         assert sentence_spans(text) == oracles.baseline_segment_reference(text)
-        assert tokenize(text) == oracles.tokenize_reference(text)
+        assert list(zip(*token_columns(text)[0])) == oracles.tokenize_reference(text)
 
     def test_on_generated_texts(self):
         spec = synth.make_spec(12, 60, seed=11)
@@ -333,8 +332,9 @@ class TestPeriodRuleMatchesOracles:
         for case_fold in (False, True):
             loaded = LoadedDictionary(spec.abbrev_words, case_fold=case_fold)
             expected = oracles.dict_segment_reference(text, loaded, spec.title_like)
-            assert dict_segment(text, loaded, spec.title_like) == expected
-            assert tokenize(text, loaded) == expected[0]
+            columns, sentences = token_columns(text, loaded, spec.title_like)
+            assert (list(zip(*columns)), sentences) == expected
+            assert list(zip(*token_columns(text, loaded)[0])) == expected[0]
             assert sentence_spans(text, loaded, spec.title_like) == [
                 SentenceSpan(s.start, s.end) for s in expected[1]
             ]
