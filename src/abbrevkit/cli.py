@@ -77,12 +77,6 @@ def _comma_list(what: str, choices: Iterable[str]) -> Callable[[str], tuple[str,
     return parse
 
 
-def _read_words(path: str) -> list[str]:
-    with ingest.read_input(path) as handle:
-        lines = [line.strip() for line in handle.read().splitlines()]
-    return [line for line in lines if line and not line.startswith("#")]
-
-
 def _load_object(path: str, what: str) -> dict:
     with ingest.read_input(path) as handle:
         doc = json.load(handle)
@@ -254,8 +248,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 raise CliError("p-series needs --seed-abbrevs and --seed-commons")
             report = analytics.p_series(
                 profiles,
-                _read_words(args.seed_abbrevs),
-                _read_words(args.seed_commons),
+                segment.load_dictionary(args.seed_abbrevs).words,
+                segment.load_dictionary(args.seed_commons).words,
                 args.window,
                 args.mean_window,
                 args.pooled,
@@ -303,10 +297,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if not args.dictionary:
             raise CliError("segment needs --dictionary (or --baseline)")
         # None defers to the dictionary's own case policy (JSON metadata)
-        loaded = segment.load_dictionary(
-            args.dictionary, case_fold=True if args.case_fold else None
-        )
-    override = _read_words(args.override_list) if args.override_list else []
+        loaded = segment.load_dictionary(args.dictionary, case_fold=args.case_fold or None)
+    override = segment.load_dictionary(args.override_list).words if args.override_list else ()
     with ingest.read_input(None if args.input == "-" else args.input) as handle:
         text = handle.read()
     # only --spans needs tokens; the boundaries come from periods alone
@@ -439,8 +431,8 @@ def cmd_params(args: argparse.Namespace) -> int:
     profiles = agg.finalize(args.window)
     est = likelihood.estimate_share_params(
         profiles,
-        _read_words(args.seed_abbrevs),
-        _read_words(args.seed_commons),
+        segment.load_dictionary(args.seed_abbrevs).words,
+        segment.load_dictionary(args.seed_commons).words,
         args.window,
         args.mean_window,
         args.pooled,

@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import re
 import sys
+import unicodedata
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -54,6 +55,7 @@ SCRIPT_RANGES: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 FLAG_CLAMPED = "clamped-counts"
+WORD_RULE = "a letter, then letters or combining marks: no whitespace, digits or punctuation"
 
 
 class ParseError(ValueError):
@@ -198,6 +200,14 @@ def _letter_class(letter_ranges: Sequence[tuple[int, int]]) -> re.Pattern[str]:
     spans = [(max(lo, 0), min(hi, sys.maxunicode)) for lo, hi in letter_ranges]
     body = "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in spans if lo <= hi)
     return re.compile(f"[{body}]+" if body else "(?!)")
+
+
+def is_word(text: object) -> bool:
+    """The word rule of aggregates and word lists: a str of a letter, then
+    letters or combining marks.  Marks are let in because ``lower()`` of
+    U+0130 ends in U+0307, so a ``case_fold`` ingest keeps such a word."""
+    return isinstance(text, str) and (text.isalpha() or text[:1].isalpha() and all(
+        ch.isalpha() or unicodedata.category(ch)[0] == "M" for ch in text))
 
 
 class _DigestTap(io.RawIOBase):
@@ -498,9 +508,8 @@ class Aggregator:
         agg.fingerprints = dict(state["fingerprints"])
         lo, hi = agg.config.year_min, agg.config.year_max
         for word, years in state["words"].items():
-            # `consume_lines` keeps only words that pass `str.isalpha`
-            if not word or any(map(str.isspace, word)):
-                raise ValueError(f"aggregate state: word key {word!r} is empty or holds whitespace")
+            if not is_word(word):
+                raise ValueError(f"aggregate state: word key {word!r} is not a word ({WORD_RULE})")
             if not isinstance(years, dict):
                 raise ValueError(f"aggregate state: word {word!r} must map years to cells")
             cells = agg._counts[word] = {}

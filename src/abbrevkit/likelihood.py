@@ -114,6 +114,16 @@ def _log_ratio_terms(params: HypothesisParams) -> tuple[float, float]:
     return slope, math.log1p(-p1) - math.log1p(-p0)
 
 
+def _rising_terms(params: HypothesisParams, what: str) -> tuple[float, float]:
+    """`_log_ratio_terms`, or a ValueError naming `what` unless the float slope
+    is positive: it can be just above zero at p0 == p1, and zero or below for
+    p1 barely above p0."""
+    slope, offset = _log_ratio_terms(params)
+    if not (params.p1 > params.p0 and slope > 0.0):
+        raise ValueError(f"{what} needs p1 > p0 and a positive log-ratio slope, got p0={params.p0}, p1={params.p1}")
+    return slope, offset
+
+
 def log_likelihood_ratio(n: float, total: int, params: HypothesisParams) -> float:
     """Log of P(n | abbreviation) / P(n | common word).
 
@@ -145,13 +155,7 @@ def solve_threshold(total: int, params: HypothesisParams) -> float:
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    slope, offset = _log_ratio_terms(params)
-    # the float slope can be just above zero at p0 == p1, and zero or
-    # below for p1 barely above p0
-    if not (params.p1 > params.p0 and slope > 0.0):
-        raise ValueError(
-            f"threshold needs p1 > p0 and a positive log-ratio slope, got p0={params.p0}, p1={params.p1}"
-        )
+    slope, offset = _rising_terms(params, "threshold")
     return (math.log(params.c) - total * offset) / slope
 
 
@@ -298,8 +302,7 @@ def min_usage_for_error(
     """
     if not (0.0 < alpha_target < 1.0 and 0.0 < beta_target < 1.0):
         raise ValueError("error targets must lie strictly between 0 and 1")
-    if not params.p1 > params.p0:
-        raise ValueError("min usage search needs p1 > p0")
+    _rising_terms(params, "min usage search")
     for total in range(0, total_cap + 1):
         # alpha of eta is the tail P(n >= eta | p0), summed down from n = N;
         # it only grows, so the first sum above the target ends the scan

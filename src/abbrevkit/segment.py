@@ -27,7 +27,7 @@ from itertools import accumulate, chain, compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .ingest import read_input
+from .ingest import WORD_RULE, is_word, read_input
 
 __all__ = [
     "SentenceSpan",
@@ -68,11 +68,12 @@ class SentenceSpan(NamedTuple):
 
 
 class LoadedDictionary:
-    """Read-only stem membership with O(len(stem)) lookup."""
+    """Read-only stem membership with O(len(stem)) lookup; `words` as given."""
 
     def __init__(self, words: Iterable[str], case_fold: bool = False):
         self.case_fold = case_fold
-        self._stems = frozenset(w.lower() for w in words) if case_fold else frozenset(words)
+        self.words = tuple(words)
+        self._stems = frozenset(w.lower() for w in self.words) if case_fold else frozenset(self.words)
 
     def __contains__(self, stem: str) -> bool:
         return (stem.lower() if self.case_fold else stem) in self._stems
@@ -212,12 +213,12 @@ def baseline_segment(text: str) -> list[SentenceSpan]:
 
 
 def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None) -> LoadedDictionary:
-    """Load stems from any dictionary output format: the JSON document,
-    the TSV table (first column), or a plain word list; format is
-    detected from content.  Unreadable and malformed files raise
-    DictionaryLoadError naming `path` and the offending line.  A hashlib
-    `digest` is fed the file's bytes in the read that loads them (see
-    `read_input`)."""
+    """Load words, each passing `is_word`, from any dictionary output
+    format, detected from content: the JSON document, the TSV table
+    (first column) or a plain word list, where lines blank or starting
+    with ``#`` once stripped are skipped.  Unreadable and malformed files
+    raise DictionaryLoadError naming `path` and the offending line.  A
+    hashlib `digest` is fed the bytes in the read (see `read_input`)."""
     try:
         with read_input(path, digest) as handle:
             content = handle.read()
@@ -240,27 +241,22 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None
             raise error("'entries' must be a list and 'build_meta' an object")
         words = [entry.get("word") if isinstance(entry, dict) else None for entry in entries]
         for index, word in enumerate(words):
-            if not isinstance(word, str) or not word or any(ch.isspace() for ch in word):
-                raise error(f"entry {index} needs a non-empty string 'word' without whitespace, got {word!r}")
+            if not is_word(word):
+                raise error(f"entry {index} 'word' {word!r} is not a word ({WORD_RULE})")
         fold = meta.get("case_fold", False)
         if type(fold) is not bool:
             raise error(f"build_meta case_fold must be true or false, got {fold!r}")
         return LoadedDictionary(words, case_fold=fold if case_fold is None else case_fold)
     words = []
     for line_number, line in enumerate(content.splitlines(), 1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "\t" in line:
-            fields = line.split("\t")
-            if len(fields) != 8:
-                raise error(f"expected 8 TSV columns, got {len(fields)}", line_number)
-            word = fields[0]
-        else:
-            word = line.strip()
-        if not word:
-            raise error("empty word", line_number)
-        if any(ch.isspace() for ch in word):
-            raise error(f"word contains whitespace: {word!r}", line_number)
+        word, *rest = fields = line.split("\t")
+        if rest and len(fields) != 8:
+            raise error(f"expected 8 TSV columns, got {len(fields)}", line_number)
+        if not is_word(word):
+            raise error(f"{word!r} is not a word ({WORD_RULE})", line_number)
         words.append(word)
     return LoadedDictionary(words, case_fold=bool(case_fold))
 

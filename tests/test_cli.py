@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import gzip
 import hashlib
 import importlib
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import abbrevkit
 from abbrevkit import dictionary, segment, synth
 from abbrevkit.cli import build_parser, main
-from abbrevkit.ingest import Aggregator
+from abbrevkit.ingest import Aggregator, is_word
 
 import oracles
 from helpers import WIDE_ATOMS, texts_of
@@ -458,7 +459,9 @@ class TestSpansMatchOracle:
     def test_dictionary_and_baseline_modes(self, tmp_path_factory, text, data):
         work = tmp_path_factory.mktemp("spans")
         read = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
-        runs = sorted(set(re.findall(r"[^\W\d_]+", read)))
+        # letter runs of the segmenter that are words; a run such as '²гл'
+        # breaks the word rule, and the CLI refuses it in any word list
+        runs = sorted(run for run in set(re.findall(r"[^\W\d_]+", read)) if is_word(run))
         if data.draw(st.booleans(), label="baseline"):
             argv, tokens, sentences = ["--baseline"], [], segment.baseline_segment(read)
         else:
@@ -626,6 +629,61 @@ class TestParamsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["mean_p0"] == 0.0
         assert doc["min_usage"] is None
+
+
+class TestEveryDictionaryFormat:
+    """Each dictionary format `build` writes is read alike, as a dictionary
+    and as an override or seed list."""
+
+    @pytest.fixture()
+    def built(self, aggregate_file, tmp_path):
+        outs = {suffix: tmp_path / f"dict.{suffix}" for suffix in ("txt", "tsv", "json")}
+        assert main(["build", "--aggregate", str(aggregate_file), "--out-words", str(outs["txt"]),
+                     "--out-tsv", str(outs["tsv"]), "--out-json", str(outs["json"])]) == 0
+        return outs
+
+    @pytest.mark.parametrize("suffix", ["tsv", "json"])
+    def test_override_list(self, corpus, built, tmp_path, suffix):
+        def segmented(*override):
+            out = tmp_path / "sentences.txt"
+            argv = ["segment", str(corpus / "text.txt"), "--dictionary", str(built["txt"]), *override]
+            assert main([*argv, "--output", str(out)]) == 0
+            return out.read_bytes()
+
+        plain = segmented("--override-list", str(built["txt"]))
+        assert plain != segmented()
+        assert segmented("--override-list", str(built[suffix])) == plain
+
+    @pytest.mark.parametrize("suffix", ["tsv", "json"])
+    def test_seed_list(self, aggregate_file, built, tmp_path, capsys, suffix):
+        (tmp_path / "commons.txt").write_text("слово\nдом\n", encoding="utf-8")
+
+        def outputs(seeds):
+            argv = ["--aggregate", str(aggregate_file), "--seed-abbrevs", str(seeds),
+                    "--seed-commons", str(tmp_path / "commons.txt")]
+            capsys.readouterr()
+            assert main(["params", *argv]) == 0
+            out = tmp_path / "reports"
+            assert main(["stats", *argv, "--reports", "p-series", "--out-dir", str(out)]) == 0
+            return [capsys.readouterr().out.encode("utf-8")] + [
+                (out / name).read_bytes() for name in ("p-series.tsv", "p-series.json")
+            ]
+
+        assert outputs(built[suffix]) == outputs(built["txt"])
+
+    def test_case_folded_dotted_capital_i(self, tmp_path):
+        # lower() of U+0130 ends in the combining mark U+0307
+        src = tmp_path / "c.tsv"
+        src.write_text("".join(f"İstanbul\t{year}\t100\t10\nİstanbul .\t{year}\t95\t9\n" for year in (1995, 1996)),
+                       encoding="utf-8")
+        agg = tmp_path / "agg.json"
+        assert main(["ingest", "--unigrams", str(src), "--case-fold", "--output", str(agg)]) == 0
+        assert list(Aggregator.load(agg).finalize()) == ["i\u0307stanbul"]
+        outs = [tmp_path / "dict.tsv", tmp_path / "dict.json", tmp_path / "dict.txt"]
+        assert main(["build", "--aggregate", str(agg), "--out-tsv", str(outs[0]), "--out-json", str(outs[1]),
+                     "--out-words", str(outs[2])]) == 0
+        for out in outs:
+            assert segment.load_dictionary(out).words == ("i\u0307stanbul",), out
 
 
 def _config(tmp_path, doc, name="config.json"):
@@ -951,6 +1009,16 @@ MALFORMED = {
                              "--p1", "0.4389616300445632", "--min-total", "1", "--out-words", "d.txt"], {}),
     "aggregate-word-empty": (BUILD, _state(words={"": {"1995": [9, 10, 1]}})),
     "aggregate-word-with-tab": (BUILD, _state(words={"a\tb c": {"1995": [9, 10, 1]}})),
+    "aggregate-word-hash": (BUILD, _state(words={"#x": {"1995": [9, 10, 1]}})),
+    "dictionary-entry-hash": (SEGMENT, _dictionary_doc(entries=[{"word": "#x"}])),
+    "seed-word-digit": (["params", "--aggregate", "agg.json", "--seed-abbrevs", "bad.txt", "--seed-commons", "in.txt"],
+                        "др\nг1\n".encode("utf-8")),
+    "override-word-inner-space": (["segment", "in.txt", "--baseline", "--override-list", "bad.txt"],
+                                  "гор\nгл вторая\n".encode("utf-8")),
+    # the float log-ratio slope is -1.4e-17 here: an error-target scan would run for minutes
+    "flag-p0-p1-flat-error-targets": (["build", "--aggregate", "agg.json", "--method", "lrt", "--p0", "0.1",
+                                       "--p1", "0.10000000000000002", "--alpha-target", "0.001",
+                                       "--beta-target", "0.001", "--out-words", "d.txt"], {}),
 }
 # case -> parts its ERROR line must contain, besides the name of its bad.* file
 MESSAGE_PARTS = {
@@ -982,6 +1050,11 @@ MESSAGE_PARTS = {
     "flag-p0-p1-adjacent": ["p0=0.4389616300445631", "p1=0.4389616300445632"],
     "aggregate-word-empty": ["aggregate state:", "word key ''"],
     "aggregate-word-with-tab": ["aggregate state:", "word key 'a\\tb c'"],
+    "aggregate-word-hash": ["aggregate state:", "word key '#x' is not a word"],
+    "dictionary-entry-hash": ["entry 0", "'#x' is not a word"],
+    "seed-word-digit": ["line 2:", "'г1' is not a word"],
+    "override-word-inner-space": ["line 2:", "'гл вторая' is not a word"],
+    "flag-p0-p1-flat-error-targets": ["min usage search", "p0=0.1", "p1=0.10000000000000002"],
     "flag-window-inverted": ["--window", "'2008:1990'"],
     "config-window-inverted": ["--window", "'2008:1990'"],
     "flag-mean-window-inverted": ["--mean-window", "'2008:1998'"],
@@ -1010,7 +1083,7 @@ class TestMalformedInputs:
         (tmp_path / "in.txt").write_text("Смотри гл. вторая", encoding="utf-8")
         result = subprocess.run(
             [sys.executable, "-m", "abbrevkit.cli", *argv],
-            input=stdin, capture_output=True, env=_cli_env(), cwd=tmp_path,
+            input=stdin, capture_output=True, env=_cli_env(), cwd=tmp_path, timeout=60,
         )
         stderr = result.stderr.decode("utf-8")
         assert result.returncode == 1
@@ -1078,3 +1151,52 @@ class TestMalformedInputs:
         line = self._error_line(tmp_path, ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt",
                                            "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
         assert "totals.tsv" in line and "line 1" in line, line
+
+
+# word-list files in the three dictionary formats, holding any words
+_LIST_WORDS = st.text(st.sampled_from([*"дрГлab#1²{}\".,\\ ", "\t", "\u0301", "\u0307", "İ"]), max_size=5)
+_WORD_LISTS = st.one_of(
+    st.lists(_LIST_WORDS, max_size=4).map("\n".join),
+    st.lists(_LIST_WORDS, max_size=3).map(
+        lambda words: "".join(f"{word}\t0.95\t19\t20\t2\t1\tmedian-threshold\t-\n" for word in words)
+    ),
+    st.lists(_LIST_WORDS | st.integers() | st.none(), max_size=3).map(
+        lambda words: json.dumps(_dictionary_doc(entries=[{"word": word} for word in words]), ensure_ascii=False)
+    ),
+)
+
+
+class TestWordListFuzz:
+    """Any dictionary, override or seed list through `main` exits 0 with
+    no ERROR line or 1 with one, and raises nothing."""
+
+    ROLES = {
+        "dictionary": ["segment", "in.txt", "--dictionary", "list", "--output", "out.txt"],
+        "stats-dictionary": ["stats", "--aggregate", "agg.json", "--dictionary", "list",
+                             "--reports", "length-histogram", "--out-dir", "r"],
+        "override": ["segment", "in.txt", "--dictionary", "words.txt", "--override-list", "list", "--output", "out.txt"],
+        "seed": ["params", "--aggregate", "agg.json", "--seed-abbrevs", "list", "--seed-commons", "words.txt"],
+    }
+
+    @given(st.sampled_from(sorted(ROLES)), _WORD_LISTS)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_and_error_lines(self, tmp_path_factory, role, content):
+        work = tmp_path_factory.mktemp("lists")
+        words = {"др": {"1995": [9, 10, 1]}, "гл": {"1995": [1, 10, 1]}}
+        (work / "agg.json").write_text(json.dumps(_state(words=words), ensure_ascii=False), encoding="utf-8")
+        (work / "in.txt").write_text("Смотри гл. Вторая гор. Казань.", encoding="utf-8")
+        (work / "words.txt").write_text("гл\n", encoding="utf-8")
+        (work / "list").write_text(content, encoding="utf-8")
+        names = {"agg.json", "in.txt", "words.txt", "list", "out.txt", "r"}
+        argv = [str(work / arg) if arg in names else arg for arg in self.ROLES[role]]
+        errors = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = errors.append
+        logging.getLogger("abbrevkit").addHandler(handler)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            logging.getLogger("abbrevkit").removeHandler(handler)
+        assert code in (0, 1)
+        assert len(errors) == code and all("\n" not in record.getMessage() for record in errors)

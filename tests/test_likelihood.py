@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -157,11 +158,16 @@ class TestSolveThreshold:
     @pytest.mark.parametrize("p0, p1", [(0.4389616300445631, 0.4389616300445632), (0.1, 0.10000000000000002)])
     def test_rejects_a_slope_rounded_to_zero_or_below(self, p0, p1):
         # p1 > p0, yet the float slope is 0 (eta divides by it) or negative
-        # (eta turns negative and every decided word is admitted)
+        # (eta turns negative and every decided word is admitted); the
+        # error-target scan would run for minutes, so it must refuse at once
         params = HypothesisParams(p0, p1, 1.0)
         assert likelihood._log_ratio_terms(params)[0] <= 0.0
         with pytest.raises(ValueError, match=f"p0={p0}, p1={p1}"):
             solve_threshold(10, params)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"min usage search .* p0={p0}, p1={p1}"):
+            min_usage_for_error(params, 1e-3, 1e-3)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestErrorProbabilities:

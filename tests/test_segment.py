@@ -20,6 +20,14 @@ from abbrevkit.segment import (
     token_columns,
 )
 from abbrevkit import synth
+from abbrevkit.dictionary import (
+    BuildOptions,
+    build_dictionary,
+    dictionary_to_json,
+    dictionary_to_tsv,
+    dictionary_to_wordlist,
+)
+from abbrevkit.ingest import Aggregator, is_word
 
 import oracles
 from helpers import boundary_f1, boundary_offsets, wide_texts
@@ -256,6 +264,35 @@ class TestLoadDictionary:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DictionaryLoadError):
             load_dictionary(tmp_path / "absent.txt")
+
+
+# aggregate word keys: letters, "#", digits, punctuation, whitespace,
+# combining marks and the capital whose lower() adds one
+_KEY_TEXTS = st.text(st.sampled_from([*"дрaZ#1²._-, ", "\t", "\n", "\u0301", "\u0307", "İ"]), max_size=5)
+
+
+class TestWordRuleRoundTrip:
+    """An aggregate `from_state` accepts builds into TSV, JSON and word
+    list, and each loads back as exactly the words built."""
+
+    @given(st.lists(_KEY_TEXTS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_build_outputs_load_as_built(self, tmp_path_factory, keys):
+        state = Aggregator().to_state()
+        state["words"] = {key: {"1995": [19, 20, 2], "1996": [19, 20, 2]} for key in keys}
+        try:
+            agg = Aggregator.from_state(state)
+        except ValueError:
+            assert not all(map(is_word, keys))
+            return
+        options = BuildOptions(min_total=0, min_volumes=0, min_active_years=0)
+        built = build_dictionary(agg.finalize(), options, agg.fingerprints)
+        assert built.words() == sorted(set(keys))
+        work = tmp_path_factory.mktemp("round-trip")
+        for name, write in [("d.tsv", dictionary_to_tsv), ("d.json", dictionary_to_json),
+                            ("d.txt", dictionary_to_wordlist)]:
+            (work / name).write_text(write(built), encoding="utf-8")
+            assert load_dictionary(work / name).words == tuple(built.words()), name
 
 
 class TestTokenizeKinds:
