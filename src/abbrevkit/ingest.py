@@ -15,16 +15,17 @@ import hashlib
 import io
 import json
 import logging
-import multiprocessing
 import os
 import re
 import sys
 import unicodedata
 import zlib
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import chain, compress, repeat
+from operator import floordiv, gt, le, lshift
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -87,16 +88,54 @@ class YearlyUsage(NamedTuple):
     volumes_with_period: int
 
 
+class _Series(Mapping):
+    """A word's yearly usage as a read-only mapping year -> `YearlyUsage`,
+    in year order.  `finalize` gives it columns of normalized counts,
+    immutable tuples, and each `YearlyUsage` is built on its first read."""
+
+    __slots__ = ("_years", "_columns", "_built")
+
+    def __init__(self, years: tuple[int, ...], with_period: tuple[int, ...], totals: tuple[int, ...],
+                 volumes: tuple[int, ...]) -> None:
+        self._years = years
+        self._columns = (with_period, totals, volumes)
+        self._built: dict[int, YearlyUsage] = {}
+
+    def __getitem__(self, year: int) -> YearlyUsage:
+        usage = self._built.get(year)
+        if usage is None:
+            try:
+                index = self._years.index(year)
+            except ValueError:
+                raise KeyError(year) from None
+            usage = self._built[year] = YearlyUsage(self._years[index], *(c[index] for c in self._columns))
+        return usage
+
+    def __contains__(self, year: object) -> bool:
+        return year in self._years
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(sorted(self._years))
+
+    def __len__(self) -> int:
+        return len(self._years)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass
 class WordProfile:
     """Per-word yearly usage plus aggregates over the analysis window.
 
-    `series` holds every retained year (normalized so with_period never
-    exceeds total); the scalar aggregates cover `window` only.
+    `series` maps every retained year to its usage, normalized so that
+    with_period never exceeds total; `finalize` makes it a read-only
+    mapping that builds each `YearlyUsage` on read.  The scalar
+    aggregates cover `window` only.
     """
 
     word: str
-    series: dict[int, YearlyUsage]
+    series: Mapping[int, YearlyUsage]
     window: tuple[int, int]
     n_total: int = 0
     N_total: int = 0
@@ -404,46 +443,35 @@ class Aggregator:
         Normalization never drops data: with_period greater than total is
         clamped down (the external corpus thresholds 1-grams and 2-grams
         independently), and a with-period year lacking any unigram count
-        gets total set to with_period.  Both fixups flag the word.
+        gets total set to with_period.  Both fixups flag the word.  Each
+        profile's `series` reads a snapshot of the normalized counts, so
+        a later `update` or `consume_lines` does not change it.
         """
         if window is None:
             window = (self.config.year_min, self.config.year_max)
         lo, hi = window
         profiles: dict[str, WordProfile] = {}
-        for word, years in self._counts.items():
-            series: dict[int, YearlyUsage] = {}
-            clamped = 0
-            filled = 0
-            n_total = 0
-            t_total = 0
-            volumes = 0
-            active = 0
-            shares: list[tuple[int, int]] = []
-            for year in sorted(years):
-                with_period, total, vols = years[year]
-                if total == 0 and with_period > 0:
-                    total = with_period
-                    filled += 1
-                elif with_period > total:
-                    with_period = total
-                    clamped += 1
-                series[year] = YearlyUsage(year, with_period, total, vols)
-                if lo <= year <= hi:
-                    n_total += with_period
-                    t_total += total
-                    volumes += vols
-                    if total > 0:
-                        active += 1
-                        shares.append((with_period, total))
+        for word, cells in self._counts.items():
+            years = tuple(cells)
+            with_period, totals, volumes = zip(*cells.values()) if years else ((), (), ())
+            clamped = filled = 0
+            if not all(map(le, with_period, totals)):
+                with_period, totals, clamped, filled = _normalized(with_period, totals)
+            in_window = (with_period, totals, volumes)
+            if years and not lo <= min(years) <= max(years) <= hi:
+                kept = [lo <= year <= hi for year in years]
+                in_window = tuple(tuple(compress(column, kept)) for column in in_window)
+            n_in, total_in, volumes_in = in_window
+            shares = list(compress(zip(n_in, total_in), map(gt, total_in, repeat(0))))
             profiles[word] = WordProfile(
                 word=word,
-                series=series,
+                series=_Series(years, with_period, totals, volumes),
                 window=window,
-                n_total=n_total,
-                N_total=t_total,
+                n_total=sum(n_in),
+                N_total=sum(total_in),
                 median_share=_median(shares),
-                active_years=active,
-                volumes_total=volumes,
+                active_years=len(shares),
+                volumes_total=sum(volumes_in),
                 clamped_years=clamped,
                 filled_years=filled,
             )
@@ -507,7 +535,17 @@ class Aggregator:
             raise ValueError(f"aggregate state: fingerprints must be strings, got {bad}")
         agg.fingerprints = dict(state["fingerprints"])
         lo, hi = agg.config.year_min, agg.config.year_max
+        year_of = _year_keys(state["words"].values(), lo, hi)
         for word, years in state["words"].items():
+            # a word is checked in bulk, and its cells copied; only a word
+            # that fails runs the per-cell loop below, which words its first fault
+            if type(years) is dict and year_of.keys() >= years.keys() and is_word(word):
+                cells = list(years.values())
+                if (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {3}
+                        and set(map(type, chain.from_iterable(cells))) <= {int}
+                        and min(chain.from_iterable(cells), default=0) >= 0):
+                    agg._counts[word] = dict(zip(map(year_of.__getitem__, years), map(list, cells)))
+                    continue
             if not is_word(word):
                 raise ValueError(f"aggregate state: word key {word!r} is not a word ({WORD_RULE})")
             if not isinstance(years, dict):
@@ -546,24 +584,58 @@ class Aggregator:
             return cls.from_state(json.load(handle))
 
 
+def _year_keys(words: Iterable[object], lo: int, hi: int) -> dict[str, int]:
+    """The keys of the year maps among `words` that `to_state` writes for a
+    year in lo..hi, each with its year."""
+    keys = set(chain.from_iterable(years for years in words if type(years) is dict))
+    year_of = {}
+    for key in keys:
+        if type(key) is str and key.removeprefix("-").isdecimal():
+            try:
+                year = int(key)
+            except ValueError:  # more digits than `int` converts
+                continue
+            if str(year) == key and lo <= year <= hi:
+                year_of[key] = year
+    return year_of
+
+
 def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _normalized(with_period: tuple[int, ...], totals: tuple[int, ...]) -> tuple[tuple, tuple, int, int]:
+    """The with-period and total columns after `finalize`'s fixups, and
+    the number of clamped and of filled years."""
+    pairs = []
+    clamped = filled = 0
+    for n, total in zip(with_period, totals):
+        if total == 0 and n > 0:
+            total = n
+            filled += 1
+        elif n > total:
+            n = total
+            clamped += 1
+        pairs.append((n, total))
+    with_period, totals = zip(*pairs)
+    return with_period, totals, clamped, filled
+
+
 def _median(shares: list[tuple[int, int]]) -> Fraction | None:
-    """The median of the shares ``with_period / total`` (each total > 0).
-    They are ordered by exact integer cross-products, and a `Fraction` is
-    built only for the middle one or two."""
+    """The median of the shares ``n / N`` (each N > 0), with a `Fraction`
+    built only for the middle one or two.  The shares are ordered by the
+    integer key ``(n << k) // N``, k twice the bit length of the largest
+    N: two shares a/b < c/d differ by at least 1/(bd) > 2**-k, so their
+    keys differ in the same order, and the middle keys name the middle
+    shares."""
     if not shares:
         return None
-    ordered = sorted(shares, key=_BY_SHARE)
-    mid, odd = divmod(len(ordered), 2)
-    if odd:
-        return Fraction(*ordered[mid])
-    return (Fraction(*ordered[mid - 1]) + Fraction(*ordered[mid])) / 2
-
-
-_BY_SHARE = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    with_period, totals = zip(*shares)
+    k = 2 * max(totals).bit_length()
+    keys = list(map(floordiv, map(lshift, with_period, repeat(k)), totals))
+    mid, odd = divmod(len(keys), 2)
+    middle = [Fraction(*shares[keys.index(key)]) for key in sorted(keys)[mid - 1 + odd:mid + 1]]
+    return middle[0] if odd else (middle[0] + middle[1]) / 2
 
 
 def _ingest_chunk(payload: tuple[IngestConfig, list[str], str]) -> Aggregator:
@@ -594,8 +666,9 @@ def ingest_paths(
         return _ingest_chunk((config, paths, on_error))
     chunks = [paths[first::count] for first in range(count)]
     # the workers take every chunk but the first, which this process parses
-    # meanwhile; their shards are then folded into its aggregate
-    with multiprocessing.Pool(count - 1) as pool:
+    # meanwhile; their shards are then folded into its aggregate.  The pool
+    # comes from this module's `multiprocessing` attribute (see `__getattr__`)
+    with sys.modules[__name__].multiprocessing.Pool(count - 1) as pool:
         shards: Iterator[Aggregator] = pool.imap_unordered(
             _ingest_chunk, [(config, chunk, on_error) for chunk in chunks[1:]]
         )
@@ -603,3 +676,15 @@ def ingest_paths(
         for shard in shards:
             merged.update(shard)
     return merged
+
+
+def __getattr__(name: str):
+    """`ingest.multiprocessing`, imported on first use: the import adds
+    about 18 ms to every start, and only a parallel `ingest_paths` needs
+    it."""
+    if name != "multiprocessing":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import multiprocessing
+
+    globals()[name] = multiprocessing
+    return multiprocessing

@@ -32,6 +32,52 @@ def texts_of(atoms: list[str]) -> st.SearchStrategy[str]:
 
 wide_texts = texts_of(WIDE_ATOMS)
 
+# the faults `aggregate_states` puts into a valid state
+BAD_COUNTS = [True, False, 1.5, 3.0, -1, "3", None, [1]]
+BAD_YEAR_KEYS = ["01995", "+1995", "1995.0", " 1995", "1995 ", "-1995", "-0", "1_995", "\u0661\u0669\u0669\u0665",
+                 "x", "", "1989", "2009"]
+BAD_CELLS = [[1, 2], [1, 2, 3, 4], [[1, 2, 3]], [[1], 2, 3], [], (1, 2, 3), {"1": 2}, "123", 5, None]
+BAD_YEAR_MAPS = [[], [[1995, 1, 2, 3]], 5, "1995", None]
+BAD_WORDS = ["#x", "", "a b", "г1", "x\u00b2y", "гл."]
+
+
+@st.composite
+def aggregate_states(draw, max_count: int = 10**6) -> dict:
+    """`Aggregator().to_state()` holding a few words, with up to two
+    faults: a count that is a bool, float, string or negative; a year key
+    that is not the ``str`` of a window year; a cell of the wrong shape;
+    a word mapped to something other than an object; a word key that is
+    not a word; or a counter or config value of the wrong type."""
+    cells = st.lists(st.integers(0, max_count), min_size=3, max_size=3)
+    year_maps = st.dictionaries(st.integers(1990, 2008).map(str), cells, max_size=4)
+    state = Aggregator().to_state()
+    words = state["words"] = draw(st.dictionaries(
+        st.sampled_from(["др", "гл", "слово", "ab", "i\u0307stanbul"]), year_maps, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        word = draw(st.sampled_from(sorted(words)))
+        years = words[word]
+        kind = draw(st.sampled_from(["count", "year-key", "cell", "year-map", "word", "counter", "config"]))
+        if kind in ("count", "year-key", "cell"):
+            if not (isinstance(years, dict) and years):
+                continue
+            key = draw(st.sampled_from(sorted(years)))
+            if kind == "count" and isinstance(years[key], list) and len(years[key]) == 3:
+                years[key][draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_COUNTS))
+            elif kind == "year-key":
+                years[draw(st.sampled_from(BAD_YEAR_KEYS))] = years.pop(key)
+            elif kind == "cell":
+                years[key] = draw(st.sampled_from(BAD_CELLS))
+        elif kind == "year-map":
+            words[word] = draw(st.sampled_from(BAD_YEAR_MAPS))
+        elif kind == "word":
+            words[draw(st.sampled_from(BAD_WORDS))] = words.pop(word)
+        elif kind == "counter":
+            state["counters"][draw(st.sampled_from(sorted(state["counters"])))] = draw(st.sampled_from(BAD_COUNTS))
+        else:
+            key = draw(st.sampled_from(["year_min", "year_max", "year_floor", "year_ceiling", "case_fold"]))
+            state["config"][key] = draw(st.sampled_from(BAD_COUNTS))
+    return state
+
 
 def aggregate(records: Iterable[NgramRecord], config: IngestConfig | None = None) -> dict[str, WordProfile]:
     """One-shot aggregation of already-parsed records into profiles."""

@@ -13,6 +13,10 @@ replaced.  `is_candidate_word_reference` is the per-character range
 test that the compiled letter class replaced.  `add_record_reference`
 and `consume_lines_reference` are the record fold and the per-line loop
 (`parse_line`, then the fold) that `Aggregator.consume_lines` replaced.
+`from_state_reference` is the per-cell state checker that
+`Aggregator.from_state` now runs only for a word that fails its bulk
+checks, and `finalize_reference` the eager finalize that built every
+`YearlyUsage` before `WordProfile.series` was built on read.
 """
 from __future__ import annotations
 
@@ -23,7 +27,20 @@ import unicodedata
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from abbrevkit.ingest import Aggregator, NgramRecord, ParseError, parse_line
+from dataclasses import fields
+
+from abbrevkit.ingest import (
+    WORD_RULE,
+    Aggregator,
+    IngestConfig,
+    IngestCounters,
+    NgramRecord,
+    ParseError,
+    WordProfile,
+    YearlyUsage,
+    is_word,
+    parse_line,
+)
 from abbrevkit.segment import (
     EMPTY_DICTIONARY,
     KIND_ABBREV,
@@ -182,6 +199,127 @@ def consume_lines_reference(agg: Aggregator, lines: Iterable[str], on_error: str
             continue
         agg.counters.lines_parsed += 1
         add_record_reference(agg, record)
+
+
+# -- aggregate state and finalize: the per-cell checker and the eager
+# finalize the library replaced, kept as written.
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def from_state_reference(state: dict) -> Aggregator:
+    """Rebuild an aggregator from `to_state` output; any other shape
+    raises ValueError."""
+    cls = Aggregator
+    if not isinstance(state, dict):
+        raise ValueError(f"aggregate state must be a JSON object, got {type(state).__name__}")
+    if state.get("format") != cls.STATE_FORMAT:
+        raise ValueError(f"not an aggregate state file: format={state.get('format')!r}")
+    if state.get("version") != cls.STATE_VERSION:
+        raise ValueError(f"unsupported aggregate state version {state.get('version')!r}")
+    state = {"fingerprints": {}, **state}
+    for key in ("config", "counters", "fingerprints", "words"):
+        if not isinstance(state.get(key), dict):
+            raise ValueError(f"aggregate state: {key!r} must be an object")
+    unknown = set(state["config"]) - {f.name for f in fields(IngestConfig)}
+    if unknown:
+        raise ValueError(f"aggregate state: unknown config keys {sorted(unknown)}")
+    for key, value in state["config"].items():
+        if key == "case_fold":
+            expected, ok = "true or false", type(value) is bool
+        elif key == "scripts":
+            # JSON gives a list, `to_state` itself a tuple
+            expected = "a list of strings"
+            ok = type(value) in (list, tuple) and all(type(s) is str for s in value)
+        else:
+            expected, ok = "an int", type(value) is int
+        if not ok:
+            raise ValueError(f"aggregate state: config {key} must be {expected}, got {value!r}")
+    if not all(_is_count(v) for v in state["counters"].values()):
+        raise ValueError(f"aggregate state: counters must be non-negative ints, got {state['counters']}")
+    try:
+        agg = cls(IngestConfig(**state["config"]))
+        agg.counters = IngestCounters(**state["counters"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"aggregate state: {exc}") from None
+    bad = {path: value for path, value in state["fingerprints"].items() if type(value) is not str}
+    if bad:
+        raise ValueError(f"aggregate state: fingerprints must be strings, got {bad}")
+    agg.fingerprints = dict(state["fingerprints"])
+    lo, hi = agg.config.year_min, agg.config.year_max
+    for word, years in state["words"].items():
+        if not is_word(word):
+            raise ValueError(f"aggregate state: word key {word!r} is not a word ({WORD_RULE})")
+        if not isinstance(years, dict):
+            raise ValueError(f"aggregate state: word {word!r} must map years to cells")
+        cells = agg._counts[word] = {}
+        for key, cell in years.items():
+            # `to_state` writes str(year), and `consume_lines` keeps only years in the window
+            year = int(key) if key.removeprefix("-").isdecimal() else None
+            if year is None or str(year) != key or not lo <= year <= hi:
+                raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
+            if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):
+                raise ValueError(
+                    f"aggregate state: {word!r} year {year} needs three non-negative ints, got {cell!r}"
+                )
+            cells[year] = list(cell)
+    return agg
+
+
+def _median_reference(shares: list[tuple[int, int]]) -> Fraction | None:
+    if not shares:
+        return None
+    ordered = sorted(Fraction(*share) for share in shares)
+    mid, odd = divmod(len(ordered), 2)
+    return ordered[mid] if odd else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def finalize_reference(agg: Aggregator, window: tuple[int, int] | None = None) -> dict[str, WordProfile]:
+    """Normalize counts and compute per-word aggregates over `window`
+    (default: the ingestion window), every `YearlyUsage` built at once."""
+    if window is None:
+        window = (agg.config.year_min, agg.config.year_max)
+    lo, hi = window
+    profiles: dict[str, WordProfile] = {}
+    for word, years in agg._counts.items():
+        series: dict[int, YearlyUsage] = {}
+        clamped = 0
+        filled = 0
+        n_total = 0
+        t_total = 0
+        volumes = 0
+        active = 0
+        shares: list[tuple[int, int]] = []
+        for year in sorted(years):
+            with_period, total, vols = years[year]
+            if total == 0 and with_period > 0:
+                total = with_period
+                filled += 1
+            elif with_period > total:
+                with_period = total
+                clamped += 1
+            series[year] = YearlyUsage(year, with_period, total, vols)
+            if lo <= year <= hi:
+                n_total += with_period
+                t_total += total
+                volumes += vols
+                if total > 0:
+                    active += 1
+                    shares.append((with_period, total))
+        profiles[word] = WordProfile(
+            word=word,
+            series=series,
+            window=window,
+            n_total=n_total,
+            N_total=t_total,
+            median_share=_median_reference(shares),
+            active_years=active,
+            volumes_total=volumes,
+            clamped_years=clamped,
+            filled_years=filled,
+        )
+    return profiles
 
 
 # -- segmentation: the token walk and the character scan the segmenter

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 import abbrevkit
 from abbrevkit import dictionary, segment, synth
 from abbrevkit.cli import build_parser, main
-from abbrevkit.ingest import Aggregator, is_word
+from abbrevkit.ingest import Aggregator, YearlyUsage, is_word
 
 import oracles
-from helpers import WIDE_ATOMS, texts_of
+from helpers import WIDE_ATOMS, aggregate_states, texts_of
 
 SPEC_DOC = {
     "abbrev_words": ["др", "гл", "тов", "гор", "ул"],
@@ -191,6 +191,43 @@ class TestBuildCommand:
         doc = json.loads(out_b.read_text(encoding="utf-8"))
         assert doc["build_meta"]["method"] == "median"
         assert doc["build_meta"]["thresholds"]["min_volumes"] == 1
+
+
+class TestUsageBuiltOnRead:
+    """`finalize` builds no `YearlyUsage`; `stats` builds one per year of
+    each series it reads (dictionary entries and seed words)."""
+
+    @pytest.fixture()
+    def made(self, monkeypatch):
+        made = []
+        new = YearlyUsage.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(YearlyUsage, "__new__", counted)
+        return made
+
+    @pytest.mark.parametrize("method", ["median", "lrt", "both-must-agree"])
+    def test_build_makes_none(self, aggregate_file, tmp_path, made, method):
+        out = tmp_path / "dict.tsv"
+        assert main(["build", "--aggregate", str(aggregate_file), "--method", method, "--out-tsv", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") and made == []
+
+    def test_stats_makes_at_most_one_per_read_year(self, aggregate_file, tmp_path, made):
+        words = tmp_path / "dict.txt"
+        assert main(["build", "--aggregate", str(aggregate_file), "--out-words", str(words)]) == 0
+        assert made == []
+        seeds = {"abbrevs": ["гл", "др"], "commons": ["год", "дом", "мир"]}
+        for role, listed in seeds.items():
+            (tmp_path / f"{role}.txt").write_text("\n".join(listed) + "\n", encoding="utf-8")
+        assert main(["stats", "--aggregate", str(aggregate_file), "--dictionary", str(words),
+                     "--seed-abbrevs", str(tmp_path / "abbrevs.txt"), "--seed-commons", str(tmp_path / "commons.txt"),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        entries = len(words.read_text(encoding="utf-8").split())
+        years = SPEC_DOC["years"][1] - SPEC_DOC["years"][0] + 1
+        assert 0 < len(made) <= (entries + len(seeds["abbrevs"]) + len(seeds["commons"])) * years
 
 
 class TestStatsCommand:
@@ -1166,6 +1203,25 @@ _WORD_LISTS = st.one_of(
 )
 
 
+def _main_errors(argv: list[str]) -> tuple[int, list[logging.LogRecord]]:
+    """`main(argv)` in this process, with stdout discarded: its exit code
+    and the ERROR records it logged."""
+    errors = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = errors.append
+    logging.getLogger("abbrevkit").addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        logging.getLogger("abbrevkit").removeHandler(handler)
+    return code, errors
+
+
+def _exit_0_or_one_error(code: int, errors: list[logging.LogRecord]) -> bool:
+    return code in (0, 1) and len(errors) == code and all("\n" not in record.getMessage() for record in errors)
+
+
 class TestWordListFuzz:
     """Any dictionary, override or seed list through `main` exits 0 with
     no ERROR line or 1 with one, and raises nothing."""
@@ -1189,14 +1245,39 @@ class TestWordListFuzz:
         (work / "list").write_text(content, encoding="utf-8")
         names = {"agg.json", "in.txt", "words.txt", "list", "out.txt", "r"}
         argv = [str(work / arg) if arg in names else arg for arg in self.ROLES[role]]
-        errors = []
-        handler = logging.Handler(logging.ERROR)
-        handler.emit = errors.append
-        logging.getLogger("abbrevkit").addHandler(handler)
+        assert _exit_0_or_one_error(*_main_errors(argv))
+
+
+class TestAggregateFuzz:
+    """A valid aggregate state with faults in its counts, year keys,
+    cells, word values, word keys, counters or config, through `build`
+    and `stats` in `main`: exit 0 with no ERROR record or 1 with one
+    single-line one, and no exception.  Both commands refuse exactly the
+    states the per-cell checker (`oracles.from_state_reference`) refuses."""
+
+    @given(aggregate_states(), st.sampled_from(["median", "lrt", "both-must-agree"]))
+    @settings(max_examples=150, deadline=None)
+    def test_build_and_stats(self, tmp_path_factory, state, method):
+        work = tmp_path_factory.mktemp("aggregates")
+        text = json.dumps(state, ensure_ascii=False)
+        (work / "agg.json").write_text(text, encoding="utf-8")
+        (work / "abbrevs.txt").write_text("др\nгл\n", encoding="utf-8")
+        (work / "commons.txt").write_text("слово\n", encoding="utf-8")
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-        finally:
-            logging.getLogger("abbrevkit").removeHandler(handler)
-        assert code in (0, 1)
-        assert len(errors) == code and all("\n" not in record.getMessage() for record in errors)
+            oracles.from_state_reference(json.loads(text))
+            refused = False
+        except ValueError:
+            refused = True
+        files = {"agg.json", "abbrevs.txt", "commons.txt", "d.tsv", "d.json", "d.txt", "r"}
+        for argv in (
+            ["build", "--aggregate", "agg.json", "--method", method, "--min-total", "1",
+             "--out-tsv", "d.tsv", "--out-json", "d.json", "--out-words", "d.txt"],
+            ["stats", "--aggregate", "agg.json", "--dictionary", "abbrevs.txt", "--seed-abbrevs", "abbrevs.txt",
+             "--seed-commons", "commons.txt", "--out-dir", "r"],
+        ):
+            code, errors = _main_errors([str(work / arg) if arg in files else arg for arg in argv])
+            assert _exit_0_or_one_error(code, errors)
+            if refused:
+                assert code == 1 and "aggregate state" in errors[0].getMessage()
+            elif argv[0] == "build":
+                assert code == 0

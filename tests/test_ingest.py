@@ -1,10 +1,12 @@
 import ast
+import copy
 import gzip
 import hashlib
 import itertools
 import json
 import statistics
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from abbrevkit.ingest import (
     IngestConfig,
     NgramRecord,
     ParseError,
+    WordProfile,
+    YearlyUsage,
     _letter_class,
     _median,
     ingest_paths,
@@ -28,7 +32,7 @@ from abbrevkit.ingest import (
 )
 
 import oracles
-from helpers import aggregate
+from helpers import aggregate, aggregate_states
 
 CFG = IngestConfig()
 RANGES = CFG.letter_ranges()
@@ -256,8 +260,12 @@ _NEAR = [(999_999_999, 1_000_000_000), (1_000_000_000, 1_000_000_001), (999_999_
 _TIES = [(1, 2), (2, 4), (500_000_000, 1_000_000_000), (0, 1), (0, 7), (3, 3), (1_000_000_000, 1_000_000_000)]
 
 
+# totals near 10**15: t/(t + 1) and (t - 1)/t are distinct but one float
+_NEAR_15 = st.integers(10**8, 10**15).map(lambda t: [(t - 1, t), (t, t + 1), (t - 2, t - 1)])
+
+
 class TestMedianOrder:
-    """`_median` orders shares by integer cross-products, with the result
+    """`_median` orders shares by an exact integer key, with the result
     of sorting them as Fractions."""
 
     @staticmethod
@@ -279,6 +287,24 @@ class TestMedianOrder:
     ))
     @settings(max_examples=300, deadline=None)
     def test_matches_sorted_fractions(self, pairs):
+        assert _median(pairs) == self._reference(pairs)
+
+    def test_float_ties_near_10_15(self):
+        t = 10**15
+        low, high = (t - 1, t), (t, t + 1)
+        assert Fraction(*low) < Fraction(*high) and low[0] / low[1] == high[0] / high[1]
+        assert _median([high, low, (0, 5)]) == Fraction(*low)
+        assert _median([high, (1, 1), low]) == Fraction(*high)
+
+    @given(st.lists(
+        _NEAR_15
+        | st.integers(1, 10**15).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t))).map(lambda p: [p])
+        | st.sampled_from(_NEAR + _TIES).map(lambda p: [p]),
+        max_size=12,
+    ).map(lambda groups: [pair for group in groups for pair in group]), st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_totals_to_10_15_match_sorted_fractions(self, pairs, rng):
+        rng.shuffle(pairs)
         assert _median(pairs) == self._reference(pairs)
 
 
@@ -662,6 +688,117 @@ class TestFilesAndPersistence:
         profile = agg.finalize()["др"]
         assert profile.series[1995].with_period == 10
         assert profile.series[1995].total == 30
+
+
+class TestFromStateMatchesReference:
+    """`from_state` checks each word in bulk and runs the per-cell checker
+    only for a word that fails; it accepts and refuses what that checker
+    (`oracles.from_state_reference`) does, with the same message."""
+
+    @given(aggregate_states(max_count=2**70))
+    @settings(max_examples=400, deadline=None)
+    def test_same_verdict_message_and_counts(self, state):
+        given_state = copy.deepcopy(state)
+        try:
+            want = oracles.from_state_reference(copy.deepcopy(state))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Aggregator.from_state(state)
+            assert str(got.value) == str(exc)
+            return
+        agg = Aggregator.from_state(state)
+        assert agg._counts == want._counts
+        assert [list(years) for years in agg._counts.values()] == [list(years) for years in want._counts.values()]
+        assert (agg.config, agg.counters, agg.fingerprints) == (want.config, want.counters, want.fingerprints)
+        assert state == given_state
+        given_cells = {id(cell) for years in state["words"].values() for cell in years.values()}
+        assert not given_cells & {id(cell) for years in agg._counts.values() for cell in years.values()}
+
+    def test_loaded_cells_are_not_shared_with_to_state(self):
+        source = _fill([NgramRecord(("др", "."), 1995, 120, 30), NgramRecord(("др",), 1995, 200, 9)])
+        loaded = Aggregator.from_state(source.to_state())
+        loaded.update(source)
+        assert source._counts == {"др": {1995: [120, 200, 30]}}
+        assert loaded._counts == {"др": {1995: [240, 400, 60]}}
+
+    @pytest.mark.parametrize("key", ["9" * 5000, "-" + "1" * 5000])
+    def test_year_key_too_long_for_int(self, key):
+        state = Aggregator().to_state()
+        state["words"] = {"др": {"1995": [9, 10, 1], key: [1, 2, 1]}}
+        with pytest.raises(ValueError) as want:
+            oracles.from_state_reference(copy.deepcopy(state))
+        with pytest.raises(ValueError) as got:
+            Aggregator.from_state(state)
+        assert str(got.value) == str(want.value)
+
+
+# raw counts with small values, so that years get clamped and filled, in
+# an aggregate whose window is wider than most finalize windows
+_RAW_COUNTS = st.dictionaries(
+    st.sampled_from(["др", "гл", "слово"]),
+    st.dictionaries(st.integers(1940, 2008), st.lists(st.integers(0, 30), min_size=3, max_size=3), max_size=8),
+    max_size=3,
+)
+_FINALIZE_WINDOWS = st.none() | st.tuples(st.integers(1930, 2010), st.integers(0, 80)).map(
+    lambda start: (start[0], start[0] + start[1]))
+_WIDE = IngestConfig(year_min=1940, year_max=2008)
+
+
+def _raw(counts) -> Aggregator:
+    agg = Aggregator(_WIDE)
+    agg._counts = {word: {year: list(cell) for year, cell in years.items()} for word, years in counts.items()}
+    return agg
+
+
+class TestFinalizeMatchesReference:
+    """`finalize` computes the scalar fields, and its `series` builds
+    each normalized `YearlyUsage` on read; both as the eager finalize
+    (`oracles.finalize_reference`) gives them."""
+
+    @given(_RAW_COUNTS, _FINALIZE_WINDOWS)
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_and_series_item(self, counts, window):
+        agg = _raw(counts)
+        want = oracles.finalize_reference(agg, window)
+        got = agg.finalize(window)
+        assert list(got) == list(want)
+        for word, profile in got.items():
+            for field in fields(WordProfile):
+                if field.name != "series":
+                    assert getattr(profile, field.name) == getattr(want[word], field.name), field.name
+            assert list(profile.series.items()) == list(want[word].series.items())
+            assert len(profile.series) == len(want[word].series)
+            assert profile == want[word]
+            for year in range(1930, 2011):
+                assert (year in profile.series) == (year in want[word].series)
+                assert profile.series.get(year) == want[word].series.get(year)
+
+    def test_series_is_read_only_and_reads_once(self):
+        series = _raw({"др": {1995: [5, 3, 1], 1950: [2, 0, 1]}}).finalize()["др"].series
+        assert list(series) == [1950, 1995]
+        assert series[1995] is series[1995] == YearlyUsage(1995, 3, 3, 1)
+        with pytest.raises(KeyError):
+            series[1996]
+        with pytest.raises(TypeError):
+            series[1995] = YearlyUsage(1995, 0, 0, 0)
+
+    @pytest.mark.parametrize("change", ["update", "consume_lines"])
+    def test_series_does_not_change_after_the_aggregate_does(self, change):
+        agg = _fill([NgramRecord(("др", "."), 1995, 120, 30), NgramRecord(("др",), 1995, 200, 9),
+                     NgramRecord(("др",), 1996, 50, 9)])
+        profile = agg.finalize()["др"]
+        first_read = profile.series[1996]
+        want = dict(oracles.finalize_reference(agg)["др"].series)
+        lines = ["др .\t1995\t7\t1\n", "др\t1995\t70\t3\n", "др .\t1996\t9\t2\n", "др\t1997\t40\t2\n"]
+        if change == "update":
+            other = Aggregator(CFG)
+            other.consume_lines(lines)
+            agg.update(other)
+        else:
+            agg.consume_lines(lines)
+        assert agg._counts["др"][1995] == [127, 270, 31] and 1997 in agg._counts["др"]
+        assert dict(profile.series) == want and profile.series[1996] is first_read
+        assert 1997 not in profile.series and len(profile.series) == 2
 
 
 class TestFinalizeWindows:
