@@ -111,6 +111,10 @@ class _Series(Mapping):
             usage = self._built[year] = YearlyUsage(self._years[index], *(c[index] for c in self._columns))
         return usage
 
+    def get(self, year: int, default: YearlyUsage | None = None) -> YearlyUsage | None:
+        # `Mapping.get` would raise and catch a KeyError for every absent year
+        return self[year] if year in self._years else default
+
     def __contains__(self, year: object) -> bool:
         return year in self._years
 

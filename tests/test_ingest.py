@@ -779,6 +779,7 @@ class TestFinalizeMatchesReference:
         assert series[1995] is series[1995] == YearlyUsage(1995, 3, 3, 1)
         with pytest.raises(KeyError):
             series[1996]
+        assert series.get(1996) is None and series.get(1996, "absent") == "absent"
         with pytest.raises(TypeError):
             series[1995] = YearlyUsage(1995, 0, 0, 0)
 
