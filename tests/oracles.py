@@ -24,10 +24,9 @@ import json
 import math
 import re
 import unicodedata
+from dataclasses import fields
 from fractions import Fraction
 from typing import Iterable, NamedTuple
-
-from dataclasses import fields
 
 from abbrevkit.ingest import (
     WORD_RULE,
