@@ -194,25 +194,25 @@ def dynamics(
     """
     if years[0] > years[1]:
         raise ValueError(f"empty year range {years}")
-    span = range(years[0], years[1] + 1)
-
-    def year_count(entry: WordProfile, year: int) -> int:
-        usage = entry.series.get(year)
-        return usage.with_period if usage is not None else 0
-
-    overall = {entry.word: sum(year_count(entry, year) for year in span) for entry in entries}
+    lo, hi = years
+    # each entry's (year, with-period count) pairs inside `years`, read once
+    counts = [(entry.word, [(year, usage.with_period) for year, usage in entry.series.items() if lo <= year <= hi])
+              for entry in entries]
+    overall = {word: sum(n for _, n in pairs) for word, pairs in counts}
     ranked = sorted(overall, key=lambda w: (-overall[w], w))
     top_words = set(ranked[: max(0, top_k)])
 
+    span = range(lo, hi + 1)
+    totals, tops = dict.fromkeys(span, 0), dict.fromkeys(span, 0)
+    for word, pairs in counts:
+        for year, n in pairs:
+            totals[year] += n
+            if word in top_words:
+                tops[year] += n
+
     rows = []
     for year in span:
-        total = 0
-        top = 0
-        for entry in entries:
-            count = year_count(entry, year)
-            total += count
-            if entry.word in top_words:
-                top += count
+        total, top = totals[year], tops[year]
         ratio = top / total if total > 0 else 1.0
         if totals_by_year and totals_by_year.get(year, 0) > 0:
             denom = totals_by_year[year]

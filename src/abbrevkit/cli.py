@@ -236,10 +236,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if needs_dict and entries is None:
         raise CliError(f"reports {needs_dict} need --dictionary")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     totals_by_year = _read_totals(args.totals) if args.totals else None
 
+    reports = []
     for kind in args.reports:
         if kind == "rare-cumulative":
             report = analytics.rare_cumulative(entries, args.max_volumes)
@@ -262,9 +261,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
             report = analytics.dynamics(entries, args.dynamics_window, args.top_k, totals_by_year)
         report.meta.setdefault("window", list(effective_window))
         report.meta.setdefault("dictionary_fingerprint", dictionary_digest)
-        _write_output(out_dir / f"{kind}.tsv", report.to_tsv())
-        _write_output(out_dir / f"{kind}.json", report.to_json())
-        logger.info("wrote %s (%d rows)", out_dir / f"{kind}.tsv", len(report.rows))
+        reports.append(report)
+    # every input is read and every report made before the first write
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for report in reports:
+        _write_output(out_dir / f"{report.kind}.tsv", report.to_tsv())
+        _write_output(out_dir / f"{report.kind}.json", report.to_json())
+        logger.info("wrote %s (%d rows)", out_dir / f"{report.kind}.tsv", len(report.rows))
     return 0
 
 
@@ -422,7 +426,7 @@ def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
             common_words=word_map(doc.get("common_words", []), float(doc.get("default_p0", 0.068))),
             **{key: cast(doc[key]) for key, cast in casts.items() if key in doc},
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"spec {path}: {exc}") from None
 
 

@@ -91,38 +91,28 @@ class YearlyUsage(NamedTuple):
 class _Series(Mapping):
     """A word's yearly usage as a read-only mapping year -> `YearlyUsage`,
     in year order.  `finalize` gives it columns of normalized counts,
-    immutable tuples, and each `YearlyUsage` is built on its first read."""
+    immutable tuples, and the whole dict is built on its first read."""
 
-    __slots__ = ("_years", "_columns", "_built")
+    __slots__ = ("_columns", "_by_year")
 
     def __init__(self, years: tuple[int, ...], with_period: tuple[int, ...], totals: tuple[int, ...],
                  volumes: tuple[int, ...]) -> None:
-        self._years = years
-        self._columns = (with_period, totals, volumes)
-        self._built: dict[int, YearlyUsage] = {}
+        self._columns = (years, with_period, totals, volumes)
+        self._by_year: dict[int, YearlyUsage] | None = None
+
+    def _usage(self) -> dict[int, YearlyUsage]:
+        if self._by_year is None:
+            self._by_year = {usage.year: usage for usage in sorted(map(YearlyUsage, *self._columns))}
+        return self._by_year
 
     def __getitem__(self, year: int) -> YearlyUsage:
-        usage = self._built.get(year)
-        if usage is None:
-            try:
-                index = self._years.index(year)
-            except ValueError:
-                raise KeyError(year) from None
-            usage = self._built[year] = YearlyUsage(self._years[index], *(c[index] for c in self._columns))
-        return usage
-
-    def get(self, year: int, default: YearlyUsage | None = None) -> YearlyUsage | None:
-        # `Mapping.get` would raise and catch a KeyError for every absent year
-        return self[year] if year in self._years else default
-
-    def __contains__(self, year: object) -> bool:
-        return year in self._years
+        return self._usage()[year]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._years))
+        return iter(self._usage())
 
     def __len__(self) -> int:
-        return len(self._years)
+        return len(self._columns[0])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
@@ -134,8 +124,8 @@ class WordProfile:
 
     `series` maps every retained year to its usage, normalized so that
     with_period never exceeds total; `finalize` makes it a read-only
-    mapping that builds each `YearlyUsage` on read.  The scalar
-    aggregates cover `window` only.
+    mapping that builds all its `YearlyUsage`s on its first read.  The
+    scalar aggregates cover `window` only.
     """
 
     word: str

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import WordProfile
@@ -334,30 +334,25 @@ class ShareEstimate:
     warnings: list[str] = field(default_factory=list)
 
 
-def _pool_shares(
-    profiles: Mapping[str, "WordProfile"],
-    seeds: Sequence[str],
-    years: Iterable[int],
-    pooled: bool,
-) -> dict[int, float]:
+def _pool_shares(profiles: Mapping[str, "WordProfile"], seeds: Sequence[str], window: tuple[int, int],
+                 pooled: bool) -> dict[int, float]:
+    """Each year's share over `seeds`, in year order, for the window years
+    some seed has: each seed's usages are grouped by year in seed order."""
+    lo, hi = window
+    by_year: dict[int, list] = {}
+    for word in seeds:
+        for year, usage in profiles[word].series.items():
+            if lo <= year <= hi:
+                by_year.setdefault(year, []).append(usage)
     shares: dict[int, float] = {}
-    for year in years:
+    for year in sorted(by_year):
+        usages = by_year[year]
         if pooled:
-            n_sum = 0
-            t_sum = 0
-            for word in seeds:
-                usage = profiles[word].series.get(year)
-                if usage is not None:
-                    n_sum += usage.with_period
-                    t_sum += usage.total
+            t_sum = sum(usage.total for usage in usages)
             if t_sum > 0:
-                shares[year] = n_sum / t_sum
+                shares[year] = sum(usage.with_period for usage in usages) / t_sum
         else:
-            ratios = []
-            for word in seeds:
-                usage = profiles[word].series.get(year)
-                if usage is not None and usage.total > 0:
-                    ratios.append(usage.with_period / usage.total)
+            ratios = [usage.with_period / usage.total for usage in usages if usage.total > 0]
             if ratios:
                 shares[year] = sum(ratios) / len(ratios)
     return shares
@@ -404,9 +399,8 @@ def estimate_share_params(
 
     if window is None:
         window = profiles[abbrevs[0]].window
-    years = range(window[0], window[1] + 1)
-    est.p1_by_year = _pool_shares(profiles, abbrevs, years, pooled)
-    est.p0_by_year = _pool_shares(profiles, commons, years, pooled)
+    est.p1_by_year = _pool_shares(profiles, abbrevs, window, pooled)
+    est.p0_by_year = _pool_shares(profiles, commons, window, pooled)
 
     def window_mean(series: dict[int, float]) -> float | None:
         values = [v for y, v in series.items() if mean_window[0] <= y <= mean_window[1]]

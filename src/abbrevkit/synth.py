@@ -58,11 +58,15 @@ class SynthSpec:
         if overlap:
             raise ValueError(f"word lists must be disjoint, both contain: {sorted(overlap)}")
         for word, p in list(self.abbrev_words.items()) + list(self.common_words.items()):
+            if not isinstance(word, str):
+                raise ValueError(f"word {word!r} is not a string")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability for {word!r} outside [0,1]: {p}")
         unknown = set(self.title_like) - set(self.abbrev_words)
         if unknown:
             raise ValueError(f"title_like words not in abbrev_words: {sorted(unknown)}")
+        if not all(len(pair) == 2 and all(type(v) is int for v in pair) for pair in (self.years, self.totals_range)):
+            raise ValueError(f"years and totals_range must be two ints each: {self.years!r}, {self.totals_range!r}")
         if self.years[0] > self.years[1]:
             raise ValueError(f"empty year range {self.years}")
         lo, hi = self.totals_range

@@ -43,14 +43,19 @@ BAD_WORDS = ["#x", "", "a b", "г1", "x\u00b2y", "гл."]
 
 @st.composite
 def aggregate_states(draw, max_count: int = 10**6) -> dict:
-    """`Aggregator().to_state()` holding a few words, with up to two
-    faults: a count that is a bool, float, string or negative; a year key
-    that is not the ``str`` of a window year; a cell of the wrong shape;
-    a word mapped to something other than an object; a word key that is
-    not a word; or a counter or config value of the wrong type."""
+    """`Aggregator().to_state()` holding a few words, its valid window
+    1990..2008 maybe widened to start or end 10**9 years away, with up to
+    two faults: a count that is a bool, float, string or negative; a year
+    key that is not the ``str`` of a window year; a cell of the wrong
+    shape; a word mapped to something other than an object; a word key
+    that is not a word; or a counter or config value of the wrong type."""
     cells = st.lists(st.integers(0, max_count), min_size=3, max_size=3)
     year_maps = st.dictionaries(st.integers(1990, 2008).map(str), cells, max_size=4)
     state = Aggregator().to_state()
+    if draw(st.booleans()):
+        state["config"].update(year_floor=-10**9, year_min=-10**9)
+    if draw(st.booleans()):
+        state["config"].update(year_max=10**9, year_ceiling=10**9)
     words = state["words"] = draw(st.dictionaries(
         st.sampled_from(["др", "гл", "слово", "ab", "i\u0307stanbul"]), year_maps, min_size=1, max_size=4))
     for _ in range(draw(st.integers(0, 2))):

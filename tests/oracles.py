@@ -17,6 +17,9 @@ and `consume_lines_reference` are the record fold and the per-line loop
 `Aggregator.from_state` now runs only for a word that fails its bulk
 checks, and `finalize_reference` the eager finalize that built every
 `YearlyUsage` before `WordProfile.series` was built on read.
+`pool_shares_reference` and `dynamics_reference` are the dense walks
+that probed every year of a range in every series, before the share
+estimate and the dynamics report read only the years a series has.
 """
 from __future__ import annotations
 
@@ -26,7 +29,9 @@ import re
 import unicodedata
 from dataclasses import fields
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from abbrevkit.analytics import Report
 
 from abbrevkit.ingest import (
     WORD_RULE,
@@ -319,6 +324,81 @@ def finalize_reference(agg: Aggregator, window: tuple[int, int] | None = None) -
             filled_years=filled,
         )
     return profiles
+
+
+def pool_shares_reference(
+    profiles: Mapping[str, WordProfile],
+    seeds: Sequence[str],
+    years: Iterable[int],
+    pooled: bool,
+) -> dict[int, float]:
+    shares: dict[int, float] = {}
+    for year in years:
+        if pooled:
+            n_sum = 0
+            t_sum = 0
+            for word in seeds:
+                usage = profiles[word].series.get(year)
+                if usage is not None:
+                    n_sum += usage.with_period
+                    t_sum += usage.total
+            if t_sum > 0:
+                shares[year] = n_sum / t_sum
+        else:
+            ratios = []
+            for word in seeds:
+                usage = profiles[word].series.get(year)
+                if usage is not None and usage.total > 0:
+                    ratios.append(usage.with_period / usage.total)
+            if ratios:
+                shares[year] = sum(ratios) / len(ratios)
+    return shares
+
+
+def dynamics_reference(
+    entries: Sequence[WordProfile],
+    years: tuple[int, int] = (1940, 2008),
+    top_k: int = 300,
+    totals_by_year: Mapping[int, int] | None = None,
+) -> Report:
+    if years[0] > years[1]:
+        raise ValueError(f"empty year range {years}")
+    span = range(years[0], years[1] + 1)
+
+    def year_count(entry: WordProfile, year: int) -> int:
+        usage = entry.series.get(year)
+        return usage.with_period if usage is not None else 0
+
+    overall = {entry.word: sum(year_count(entry, year) for year in span) for entry in entries}
+    ranked = sorted(overall, key=lambda w: (-overall[w], w))
+    top_words = set(ranked[: max(0, top_k)])
+
+    rows = []
+    for year in span:
+        total = 0
+        top = 0
+        for entry in entries:
+            count = year_count(entry, year)
+            total += count
+            if entry.word in top_words:
+                top += count
+        ratio = top / total if total > 0 else 1.0
+        if totals_by_year and totals_by_year.get(year, 0) > 0:
+            denom = totals_by_year[year]
+            rows.append((year, total / denom, top / denom, ratio))
+        else:
+            rows.append((year, total, top, ratio))
+    return Report(
+        kind="dynamics",
+        columns=("year", "total_with_period", "top_k_with_period", "top_k_share"),
+        rows=rows,
+        meta={
+            "top_k": top_k,
+            "years": list(years),
+            "normalized": bool(totals_by_year),
+            "entries": len(entries),
+        },
+    )
 
 
 # -- segmentation: the token walk and the character scan the segmenter

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abbrevkit.analytics import (
     dynamics,
@@ -12,8 +14,11 @@ from abbrevkit.analytics import (
     p_series,
     rare_cumulative,
 )
-from abbrevkit.ingest import WordProfile
+from abbrevkit.ingest import Aggregator, IngestConfig, WordProfile, YearlyUsage
+from abbrevkit.likelihood import ShareEstimate, estimate_share_params
 from helpers import build_profiles
+
+import oracles
 
 
 def _entry(word, volumes=5, n_total=100, active_years=10):
@@ -195,6 +200,80 @@ class TestDynamics:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             dynamics([], years=(2000, 1999))
+
+
+# a word's raw (with_period, total, volumes) cells by year, drawn in any
+# year order; totals may be zero and with_period may exceed the total
+# (small counts make ties in the dynamics ranking likely)
+_COUNTS = st.integers(0, 3) | st.integers(0, 30)
+_CELLS = st.dictionaries(st.integers(1985, 2012), st.tuples(_COUNTS, _COUNTS, st.integers(0, 5)), max_size=8)
+# a year range narrower or wider than the data, or outside it
+_SPANS = st.tuples(st.integers(1975, 2020), st.integers(0, 40)).map(lambda start: (start[0], start[0] + start[1]))
+
+
+@st.composite
+def _series(draw):
+    """A hand-built plain dict in the drawn year order, or the series
+    `finalize` builds from the same cells."""
+    cells = draw(_CELLS)
+    if draw(st.booleans()):
+        return {year: YearlyUsage(year, *cell) for year, cell in cells.items()}
+    agg = Aggregator(IngestConfig(year_min=1985, year_max=2012))
+    agg._counts = {"w": {year: list(cell) for year, cell in cells.items()}}
+    return agg.finalize()["w"].series
+
+
+def _profile(word: str, series, window=(1990, 2008)) -> WordProfile:
+    return WordProfile(word=word, series=series, window=window, active_years=1)
+
+
+def _window_mean(shares: dict[int, float], mean_window: tuple[int, int]) -> float | None:
+    values = [v for y, v in shares.items() if mean_window[0] <= y <= mean_window[1]]
+    return sum(values) / len(values) if values else None
+
+
+class TestReadersMatchDenseWalks:
+    """The share estimate and the dynamics report read only the years each
+    series has; they give what the walks over every year of the range
+    (`oracles.pool_shares_reference`, `oracles.dynamics_reference`) give."""
+
+    @given(
+        st.fixed_dictionaries({word: _series() for word in ["а", "б", "в", "г", "д"]}),
+        st.lists(st.sampled_from(["а", "б"]), min_size=1, max_size=4),
+        st.lists(st.sampled_from(["в", "г", "д"]), min_size=1, max_size=4),
+        st.none() | _SPANS,
+        _SPANS,
+        _SPANS,
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_share_estimate(self, series, abbrevs, commons, window, profile_window, mean_window, pooled):
+        profiles = {word: _profile(word, s, profile_window) for word, s in series.items()}
+        got = estimate_share_params(profiles, abbrevs, commons, window, mean_window, pooled)
+        lo, hi = window or profile_window
+        p1 = oracles.pool_shares_reference(profiles, abbrevs, range(lo, hi + 1), pooled)
+        p0 = oracles.pool_shares_reference(profiles, commons, range(lo, hi + 1), pooled)
+        assert got == ShareEstimate(p1, p0, _window_mean(p1, mean_window), _window_mean(p0, mean_window), mean_window)
+        assert list(got.p1_by_year.items()) == list(p1.items())
+        assert list(got.p0_by_year.items()) == list(p0.items())
+        report = p_series(profiles, abbrevs, commons, window, mean_window, pooled)
+        assert report.rows == [(year, p0[year], p1[year]) for year in sorted(set(p0) & set(p1))]
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["а", "б", "в", "г"]), _series()), max_size=6),
+        _SPANS,
+        st.sampled_from([0, 1, 2, 1000]) | st.integers(0, 6),
+        st.none() | st.dictionaries(st.integers(1975, 2060), st.integers(-1, 50), max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dynamics(self, drawn, years, top_k, totals_by_year):
+        # a word may come twice, with the same series or another one
+        entries = [_profile(word, series) for word, series in drawn]
+        entries += entries[:1]
+        got = dynamics(entries, years, top_k, totals_by_year)
+        want = oracles.dynamics_reference(entries, years, top_k, totals_by_year)
+        assert got == want
+        assert got.to_tsv() == want.to_tsv() and got.to_json() == want.to_json()
 
 
 class TestReportSerialization:

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import logging
+import math
 import multiprocessing
 import os
 import re
@@ -306,6 +307,22 @@ class TestStatsCommand:
             "--out-dir", str(out),
         ]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["p-series.json", "p-series.tsv"]
+
+    @pytest.mark.parametrize("seeds", [[], ["--seed-abbrevs", "absent.txt", "--seed-commons", "commons.txt"],
+                                       ["--seed-abbrevs", "commons.txt", "--seed-commons", "commons.txt"]],
+                             ids=["no-seed-lists", "seed-list-absent", "seed-lists-overlap"])
+    def test_failing_report_writes_nothing(self, aggregate_file, tmp_path, seeds):
+        """Every report is made before the first write: a p-series that
+        cannot be made leaves no out dir, though the reports before it
+        could have been written."""
+        words = tmp_path / "dict.txt"
+        assert main(["build", "--aggregate", str(aggregate_file), "--out-words", str(words)]) == 0
+        (tmp_path / "commons.txt").write_text("слово\n", encoding="utf-8")
+        out = tmp_path / "r"
+        code, errors = _main_errors(["stats", "--aggregate", str(aggregate_file), "--dictionary", str(words),
+                                     *(str(tmp_path / arg) if arg.endswith(".txt") else arg for arg in seeds),
+                                     "--out-dir", str(out)])
+        assert code == 1 and len(errors) == 1 and not out.exists()
 
     def test_dictionary_dependent_report_needs_dictionary(self, aggregate_file, tmp_path):
         assert main([
@@ -636,6 +653,31 @@ class TestParamsCommand:
         assert doc["mean_p0"] == pytest.approx(0.068, abs=0.03)
         assert doc["min_usage"]["total"] >= 1
         assert len(doc["p1_by_year"]) == 19
+
+    def test_window_far_wider_than_data(self, tmp_path):
+        """A valid state whose window starts at -10**9 reads like the same
+        words in a 1990-2008 state: no reader walks the window year by year."""
+        words = {"др": {"1995": [9, 10, 1]}, "год": {"1995": [1, 10, 1]}}
+        (tmp_path / "a.txt").write_text("др\n", encoding="utf-8")
+        (tmp_path / "c.txt").write_text("год\n", encoding="utf-8")
+        runs = {}
+        for name, low in [("narrow", 1990), ("wide", -10**9)]:
+            state = _state(words=words)
+            state["config"].update(year_min=low, year_floor=min(low, state["config"]["year_floor"]))
+            (tmp_path / f"{name}.json").write_text(json.dumps(state, ensure_ascii=False), encoding="utf-8")
+            for command in (["params", "--mean-window", "1990:2008"],
+                            ["stats", "--reports", "p-series", "--out-dir", f"{name}-r"]):
+                result = subprocess.run(
+                    [sys.executable, "-m", "abbrevkit.cli", *command, "--aggregate", f"{name}.json",
+                     "--seed-abbrevs", "a.txt", "--seed-commons", "c.txt"],
+                    capture_output=True, env=_cli_env(), cwd=tmp_path, timeout=60,
+                )
+                assert result.returncode == 0, result.stderr
+                runs[name, command[0]] = result.stdout
+            runs[name, "stats"] = (tmp_path / f"{name}-r" / "p-series.tsv").read_bytes()
+        assert runs["wide", "params"] == runs["narrow", "params"]
+        assert json.loads(runs["wide", "params"])["min_usage"]["total"] >= 1
+        assert runs["wide", "stats"] == runs["narrow", "stats"] == b"# year\tp0\tp1\n1995\t0.1\t0.9\n"
 
     def test_missing_seed_file_is_error(self, aggregate_file, tmp_path):
         assert main([
@@ -1250,10 +1292,11 @@ class TestWordListFuzz:
 
 class TestAggregateFuzz:
     """A valid aggregate state with faults in its counts, year keys,
-    cells, word values, word keys, counters or config, through `build`
-    and `stats` in `main`: exit 0 with no ERROR record or 1 with one
-    single-line one, and no exception.  Both commands refuse exactly the
-    states the per-cell checker (`oracles.from_state_reference`) refuses."""
+    cells, word values, word keys, counters or config, through `build`,
+    `stats` and `params` in `main`: exit 0 with no ERROR record or 1 with
+    one single-line one, and no exception.  Each command refuses exactly
+    the states the per-cell checker (`oracles.from_state_reference`)
+    refuses."""
 
     @given(aggregate_states(), st.sampled_from(["median", "lrt", "both-must-agree"]))
     @settings(max_examples=150, deadline=None)
@@ -1274,6 +1317,10 @@ class TestAggregateFuzz:
              "--out-tsv", "d.tsv", "--out-json", "d.json", "--out-words", "d.txt"],
             ["stats", "--aggregate", "agg.json", "--dictionary", "abbrevs.txt", "--seed-abbrevs", "abbrevs.txt",
              "--seed-commons", "commons.txt", "--out-dir", "r"],
+            # no share means, so no error-target scan, whose run time grows
+            # as the random seed shares come close
+            ["params", "--aggregate", "agg.json", "--seed-abbrevs", "abbrevs.txt", "--seed-commons", "commons.txt",
+             "--mean-window", "1:1"],
         ):
             code, errors = _main_errors([str(work / arg) if arg in files else arg for arg in argv])
             assert _exit_0_or_one_error(code, errors)
@@ -1281,3 +1328,113 @@ class TestAggregateFuzz:
                 assert code == 1 and "aggregate state" in errors[0].getMessage()
             elif argv[0] == "build":
                 assert code == 0
+
+
+# JSON values for config and spec entries, bounded so that no accepted
+# input asks for a long run or a large output
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60),
+    st.sampled_from([0.0, 0.5, 1e-3, 0.9, -1.0, 1.5, 3.0, 1e300, math.inf, -math.inf, math.nan]),
+    st.sampled_from(["", "x", "0", "-1", "3", "0.5", "1e3", "inf", "nan", "-", "--verbose", "гл", "ab",
+                     "1990:2008", "2008:1990", "1995:1995", "1:2:3", "lrt", "median", "both-must-agree",
+                     "skip", "abort", "cyrillic", "latin,cyrillic", "dynamics", "p-series,length-histogram"]),
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(st.sampled_from(["гл", "x"]), _SCALARS,
+                                                                       max_size=2)
+
+
+def _fuzz_dir(tmp_path_factory) -> Path:
+    """A directory holding agg.json, in.txt, words.txt and the seed lists
+    abbrevs.txt and commons.txt."""
+    work = tmp_path_factory.mktemp("inputs")
+    words = {"др": {"1995": [9, 10, 1], "1996": [5, 6, 1]}, "гл": {"1995": [1, 10, 1]}}
+    (work / "agg.json").write_text(json.dumps(_state(words=words), ensure_ascii=False), encoding="utf-8")
+    (work / "in.txt").write_text("Смотри гл. Вторая гор. Казань.\nдр\t1995\t5\t1\n", encoding="utf-8")
+    (work / "words.txt").write_text("др\nгл\n", encoding="utf-8")
+    (work / "abbrevs.txt").write_text("др\n", encoding="utf-8")
+    (work / "commons.txt").write_text("гл\n", encoding="utf-8")
+    return work
+
+
+# a command for each config fuzz run, and every option of those commands
+# as a config key; no drawn value names an existing file, so an ingest
+# reads in.txt alone and starts no worker process
+_CONFIG_COMMANDS = {
+    "ingest": ["ingest", "--unigrams", "in.txt", "--output", "a.json"],
+    "build": ["build", "--aggregate", "agg.json", "--out-words", "d.txt"],
+    "stats": ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt", "--seed-abbrevs", "abbrevs.txt",
+              "--seed-commons", "commons.txt", "--out-dir", "r"],
+    "segment": ["segment", "in.txt", "--dictionary", "words.txt", "--output", "out.txt"],
+    "params": ["params", "--aggregate", "agg.json", "--seed-abbrevs", "abbrevs.txt", "--seed-commons", "commons.txt"],
+}
+_SUBPARSERS = next(action.choices for action in build_parser()._actions if action.dest == "command")
+_CONFIG_KEYS = sorted({action.dest for name in _CONFIG_COMMANDS for action in _SUBPARSERS[name]._actions
+                       if action.option_strings})
+
+
+# a valid value for every synth spec entry, small enough for a quick run
+_SPEC_ENTRIES = {
+    "abbrev_words": st.lists(st.sampled_from(["др", "гл", "тов"]), unique=True, max_size=3)
+    | st.dictionaries(st.sampled_from(["др", "гл", "тов"]), st.floats(0, 1), max_size=3),
+    "common_words": st.lists(st.sampled_from(["год", "дом", "мир"]), unique=True, max_size=3),
+    "default_p1": st.floats(0, 1),
+    "default_p0": st.floats(0, 1),
+    "years": st.tuples(st.integers(1988, 1994), st.integers(0, 3)).map(lambda y: [y[0], y[0] + y[1]]),
+    "totals_range": st.tuples(st.integers(1, 20), st.integers(0, 20)).map(lambda t: [t[0], t[0] + t[1]]),
+    "seed": st.integers(0, 100),
+    "volumes_divisor": st.integers(1, 20),
+    "title_like": st.lists(st.sampled_from(["др", "гл"]), unique=True, max_size=2),
+    "period_comma_swap": st.floats(0, 1),
+    "sentences": st.integers(1, 20),
+}
+
+
+@st.composite
+def _specs(draw):
+    """A synth spec of valid entries, with common words, and up to two
+    entries set to any JSON value, under a spec key or an unknown one."""
+    doc = draw(st.fixed_dictionaries({}, optional=_SPEC_ENTRIES))
+    doc.setdefault("common_words", ["год"])
+    for _ in range(draw(st.integers(0, 2))):
+        doc[draw(st.sampled_from([*sorted(_SPEC_ENTRIES), "unknown"]))] = draw(_VALUES)
+    return doc
+
+
+# totals files whose lines hold up to three fields, valid or not
+_TOTALS_FIELDS = st.sampled_from(["1995", "1996", "2008", "1939", "-1995", "0", "5", "-5", "x", "", " 7", "1_995",
+                                  "١٩٩٥", "1e3", "9" * 30, "# c"])
+_TOTALS_FILES = st.lists(st.lists(_TOTALS_FIELDS, max_size=3).map("\t".join), max_size=5).map("\n".join)
+
+
+class TestInputFileFuzz:
+    """Any config, synth spec or totals file through `main` exits 0 with
+    no ERROR record or 1 with one single-line one, and raises nothing.
+    Each run is in its own directory, which any relative output path a
+    config names lands in."""
+
+    @given(st.sampled_from(sorted(_CONFIG_COMMANDS)),
+           st.dictionaries(st.sampled_from(_CONFIG_KEYS), _VALUES, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_config(self, tmp_path_factory, command, doc):
+        work = _fuzz_dir(tmp_path_factory)
+        (work / "config.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with contextlib.chdir(work):
+            assert _exit_0_or_one_error(*_main_errors(["--config", "config.json", *_CONFIG_COMMANDS[command]]))
+
+    @given(_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_spec(self, tmp_path_factory, doc):
+        work = _fuzz_dir(tmp_path_factory)
+        (work / "spec.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with contextlib.chdir(work):
+            assert _exit_0_or_one_error(*_main_errors(["synth", "--spec", "spec.json", "--out-dir", "out"]))
+
+    @given(_TOTALS_FILES, st.sampled_from([[], ["--top-k", "1"], ["--dynamics-window", "1995:1996"]]))
+    @settings(max_examples=150, deadline=None)
+    def test_totals(self, tmp_path_factory, content, flags):
+        work = _fuzz_dir(tmp_path_factory)
+        (work / "totals.tsv").write_text(content, encoding="utf-8")
+        with contextlib.chdir(work):
+            assert _exit_0_or_one_error(*_main_errors(["stats", "--aggregate", "agg.json", "--dictionary",
+                                                        "words.txt", "--reports", "dynamics", "--totals", "totals.tsv",
+                                                        *flags, "--out-dir", "r"]))
