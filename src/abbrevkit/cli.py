@@ -284,6 +284,9 @@ def _read_totals(path: str) -> dict[int, int]:
         where = f"totals file {path} line {line_number}"
         try:
             year, count = int(fields[0]), int(fields[1])
+            # a year as the aggregate spells one, a count in ASCII digits
+            if str(year) != fields[0] or not (fields[1].isascii() and fields[1].isdigit()):
+                raise ValueError
         except (IndexError, ValueError):
             raise CliError(f"{where}: expected 'year TAB count' as ints, got {line!r}") from None
         if count <= 0:

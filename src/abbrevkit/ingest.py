@@ -531,30 +531,26 @@ class Aggregator:
         lo, hi = agg.config.year_min, agg.config.year_max
         year_of = _year_keys(state["words"].values(), lo, hi)
         for word, years in state["words"].items():
-            # a word is checked in bulk, and its cells copied; only a word
-            # that fails runs the per-cell loop below, which words its first fault
-            if type(years) is dict and year_of.keys() >= years.keys() and is_word(word):
-                cells = list(years.values())
-                if (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {3}
-                        and set(map(type, chain.from_iterable(cells))) <= {int}
-                        and min(chain.from_iterable(cells), default=0) >= 0):
-                    agg._counts[word] = dict(zip(map(year_of.__getitem__, years), map(list, cells)))
-                    continue
             if not is_word(word):
                 raise ValueError(f"aggregate state: word key {word!r} is not a word ({WORD_RULE})")
             if not isinstance(years, dict):
                 raise ValueError(f"aggregate state: word {word!r} must map years to cells")
-            cells = agg._counts[word] = {}
-            for key, cell in years.items():
-                # `to_state` writes str(year), and `consume_lines` keeps only years in the window
-                year = int(key) if key.removeprefix("-").isdecimal() else None
-                if year is None or str(year) != key or not lo <= year <= hi:
-                    raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
-                if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):
-                    raise ValueError(
-                        f"aggregate state: {word!r} year {year} needs three non-negative ints, got {cell!r}"
-                    )
-                cells[year] = list(cell)
+            # a word's keys and cells are checked in bulk; only a word that
+            # fails is walked cell by cell, to word its first fault
+            cells = list(years.values())
+            if not (year_of.keys() >= years.keys() and set(map(type, cells)) <= {list}
+                    and set(map(len, cells)) <= {3} and set(map(type, chain.from_iterable(cells))) <= {int}
+                    and min(chain.from_iterable(cells), default=0) >= 0):
+                for key, cell in years.items():
+                    # `to_state` writes str(year), and `consume_lines` keeps only years in the window
+                    year = int(key) if key.removeprefix("-").isdecimal() else None
+                    if year is None or str(year) != key or not lo <= year <= hi:
+                        raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
+                    if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):
+                        raise ValueError(
+                            f"aggregate state: {word!r} year {year} needs three non-negative ints, got {cell!r}"
+                        )
+            agg._counts[word] = dict(zip(map(year_of.__getitem__, years), map(list, cells)))
         return agg
 
     def save(self, path: str | Path) -> None:
@@ -581,7 +577,7 @@ class Aggregator:
 def _year_keys(words: Iterable[object], lo: int, hi: int) -> dict[str, int]:
     """The keys of the year maps among `words` that `to_state` writes for a
     year in lo..hi, each with its year."""
-    keys = set(chain.from_iterable(years for years in words if type(years) is dict))
+    keys = set(chain.from_iterable(years for years in words if isinstance(years, dict)))
     year_of = {}
     for key in keys:
         if type(key) is str and key.removeprefix("-").isdecimal():

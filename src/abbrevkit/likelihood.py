@@ -297,13 +297,33 @@ def min_usage_for_error(
 
     Scans N upward; per N it takes the smallest eta meeting the alpha
     target (alpha falls and beta rises with eta, so that eta is the only
-    candidate worth checking).  Deterministic; raises
-    SearchExhaustedError beyond total_cap.
+    candidate worth checking).  The scan starts at Le Cam's bound: any
+    test on N trials has alpha + beta >= 1/2 * BC^(2N), with BC = 1 - H^2
+    the one-trial Bhattacharyya coefficient, so no N with 1/2 * BC^(2N)
+    above the summed targets (given a 1e-6 margin for rounding) can meet
+    both.  Deterministic; raises SearchExhaustedError beyond total_cap,
+    at once when the bound already lies beyond it.
     """
     if not (0.0 < alpha_target < 1.0 and 0.0 < beta_target < 1.0):
         raise ValueError("error targets must lie strictly between 0 and 1")
     _rising_terms(params, "min usage search")
-    for total in range(0, total_cap + 1):
+    p0, p1 = params.p0, params.p1
+    # H^2 = 1/2 [(sqrt p1 - sqrt p0)^2 + (sqrt(1-p0) - sqrt(1-p1))^2], each
+    # difference written as (p1 - p0) / (sum of roots) so that close shares
+    # do not cancel
+    hellinger2 = 0.5 * (p1 - p0) ** 2 * (
+        (math.sqrt(p0) + math.sqrt(p1)) ** -2 + (math.sqrt(1.0 - p0) + math.sqrt(1.0 - p1)) ** -2
+    )
+    # N is hopeless while 2N ln BC > ln(2 (alpha* + beta*)), with the margin
+    log_slack = math.log(2.0 * (alpha_target + beta_target) * (1.0 + 1e-6))
+    log_bc = math.log1p(-hellinger2)
+    if log_slack >= 0.0:
+        start = 0
+    elif 2.0 * total_cap * log_bc > log_slack:  # also when BC rounds to 1
+        start = total_cap + 1
+    else:
+        start = math.ceil(log_slack / (2.0 * log_bc))
+    for total in range(start, total_cap + 1):
         # alpha of eta is the tail P(n >= eta | p0), summed down from n = N;
         # it only grows, so the first sum above the target ends the scan
         alpha, eta = 0.0, total + 1

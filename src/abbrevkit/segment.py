@@ -174,20 +174,15 @@ def sentence_spans(
     sentence; whitespace around a sentence is outside its span.
     """
     dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
-    override_set = {w.lower() for w in override} if dictionary.case_fold else set(override)
-    backwards = text[::-1] if override_set else ""
+    # the stems a capital cannot end a sentence after, under the dictionary's case rule
+    protected = LoadedDictionary([w for w in override if w[:1].isalpha() and w in dictionary], dictionary.case_fold)
+    backwards = text[::-1] if protected else ""
     cuts = []  # char index just after each terminal period
     for match in _PERIOD_RE.finditer(text):
         if not match.group(1).isupper():
             continue
-        if override_set:
-            stem = _RUN_RE.match(backwards, len(text) - match.start()).group()[::-1]
-            if (
-                stem[:1].isalpha()
-                and stem in dictionary
-                and (stem.lower() if dictionary.case_fold else stem) in override_set
-            ):
-                continue
+        if protected and _RUN_RE.match(backwards, len(text) - match.start()).group()[::-1] in protected:
+            continue
         cuts.append(match.end())
     cuts.append(len(text))
 

@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import threading
+from inspect import signature
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abbrevkit
-from abbrevkit import dictionary, segment, synth
+from abbrevkit import analytics, dictionary, likelihood, segment, synth
 from abbrevkit.cli import build_parser, main
-from abbrevkit.ingest import Aggregator, YearlyUsage, is_word
+from abbrevkit.ingest import Aggregator, IngestConfig, YearlyUsage, is_word
 
 import oracles
 from helpers import WIDE_ATOMS, aggregate_states, texts_of
@@ -1231,6 +1232,18 @@ class TestMalformedInputs:
                                            "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
         assert "totals.tsv" in line and "line 1" in line, line
 
+    @pytest.mark.parametrize("content", [
+        "1_995\t5", "١٩٩٥\t5", "1995\t 5", "1995\t+5", "+1995\t5", "01995\t5", "-0\t5",
+    ])
+    def test_totals_year_and_count_in_plain_digits_only(self, tmp_path, content):
+        # each of these is an int() spelling of 1995 or 5, which the aggregate never writes
+        (tmp_path / "totals.tsv").write_text(f"1996\t7\n{content}\n", encoding="utf-8")
+        (tmp_path / "words.txt").write_text("др\n", encoding="utf-8")
+        line = self._error_line(tmp_path, ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt",
+                                           "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
+        assert line.endswith(f"totals file totals.tsv line 2: expected 'year TAB count' as ints, got {content!r}"), line
+        assert not (tmp_path / "r").exists()
+
 
 # word-list files in the three dictionary formats, holding any words
 _LIST_WORDS = st.text(st.sampled_from([*"дрГлab#1²{}\".,\\ ", "\t", "\u0301", "\u0307", "İ"]), max_size=5)
@@ -1438,3 +1451,31 @@ class TestInputFileFuzz:
             assert _exit_0_or_one_error(*_main_errors(["stats", "--aggregate", "agg.json", "--dictionary",
                                                         "words.txt", "--reports", "dynamics", "--totals", "totals.tsv",
                                                         *flags, "--out-dir", "r"]))
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """The paper's operating point is spelled out both in the parser and in
+    the library's defaults; the two must not drift apart."""
+    parser = build_parser()
+    ingest_args = parser.parse_args(["ingest", "--output", "a.json"])
+    assert IngestConfig(
+        year_min=ingest_args.window[0], year_max=ingest_args.window[1], scripts=ingest_args.scripts,
+        case_fold=ingest_args.case_fold, year_floor=ingest_args.year_floor, year_ceiling=ingest_args.year_ceiling,
+    ) == IngestConfig()
+
+    build_args = parser.parse_args(["build", "--aggregate", "a.json"])
+    options = dictionary.BuildOptions()
+    assert (build_args.method, build_args.median_threshold) == (options.method, options.median_threshold)
+    assert (build_args.p0, build_args.p1, build_args.C) == (options.params.p0, options.params.p1, options.params.c)
+    assert (build_args.min_total, build_args.min_volumes, build_args.min_active_years) == (
+        options.min_total, options.min_volumes, options.min_active_years)
+
+    stats_args = parser.parse_args(["stats", "--aggregate", "a.json", "--out-dir", "r"])
+    params_args = parser.parse_args(["params", "--aggregate", "a.json", "--seed-abbrevs", "a.txt",
+                                     "--seed-commons", "c.txt"])
+    mean_window = signature(likelihood.estimate_share_params).parameters["mean_window"].default
+    assert stats_args.mean_window == params_args.mean_window == mean_window
+    assert signature(analytics.p_series).parameters["mean_window"].default == mean_window
+    assert params_args.C == options.params.c
+    dynamics = signature(analytics.dynamics).parameters
+    assert (stats_args.dynamics_window, stats_args.top_k) == (dynamics["years"].default, dynamics["top_k"].default)

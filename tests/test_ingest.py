@@ -6,6 +6,7 @@ import itertools
 import json
 import statistics
 import sys
+from collections import OrderedDict
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -880,3 +881,57 @@ def test_read_guard_skips_only_the_readers():
     source = "def read_input(p):\n    open(p)\nclass A:\n    def read_input(self, p):\n        open(p, 'rb')\n"
     assert _reads(source, READERS) == ["open"]
     assert _reads(source) == ["open", "open"]
+
+
+def _ordered_maps(state: dict) -> dict:
+    """A copy of `state` whose word map and year maps are OrderedDicts, as
+    a library caller may pass them."""
+    state = copy.deepcopy(state)
+    if isinstance(state.get("words"), dict):
+        state["words"] = OrderedDict(
+            (word, OrderedDict(years) if isinstance(years, dict) else years) for word, years in state["words"].items()
+        )
+    return state
+
+
+class TestFromStateDictSubclass:
+    """Any dict loads as a plain one, in the same order; a faulty one is
+    refused with the per-cell checker's message."""
+
+    def test_loads_as_plain_dict(self):
+        state = Aggregator().to_state()
+        state["words"] = {"др": {"2001": [3, 9, 1], "1995": [1, 2, 1]}, "гл": {"1999": [0, 4, 2]}}
+        plain = Aggregator.from_state(copy.deepcopy(state))
+        ordered = Aggregator.from_state(_ordered_maps(state))
+        assert ordered._counts == plain._counts == {"др": {2001: [3, 9, 1], 1995: [1, 2, 1]}, "гл": {1999: [0, 4, 2]}}
+        assert [list(years) for years in ordered._counts.values()] == [[2001, 1995], [1999]]
+        assert [type(years) for years in ordered._counts.values()] == [dict, dict]
+
+    @pytest.mark.parametrize("years", [
+        {"1995": [1, 2, 1], "1_995": [1, 2, 1]},
+        {"1995": [1, 2]},
+        {"1996": [1, 2, 1], "1995": [1, True, 1]},
+        {"9" * 5000: [1, 2, 1]},
+    ])
+    def test_faulty_map_message(self, years):
+        state = Aggregator().to_state()
+        state["words"] = {"гл": {"1999": [0, 4, 2]}, "др": years}
+        with pytest.raises(ValueError) as want:
+            oracles.from_state_reference(copy.deepcopy(state))
+        with pytest.raises(ValueError) as got:
+            Aggregator.from_state(_ordered_maps(state))
+        assert str(got.value) == str(want.value)
+
+    @given(aggregate_states(max_count=2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdict_message_and_counts(self, state):
+        try:
+            want = oracles.from_state_reference(copy.deepcopy(state))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Aggregator.from_state(_ordered_maps(state))
+            assert str(got.value) == str(exc)
+            return
+        agg = Aggregator.from_state(_ordered_maps(state))
+        assert agg._counts == want._counts
+        assert [list(years) for years in agg._counts.values()] == [list(years) for years in want._counts.values()]

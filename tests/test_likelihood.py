@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from abbrevkit import likelihood
 from abbrevkit.dictionary import decide_lrt
@@ -378,3 +380,34 @@ class TestHypothesisParams:
             with pytest.raises(ValueError, match="C must be positive and finite"):
                 HypothesisParams(0.1, 0.9, c)
         assert HypothesisParams(0.1, 0.9, 1e308).c == 1e308
+
+
+class TestMinUsageLeCamStart:
+    """The error-target scan starts at Le Cam's bound on alpha + beta, so a
+    hopeless operating point is refused at once, and the bound never skips
+    an N the full scan would return."""
+
+    @pytest.mark.parametrize("p1", [0.31, 0.3001, 0.3 + 1e-9])
+    def test_close_shares_raise_at_once(self, p1):
+        start = time.perf_counter()
+        with pytest.raises(SearchExhaustedError):
+            min_usage_for_error(HypothesisParams(0.3, p1, 1.0), 1e-3, 1e-3)
+        assert time.perf_counter() - start < 1.0
+
+    @given(
+        st.floats(0.001, 0.999),
+        st.floats(0.001, 0.999),
+        st.floats(-8.0, -0.31).map(lambda e: 10.0**e),
+        st.floats(-8.0, -0.31).map(lambda e: 10.0**e),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unbounded_scan(self, p0, p1, alpha_target, beta_target, total_cap):
+        assume(p1 - p0 > 1e-6)
+        params = HypothesisParams(p0, p1, 1.0)
+        expected = oracles.min_usage_scan_reference(params, alpha_target, beta_target, total_cap=total_cap)
+        if expected is None:
+            with pytest.raises(SearchExhaustedError):
+                min_usage_for_error(params, alpha_target, beta_target, total_cap=total_cap)
+        else:
+            assert min_usage_for_error(params, alpha_target, beta_target, total_cap=total_cap) == expected

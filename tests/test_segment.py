@@ -382,3 +382,44 @@ class TestPeriodRuleMatchesOracles:
         loaded = LoadedDictionary({"гор"})
         spans = sentence_spans(text, loaded, override=["гор", "ул"])
         assert sentence_texts(text, spans) == ["Он уехал в гор. Казань.", "Вот ул.", "Ленина."]
+
+
+class TestProtectedStems:
+    """The stems a capital cannot end a sentence after are the override
+    words that start with a letter and are in the dictionary, under its
+    case rule; each edge splits as the token walk does."""
+
+    TEXT = ("Он 1. Далее ²гл. Вот гл. Там Гл. Здесь ГЛ. Итог ул. Конец . Снова ab. Next AB. Last")
+
+    @staticmethod
+    def _assert_matches_reference(text, loaded, override):
+        expected_tokens, expected = oracles.dict_segment_reference(text, loaded, override)
+        columns, sentences = token_columns(text, loaded, override)
+        assert (list(zip(*columns)), sentences) == (expected_tokens, expected)
+        assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
+
+    @pytest.mark.parametrize("case_fold", [False, True])
+    def test_empty_and_digit_led_stems_are_never_protected(self, case_fold):
+        words = ["", "²гл", "гл"]
+        loaded = LoadedDictionary(words, case_fold=case_fold)
+        self._assert_matches_reference(self.TEXT, loaded, words)
+        spans = sentence_spans(self.TEXT, loaded, words)
+        assert "Он 1." in sentence_texts(self.TEXT, spans)
+        assert "Далее ²гл." in sentence_texts(self.TEXT, spans)
+
+    def test_mixed_case_override_under_case_fold(self):
+        loaded = LoadedDictionary(["гл", "ab"], case_fold=True)
+        override = ["ГЛ", "Ab"]
+        self._assert_matches_reference(self.TEXT, loaded, override)
+        texts = sentence_texts(self.TEXT, sentence_spans(self.TEXT, loaded, override))
+        assert "Вот гл. Там Гл. Здесь ГЛ. Итог ул." in texts
+        assert "Снова ab. Next AB. Last" in texts
+
+    @pytest.mark.parametrize("case_fold", [False, True])
+    def test_override_word_missing_from_dictionary(self, case_fold):
+        loaded = LoadedDictionary(["гл"], case_fold=case_fold)
+        override = ["гл", "ул", "ab"]
+        self._assert_matches_reference(self.TEXT, loaded, override)
+        texts = sentence_texts(self.TEXT, sentence_spans(self.TEXT, loaded, override))
+        # ул and ab are override words only, so a capital ends a sentence after them
+        assert any(sentence.endswith(" ул.") for sentence in texts) and "Снова ab." in texts
