@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .ingest import WordProfile
-from .likelihood import ShareEstimate, estimate_share_params
+from .likelihood import ShareEstimate
 
 __all__ = [
     "Report",
@@ -82,19 +82,9 @@ def rare_cumulative(entries: Sequence[WordProfile], max_volumes: int) -> Report:
     )
 
 
-def p_series(
-    profiles: Mapping[str, WordProfile],
-    seed_abbrevs: Sequence[str],
-    seed_commons: Sequence[str],
-    window: tuple[int, int] | None = None,
-    mean_window: tuple[int, int] = (1998, 2008),
-    pooled: bool = True,
-) -> Report:
-    """Yearly pooled with-period shares of the seed abbreviations (p1)
-    and seed common words (p0); only years where both are defined."""
-    est: ShareEstimate = estimate_share_params(
-        profiles, seed_abbrevs, seed_commons, window, mean_window, pooled
-    )
+def p_series(est: ShareEstimate) -> Report:
+    """Rows (year, p0, p1) of a seed-list share estimate, for the years
+    where both shares are defined, with its means in the meta."""
     years = sorted(set(est.p0_by_year) & set(est.p1_by_year))
     rows = [(year, est.p0_by_year[year], est.p1_by_year[year]) for year in years]
     return Report(

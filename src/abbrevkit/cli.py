@@ -245,14 +245,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         elif kind == "p-series":
             if not (args.seed_abbrevs and args.seed_commons):
                 raise CliError("p-series needs --seed-abbrevs and --seed-commons")
-            report = analytics.p_series(
-                profiles,
-                segment.load_dictionary(args.seed_abbrevs).words,
-                segment.load_dictionary(args.seed_commons).words,
-                args.window,
-                args.mean_window,
-                args.pooled,
-            )
+            report = analytics.p_series(_share_estimate(args, profiles))
         elif kind == "length-histogram":
             report = analytics.length_histogram(entries)
         elif kind == "freq-by-length":
@@ -433,10 +426,9 @@ def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
         raise CliError(f"spec {path}: {exc}") from None
 
 
-def cmd_params(args: argparse.Namespace) -> int:
-    agg = ingest.Aggregator.load(args.aggregate)
-    profiles = agg.finalize(args.window)
-    est = likelihood.estimate_share_params(
+def _share_estimate(args: argparse.Namespace, profiles: dict[str, ingest.WordProfile]) -> likelihood.ShareEstimate:
+    """p0 and p1 by year from the seed lists, for `params` and the p-series report."""
+    return likelihood.estimate_share_params(
         profiles,
         segment.load_dictionary(args.seed_abbrevs).words,
         segment.load_dictionary(args.seed_commons).words,
@@ -444,6 +436,12 @@ def cmd_params(args: argparse.Namespace) -> int:
         args.mean_window,
         args.pooled,
     )
+
+
+def cmd_params(args: argparse.Namespace) -> int:
+    agg = ingest.Aggregator.load(args.aggregate)
+    profiles = agg.finalize(args.window)
+    est = _share_estimate(args, profiles)
     doc: dict = {
         "p0_by_year": {str(y): est.p0_by_year[y] for y in sorted(est.p0_by_year)},
         "p1_by_year": {str(y): est.p1_by_year[y] for y in sorted(est.p1_by_year)},

@@ -542,9 +542,8 @@ class Aggregator:
                     and set(map(len, cells)) <= {3} and set(map(type, chain.from_iterable(cells))) <= {int}
                     and min(chain.from_iterable(cells), default=0) >= 0):
                 for key, cell in years.items():
-                    # `to_state` writes str(year), and `consume_lines` keeps only years in the window
-                    year = int(key) if key.removeprefix("-").isdecimal() else None
-                    if year is None or str(year) != key or not lo <= year <= hi:
+                    year = year_of.get(key)
+                    if year is None:
                         raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
                     if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):
                         raise ValueError(

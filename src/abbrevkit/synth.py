@@ -78,11 +78,11 @@ class SynthSpec:
             raise ValueError("period_comma_swap must be in [0,1]")
 
 
-def make_vocabulary(count: int, prefix: str = "", start: int = 0) -> list[str]:
+def make_vocabulary(count: int, prefix: str = "") -> list[str]:
     """Deterministic pronounceable Cyrillic word forms."""
     words = []
     base = len(_SYLLABLES)
-    for i in range(start, start + count):
+    for i in range(count):
         n = i
         syllables = [prefix] if prefix else []
         while True:
@@ -97,24 +97,19 @@ def make_vocabulary(count: int, prefix: str = "", start: int = 0) -> list[str]:
 def make_spec(
     n_abbrevs: int,
     n_commons: int,
-    p1: float = 0.955,
-    p0: float = 0.068,
     seed: int = 0,
-    years: tuple[int, int] = (1990, 2008),
     totals_range: tuple[int, int] = (40, 5000),
-    title_fraction: float = 0.3,
 ) -> SynthSpec:
-    """Convenience spec with synthetic vocabularies at uniform p0/p1."""
+    """Convenience spec with synthetic vocabularies at the paper's shares,
+    p1 = 0.955 and p0 = 0.068, and the first 30% of the abbreviations title-like."""
     abbrevs = make_vocabulary(n_abbrevs, prefix="ъ")
     commons = make_vocabulary(n_commons)
-    n_title = int(n_abbrevs * title_fraction)
     return SynthSpec(
-        abbrev_words={w: p1 for w in abbrevs},
-        common_words={w: p0 for w in commons},
-        years=years,
+        abbrev_words={w: 0.955 for w in abbrevs},
+        common_words={w: 0.068 for w in commons},
         totals_range=totals_range,
         seed=seed,
-        title_like=tuple(abbrevs[:n_title]),
+        title_like=tuple(abbrevs[: int(n_abbrevs * 0.3)]),
     )
 
 

@@ -260,7 +260,12 @@ def from_state_reference(state: dict) -> Aggregator:
         cells = agg._counts[word] = {}
         for key, cell in years.items():
             # `to_state` writes str(year), and `consume_lines` keeps only years in the window
-            year = int(key) if key.removeprefix("-").isdecimal() else None
+            year = None
+            if type(key) is str and key.removeprefix("-").isdecimal():
+                try:
+                    year = int(key)
+                except ValueError:  # more digits than `int` converts
+                    pass
             if year is None or str(year) != key or not lo <= year <= hi:
                 raise ValueError(f"aggregate state: {word!r} has year key {key!r}, not a year in {lo}..{hi}")
             if not (type(cell) is list and len(cell) == 3 and all(map(_is_count, cell))):

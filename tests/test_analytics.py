@@ -72,7 +72,7 @@ class TestPSeries:
             "др": {y: (95, 100) for y in range(1990, 2009)},
             "год": {y: (5, 100) for y in range(1990, 2009)},
         })
-        report = p_series(profiles, ["др"], ["год"])
+        report = p_series(estimate_share_params(profiles, ["др"], ["год"]))
         assert len(report.rows) == 19
         year, p0, p1 = report.rows[0]
         assert year == 1990 and p0 == pytest.approx(0.05) and p1 == pytest.approx(0.95)
@@ -83,7 +83,7 @@ class TestPSeries:
             "др": {y: (95, 100) for y in range(1990, 2009)},
             "год": {y: (0, 100) for y in range(1990, 2009)},
         })
-        report = p_series(profiles, ["др"], ["год"])
+        report = p_series(estimate_share_params(profiles, ["др"], ["год"]))
         assert all(row[1] == 0.0 for row in report.rows)
 
     def test_tsv_shape(self):
@@ -91,7 +91,7 @@ class TestPSeries:
             "др": {2000: (9, 10)},
             "год": {2000: (1, 10)},
         }, window=(2000, 2000))
-        report = p_series(profiles, ["др"], ["год"], window=(2000, 2000))
+        report = p_series(estimate_share_params(profiles, ["др"], ["год"], window=(2000, 2000)))
         text = report.to_tsv()
         assert text.startswith("# year\tp0\tp1\n")
         assert text.count("\n") == 2
@@ -256,7 +256,7 @@ class TestReadersMatchDenseWalks:
         assert got == ShareEstimate(p1, p0, _window_mean(p1, mean_window), _window_mean(p0, mean_window), mean_window)
         assert list(got.p1_by_year.items()) == list(p1.items())
         assert list(got.p0_by_year.items()) == list(p0.items())
-        report = p_series(profiles, abbrevs, commons, window, mean_window, pooled)
+        report = p_series(estimate_share_params(profiles, abbrevs, commons, window, mean_window, pooled))
         assert report.rows == [(year, p0[year], p1[year]) for year in sorted(set(p0) & set(p1))]
 
     @given(

@@ -710,6 +710,25 @@ class TestParamsCommand:
         assert doc["mean_p0"] == 0.0
         assert doc["min_usage"] is None
 
+    def test_exhausted_search_beside_the_p_series_means(self, tmp_path, capsys):
+        """Seed means of 0.30 and 0.31 are too close for the error targets:
+        `min_usage` holds the search's error, and the means are those of the
+        p-series report on the same inputs."""
+        words = {"др": {str(y): [31, 100, 1] for y in range(1990, 2009)},
+                 "год": {str(y): [30, 100, 1] for y in range(1990, 2009)}}
+        (tmp_path / "agg.json").write_text(json.dumps(_state(words=words), ensure_ascii=False), encoding="utf-8")
+        (tmp_path / "a.txt").write_text("др\n", encoding="utf-8")
+        (tmp_path / "c.txt").write_text("год\n", encoding="utf-8")
+        inputs = ["--aggregate", str(tmp_path / "agg.json"),
+                  "--seed-abbrevs", str(tmp_path / "a.txt"), "--seed-commons", str(tmp_path / "c.txt")]
+        assert main(["params", *inputs]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["min_usage"] == {"error": "no N <= 10000 reaches alpha <= 0.001 and beta <= 0.001"}
+        assert doc["mean_p0"] == pytest.approx(0.30) and doc["mean_p1"] == pytest.approx(0.31)
+        assert main(["stats", *inputs, "--reports", "p-series", "--out-dir", str(tmp_path / "r")]) == 0
+        meta = json.loads((tmp_path / "r" / "p-series.json").read_text(encoding="utf-8"))["meta"]
+        assert (meta["mean_p0"], meta["mean_p1"]) == (doc["mean_p0"], doc["mean_p1"])
+
 
 class TestEveryDictionaryFormat:
     """Each dictionary format `build` writes is read alike, as a dictionary
@@ -1213,6 +1232,17 @@ class TestMalformedInputs:
         line = self._error_line(tmp_path, ["--config", "good.json", *CONFIG_INGEST[2:], "--window", "x"])
         assert line == "ERROR abbrevkit ingest: argument --window: expected 'first:last' years, got 'x'"
 
+    @pytest.mark.parametrize("config", [{"method": "median"}, {"min_total": -1}], ids=["argv", "argv-and-config"])
+    def test_flag_error_in_argv_names_no_config(self, tmp_path, config):
+        """A bad flag on the command line, alone or also in the config, is
+        the command line's own error, in process as in a subprocess."""
+        (tmp_path / "ok.json").write_text(json.dumps(config), encoding="utf-8")
+        code, errors = _main_errors(["--config", str(tmp_path / "ok.json"), "build", "--aggregate", "agg.json",
+                                     "--out-words", "d.txt", "--min-total", "-1"])
+        assert code == 1
+        assert [record.getMessage() for record in errors] == [
+            "abbrevkit build: argument --min-total: expected an int >= 0, got '-1'"]
+
     @pytest.mark.parametrize("content, line_number", [
         ("1995\t0\n", 1),
         ("1995\t-5\n1996\t7\n", 1),
@@ -1475,7 +1505,6 @@ def test_cli_defaults_are_the_library_defaults():
                                      "--seed-commons", "c.txt"])
     mean_window = signature(likelihood.estimate_share_params).parameters["mean_window"].default
     assert stats_args.mean_window == params_args.mean_window == mean_window
-    assert signature(analytics.p_series).parameters["mean_window"].default == mean_window
     assert params_args.C == options.params.c
     dynamics = signature(analytics.dynamics).parameters
     assert (stats_args.dynamics_window, stats_args.top_k) == (dynamics["years"].default, dynamics["top_k"].default)

@@ -1,4 +1,5 @@
-"""Every name a module exports has a caller outside the tests."""
+"""Every name a module exports has a caller outside the tests, and every
+default of an exported function is set by some caller."""
 import ast
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import abbrevkit
 
 PACKAGE = Path(abbrevkit.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
+TESTS = Path(__file__).parent
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -90,3 +92,71 @@ def test_export_guard_sees_each_import(source, module, expected):
 ])
 def test_export_guard_sees_each_own_use(source, expected):
     assert _own_uses(ast.parse(source)) == expected
+
+
+def _exported_functions(tree: ast.Module) -> dict[str, ast.arguments]:
+    """The parameters of each module-level function in the module's ``__all__``."""
+    exports = set(_exports(tree))
+    return {node.name: node.args for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in exports}
+
+
+def _defaulted(args: ast.arguments) -> list[str]:
+    """The names of the parameters that have a default."""
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    keyword_only = [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return positional[len(positional) - len(args.defaults):] + keyword_only
+
+
+def _passed(tree: ast.Module, name: str, args: ast.arguments) -> set[str]:
+    """The parameters that the calls of `name` (``name(...)`` or
+    ``x.name(...)``) in `tree` pass, by position or by keyword; a
+    ``*args`` passes every positional parameter and a ``**kwargs`` every
+    parameter."""
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    every = positional + [a.arg for a in args.kwonlyargs]
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", ""), getattr(node.func, "attr", "")):
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            passed.update(positional if starred else positional[: len(node.args)])
+            for keyword in node.keywords:
+                passed.update(every if keyword.arg is None else [keyword.arg])
+    return passed
+
+
+def test_every_default_is_set_by_a_caller():
+    # tests are callers too: only a test needs, say, a small `total_cap`
+    callers = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted([*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"), *TESTS.glob("*.py")])]
+    unset = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, args in _exported_functions(ast.parse(path.read_text(encoding="utf-8"))).items():
+            passed = set().union(*(_passed(tree, name, args) for tree in callers))
+            missing = [parameter for parameter in _defaulted(args) if parameter not in passed]
+            if missing:
+                unset[f"{path.stem}.{name}"] = missing
+    assert unset == {}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("__all__ = ['f']\ndef f(a, b=1, *, c, d=2):\n    pass", {"f": ["b", "d"]}),
+    ("__all__ = ['f']\ndef f(a, /, b=1, c=2, *rest, **more):\n    pass", {"f": ["b", "c"]}),
+    ("__all__ = ['f']\ndef f(a):\n    pass\ndef g(b=1):\n    pass", {"f": []}),
+    ("__all__ = ['A']\nclass A:\n    def m(self, x=1):\n        pass", {}),
+])
+def test_default_guard_sees_each_default(source, expected):
+    found = _exported_functions(ast.parse(source))
+    assert {name: _defaulted(args) for name, args in found.items()} == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("f(1, 2)", {"a", "b"}),
+    ("m.f(c=3)\nf(1)", {"a", "c"}),
+    ("def h():\n    return [f(1, k=2)]", {"a", "k"}),
+    ("f(*values)", {"a", "b", "c"}),
+    ("f(1, **options)", {"a", "b", "c", "k"}),
+    ("g(1, 2, c=3)\nx = f\nm.f.g(1)", set()),
+])
+def test_default_guard_sees_each_call(source, expected):
+    args = ast.parse("def f(a, b=1, c=2, *, k=3):\n    pass").body[0].args
+    assert _passed(ast.parse(source), "f", args) == expected

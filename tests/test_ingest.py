@@ -732,6 +732,17 @@ class TestFromStateMatchesReference:
             Aggregator.from_state(state)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("key", [1995, "9" * 5000], ids=["int", "5000-digits"])
+    def test_year_key_that_is_no_year_string(self, key):
+        """An int key, the shape of `_counts` itself, and a key with more
+        digits than `int` converts both get the year-key message."""
+        state = Aggregator().to_state()
+        state["words"] = {"др": {key: [1, 2, 1]}}
+        for load in (oracles.from_state_reference, Aggregator.from_state):
+            with pytest.raises(ValueError) as got:
+                load(copy.deepcopy(state))
+            assert str(got.value) == f"aggregate state: 'др' has year key {key!r}, not a year in 1990..2008"
+
 
 # raw counts with small values, so that years get clamped and filled, in
 # an aggregate whose window is wider than most finalize windows
