@@ -37,24 +37,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+def _year(value: str) -> int:
+    """argparse type for a year, spelled as `ingest.parse_year` reads one."""
+    year = ingest.parse_year(value)
+    if year is None:
+        raise argparse.ArgumentTypeError(f"expected a year, got {value!r}")
+    return year
+
+
 def _parse_window(value: str) -> tuple[int, int]:
-    try:
-        lo, hi = map(int, value.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}") from None
+    lo, hi = map(ingest.parse_year, value.partition(":")[::2])
+    if lo is None or hi is None:
+        raise argparse.ArgumentTypeError(f"expected 'first:last' years, got {value!r}")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"expected first <= last year, got {value!r}")
     return lo, hi
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
-    """argparse type for an int no smaller than `low`."""
+    """argparse type for a count, spelled as `ingest.parse_count` reads
+    one, no smaller than `low`."""
 
     def parse(value: str) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            number = None
+        number = ingest.parse_count(value)
         if number is None or number < low:
             raise argparse.ArgumentTypeError(f"expected an int >= {low}, got {value!r}")
         return number
@@ -270,18 +275,13 @@ def _read_totals(path: str) -> dict[int, int]:
         lines = handle.read().splitlines()
     totals: dict[int, int] = {}
     for line_number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        fields = line.split("\t")
+        year_s, _, count_s = line.partition("\t")
         where = f"totals file {path} line {line_number}"
-        try:
-            year, count = int(fields[0]), int(fields[1])
-            # a year as the aggregate spells one, a count in ASCII digits
-            if str(year) != fields[0] or not (fields[1].isascii() and fields[1].isdigit()):
-                raise ValueError
-        except (IndexError, ValueError):
-            raise CliError(f"{where}: expected 'year TAB count' as ints, got {line!r}") from None
+        year, count = ingest.parse_year(year_s), ingest.parse_count(count_s)
+        if year is None or count is None:
+            raise CliError(f"{where}: expected 'year TAB count' as ints, got {line!r}")
         if count <= 0:
             raise CliError(f"{where}: count must be positive, got {line!r}")
         if year in totals:
@@ -408,19 +408,20 @@ def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
             return {w: float(p) for w, p in value.items()}
         return {w: default_p for w in value}
 
-    # fields left out keep the SynthSpec defaults
-    casts = {
-        "years": tuple, "totals_range": tuple, "seed": int, "volumes_divisor": int,
-        "title_like": tuple, "period_comma_swap": float,
-    }
+    # fields left out keep the SynthSpec defaults; a None cast passes the value as it is, for SynthSpec to check
+    casts = {"years": tuple, "totals_range": tuple, "title_like": tuple, "period_comma_swap": float,
+             "seed": None, "volumes_divisor": None}
     unknown = set(doc) - set(casts) - {"abbrev_words", "common_words", "default_p1", "default_p0"}
     if unknown:
         raise CliError(f"spec {path}: unknown fields {sorted(unknown)}")
+    for key in ("abbrev_words", "common_words", "title_like"):
+        if isinstance(doc.get(key), str):
+            raise CliError(f"spec {path}: {key} must be a list of words, got {doc[key]!r}")
     try:
         return synth.SynthSpec(
             abbrev_words=word_map(doc.get("abbrev_words", []), float(doc.get("default_p1", 0.955))),
             common_words=word_map(doc.get("common_words", []), float(doc.get("default_p0", 0.068))),
-            **{key: cast(doc[key]) for key, cast in casts.items() if key in doc},
+            **{key: cast(doc[key]) if cast else doc[key] for key, cast in casts.items() if key in doc},
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"spec {path}: {exc}") from None
@@ -512,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parser processes, this one included, default %(default)s")
     p.add_argument("--on-error", choices=("skip", "abort"), default="skip",
                    help="malformed line policy, default %(default)s")
-    p.add_argument("--year-floor", type=int, default=1500, help="reject years below this, default %(default)s")
-    p.add_argument("--year-ceiling", type=int, default=2100, help="reject years above this, default %(default)s")
+    p.add_argument("--year-floor", type=_year, default=1500, help="reject years below this, default %(default)s")
+    p.add_argument("--year-ceiling", type=_year, default=2100, help="reject years above this, default %(default)s")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build", parents=[aggregate, threshold], help="classify word forms and write the dictionary")

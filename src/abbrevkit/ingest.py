@@ -170,7 +170,7 @@ class IngestConfig:
         unknown = [s for s in self.scripts if s not in SCRIPT_RANGES]
         if unknown:
             raise ValueError(f"unknown scripts: {unknown}; known: {sorted(SCRIPT_RANGES)}")
-        object.__setattr__(self, "scripts", tuple(sorted(self.scripts)))
+        object.__setattr__(self, "scripts", tuple(sorted(set(self.scripts))))
 
     def letter_ranges(self) -> tuple[tuple[int, int], ...]:
         ranges: list[tuple[int, int]] = []
@@ -189,6 +189,23 @@ class IngestCounters:
         self.lines_skipped += other.lines_skipped
 
 
+def parse_year(text: str) -> int | None:
+    """The year `text` spells as ``str(year)`` would: ASCII digits, an
+    optional ``-`` and no leading zero; None for any other text."""
+    count = parse_count(text.removeprefix("-"))
+    year = None if count is None else -count if text[0] == "-" else count
+    return year if str(year) == text else None
+
+
+def parse_count(text: str) -> int | None:
+    """The count `text` spells in ASCII digits, leading zeros allowed;
+    None for any other text."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than `int` converts
+        return None
+
+
 def parse_line(
     line: str,
     line_number: int = 0,
@@ -198,8 +215,8 @@ def parse_line(
     """Parse one corpus line into a validated NgramRecord.
 
     Raises ParseError (carrying the line number) on wrong field count,
-    non-integer numerics, or invariant violations; skip-versus-abort is
-    the caller's policy.
+    a year or count that `parse_year`/`parse_count` refuse, or invariant
+    violations; skip-versus-abort is the caller's policy.
     """
     fields = line.rstrip("\n").rstrip("\r").split("\t")
     if len(fields) != 4:
@@ -210,16 +227,11 @@ def parse_line(
         raise ParseError(f"ngram has {len(tokens)} tokens, expected 1 or 2", line_number)
     if "" in tokens:
         raise ParseError("empty token in ngram field", line_number)
-    try:
-        year = int(year_s)
-        match_count = int(match_s)
-        volume_count = int(volume_s)
-    except ValueError:
-        raise ParseError(f"non-integer count fields: {year_s!r}/{match_s!r}/{volume_s!r}", line_number) from None
+    year, match_count, volume_count = parse_year(year_s), parse_count(match_s), parse_count(volume_s)
+    if year is None or match_count is None or volume_count is None:
+        raise ParseError(f"non-integer count fields: {year_s!r}/{match_s!r}/{volume_s!r}", line_number)
     if not year_floor <= year <= year_ceiling:
         raise ParseError(f"year {year} outside plausible range {year_floor}..{year_ceiling}", line_number)
-    if match_count < 0:
-        raise ParseError(f"negative match_count {match_count}", line_number)
     if volume_count < 1:
         raise ParseError(f"volume_count must be >= 1, got {volume_count}", line_number)
     if volume_count > match_count:
@@ -343,6 +355,7 @@ class Aggregator:
         fold = config.case_fold
         letters = self._letters
         counts = self._counts
+        year_of: dict[str, int] = {}  # each year spelling accepted so far
         parsed = skipped = 0
         try:
             for line_number, line in enumerate(lines, 1):
@@ -353,14 +366,17 @@ class Aggregator:
                 try:
                     ngram, year_s, match_s, volume_s = line.rstrip("\n").rstrip("\r").split("\t")
                     tokens = ngram.split(" ")
-                    year = int(year_s)
                     match_count = int(match_s)
                     volume_count = int(volume_s)
                 except ValueError:
                     accepted = False
                 else:
-                    accepted = (len(tokens) <= 2 and "" not in tokens and floor <= year <= ceiling
-                                and 1 <= volume_count <= match_count)
+                    year = year_of.get(year_s)
+                    if year is None and (year := parse_year(year_s)) is not None:
+                        year = year_of.setdefault(year_s, year) if floor <= year <= ceiling else None
+                    digits = match_s + volume_s
+                    accepted = (year is not None and digits.isascii() and digits.isdigit() and len(tokens) <= 2
+                                and "" not in tokens and 1 <= volume_count <= match_count)
                 if not accepted:
                     if abort:
                         parse_line(line, line_number, floor, ceiling)
@@ -577,16 +593,8 @@ def _year_keys(words: Iterable[object], lo: int, hi: int) -> dict[str, int]:
     """The keys of the year maps among `words` that `to_state` writes for a
     year in lo..hi, each with its year."""
     keys = set(chain.from_iterable(years for years in words if isinstance(years, dict)))
-    year_of = {}
-    for key in keys:
-        if type(key) is str and key.removeprefix("-").isdecimal():
-            try:
-                year = int(key)
-            except ValueError:  # more digits than `int` converts
-                continue
-            if str(year) == key and lo <= year <= hi:
-                year_of[key] = year
-    return year_of
+    return {key: year for key in keys
+            if type(key) is str and (year := parse_year(key)) is not None and lo <= year <= hi}
 
 
 def _is_count(value) -> bool:

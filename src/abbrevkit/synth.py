@@ -72,8 +72,9 @@ class SynthSpec:
         lo, hi = self.totals_range
         if not 1 <= lo <= hi:
             raise ValueError(f"bad totals range {self.totals_range}")
-        if self.volumes_divisor < 1:
-            raise ValueError("volumes_divisor must be >= 1")
+        if type(self.seed) is not int or type(self.volumes_divisor) is not int or self.volumes_divisor < 1:
+            raise ValueError(f"seed and volumes_divisor must be ints, the divisor >= 1, got {self.seed!r}, "
+                             f"{self.volumes_divisor!r}")
         if not 0.0 <= self.period_comma_swap <= 1.0:
             raise ValueError("period_comma_swap must be in [0,1]")
 

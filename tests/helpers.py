@@ -32,6 +32,12 @@ def texts_of(atoms: list[str]) -> st.SearchStrategy[str]:
 
 wide_texts = texts_of(WIDE_ATOMS)
 
+# spellings of a number that `int` reads and the one number rule
+# (`ingest.parse_year`, `ingest.parse_count`) refuses: an underscore,
+# Arabic-Indic digits, a space, a sign; a leading zero refuses only a year
+BAD_COUNT_SPELLINGS = ["1_995", "\u0661\u0669\u0669\u0665", " 5", "+1", "1_0"]
+BAD_YEAR_SPELLINGS = [*BAD_COUNT_SPELLINGS, "01995"]
+
 # the faults `aggregate_states` puts into a valid state
 BAD_COUNTS = [True, False, 1.5, 3.0, -1, "3", None, [1]]
 BAD_YEAR_KEYS = ["01995", "+1995", "1995.0", " 1995", "1995 ", "-1995", "-0", "1_995", "\u0661\u0669\u0669\u0665",

@@ -27,7 +27,7 @@ from abbrevkit.cli import build_parser, main
 from abbrevkit.ingest import Aggregator, IngestConfig, YearlyUsage, is_word
 
 import oracles
-from helpers import WIDE_ATOMS, aggregate_states, texts_of
+from helpers import BAD_COUNT_SPELLINGS, BAD_YEAR_SPELLINGS, WIDE_ATOMS, aggregate_states, texts_of
 
 SPEC_DOC = {
     "abbrev_words": ["др", "гл", "тов", "гор", "ул"],
@@ -39,6 +39,9 @@ SPEC_DOC = {
     "title_like": ["гор", "ул"],
     "sentences": 40,
 }
+
+# the spec entries that hold word lists
+_WORD_LIST_KEYS = ["abbrev_words", "common_words", "title_like"]
 
 
 def _cli_env() -> dict:
@@ -633,6 +636,22 @@ class TestSynthCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"abbrev_words": ["а"], "common_words": ["а"]}), encoding="utf-8")
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("key", _WORD_LIST_KEYS)
+    def test_word_list_given_as_a_string(self, tmp_path, key):
+        """A string is no word list: it is refused, not split into one-letter words."""
+        doc = {"abbrev_words": ["ab"], "common_words": ["cd"], key: "ab"}
+        (tmp_path / "spec.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, errors = _main_errors(["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "x")])
+        assert (code, [record.getMessage() for record in errors]) == (
+            1, [f"spec {tmp_path / 'spec.json'}: {key} must be a list of words, got 'ab'"])
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("seed", "7"), ("seed", True), ("volumes_divisor", 2.0)])
+    def test_seed_and_divisor_are_json_ints(self, tmp_path, key, value):
+        (tmp_path / "spec.json").write_text(json.dumps({**SPEC_DOC, key: value}), encoding="utf-8")
+        code, errors = _main_errors(["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "x")])
+        assert code == 1 and "must be ints, the divisor >= 1" in errors[0].getMessage()
 
     def test_unknown_field_rejected(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -1262,17 +1281,107 @@ class TestMalformedInputs:
                                            "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
         assert "totals.tsv" in line and "line 1" in line, line
 
-    @pytest.mark.parametrize("content", [
+    @pytest.mark.parametrize("content", list(dict.fromkeys([
         "1_995\t5", "١٩٩٥\t5", "1995\t 5", "1995\t+5", "+1995\t5", "01995\t5", "-0\t5",
-    ])
+        *(f"{year}\t5" for year in BAD_YEAR_SPELLINGS), *(f"1995\t{count}" for count in BAD_COUNT_SPELLINGS),
+        "1995\t5\tjunk",
+    ])))
     def test_totals_year_and_count_in_plain_digits_only(self, tmp_path, content):
-        # each of these is an int() spelling of 1995 or 5, which the aggregate never writes
+        # an int() spelling of a year or a count, which the number rule refuses, or a third field
         (tmp_path / "totals.tsv").write_text(f"1996\t7\n{content}\n", encoding="utf-8")
         (tmp_path / "words.txt").write_text("др\n", encoding="utf-8")
         line = self._error_line(tmp_path, ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt",
                                            "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
         assert line.endswith(f"totals file totals.tsv line 2: expected 'year TAB count' as ints, got {content!r}"), line
         assert not (tmp_path / "r").exists()
+
+
+_INGEST = ["ingest", "--unigrams", "in.txt", "--output", "a.json"]
+_BUILD = ["build", "--aggregate", "agg.json", "--out-words", "d.txt"]
+_STATS = ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt", "--reports", "dynamics", "--out-dir", "r"]
+_PARAMS = ["params", "--aggregate", "agg.json", "--seed-abbrevs", "abbrevs.txt", "--seed-commons", "commons.txt"]
+# each count flag, with its least value and a command that takes it
+_COUNT_FLAGS = {"--jobs": (1, _INGEST), "--min-total": (0, _BUILD), "--min-volumes": (0, _BUILD),
+                "--min-active-years": (0, _BUILD), "--top-k": (0, _STATS), "--max-volumes": (1, _STATS)}
+
+
+class TestOneNumberRule:
+    """Corpus lines and every year and count flag refuse each spelling
+    that `int` reads but `ingest.parse_year`/`parse_count` do not, with
+    their own one-line error (`--totals` and the aggregate's year keys
+    take the same list in their own tests); counts with leading zeros and
+    negative years under a negative floor are read.  Each run is in
+    process, in a `_fuzz_dir`."""
+
+    @staticmethod
+    def _run(tmp_path_factory, argv: list[str], files: dict[str, str] | None = None):
+        """The run's directory, exit code and ERROR messages."""
+        work = _fuzz_dir(tmp_path_factory)
+        for name, text in (files or {}).items():
+            (work / name).write_text(text, encoding="utf-8")
+        with contextlib.chdir(work):
+            code, errors = _main_errors(argv)
+        return work, code, [record.getMessage() for record in errors]
+
+    @pytest.mark.parametrize("line", [
+        *(f"др\t{year}\t7\t1" for year in BAD_YEAR_SPELLINGS),
+        *(f"др\t1995\t{count}\t1" for count in BAD_COUNT_SPELLINGS),
+        *(f"др .\t1995\t5000\t{count}" for count in BAD_COUNT_SPELLINGS),
+    ])
+    def test_corpus_line(self, tmp_path_factory, line):
+        files = {"shard.tsv": f"гл\t1995\t5\t1\n{line}\n"}
+        work, code, errors = self._run(tmp_path_factory, ["ingest", "--unigrams", "shard.tsv", "--output", "a.json"],
+                                       files)
+        assert (code, errors) == (0, [])
+        state = json.loads((work / "a.json").read_text(encoding="utf-8"))
+        assert state["counters"] == {"lines_parsed": 1, "lines_skipped": 1}
+        assert state["words"] == {"гл": {"1995": [0, 5, 0]}}
+        work, code, errors = self._run(tmp_path_factory, ["ingest", "--unigrams", "shard.tsv", "--output", "a.json",
+                                                          "--on-error", "abort"], files)
+        fields = "/".join(map(repr, line.split("\t")[1:]))
+        assert (code, errors) == (1, [f"cannot read shard.tsv: line 2: non-integer count fields: {fields}"])
+        assert not (work / "a.json").exists()
+
+    @pytest.mark.parametrize("flag, argv", [("--window", _INGEST), ("--window", _BUILD),
+                                            ("--dynamics-window", _STATS), ("--mean-window", _PARAMS)])
+    @pytest.mark.parametrize("year", BAD_YEAR_SPELLINGS)
+    def test_window_flags(self, tmp_path_factory, flag, argv, year):
+        for window in (f"{year}:2008", f"1990:{year}"):
+            _, code, errors = self._run(tmp_path_factory, [*argv, f"{flag}={window}"])
+            assert (code, errors) == (
+                1, [f"abbrevkit {argv[0]}: argument {flag}: expected 'first:last' years, got {window!r}"])
+
+    @pytest.mark.parametrize("flag", ["--year-floor", "--year-ceiling"])
+    @pytest.mark.parametrize("year", BAD_YEAR_SPELLINGS)
+    def test_year_limit_flags(self, tmp_path_factory, flag, year):
+        _, code, errors = self._run(tmp_path_factory, [*_INGEST, f"{flag}={year}"])
+        assert (code, errors) == (1, [f"abbrevkit ingest: argument {flag}: expected a year, got {year!r}"])
+
+    @pytest.mark.parametrize("flag", sorted(_COUNT_FLAGS))
+    @pytest.mark.parametrize("count", BAD_COUNT_SPELLINGS)
+    def test_count_flags(self, tmp_path_factory, flag, count):
+        low, argv = _COUNT_FLAGS[flag]
+        _, code, errors = self._run(tmp_path_factory, [*argv, f"{flag}={count}"])
+        assert (code, errors) == (1, [f"abbrevkit {argv[0]}: argument {flag}: expected an int >= {low}, got {count!r}"])
+
+    def test_counts_with_leading_zeros(self, tmp_path_factory):
+        work, code, errors = self._run(tmp_path_factory, ["ingest", "--unigrams", "shard.tsv", "--output", "a.json",
+                                                          "--jobs", "01"], {"shard.tsv": "гл\t1995\t007\t001\n"})
+        assert (code, errors) == (0, [])
+        assert json.loads((work / "a.json").read_text(encoding="utf-8"))["words"] == {"гл": {"1995": [0, 7, 0]}}
+        for argv in ([*_BUILD, "--min-total", "007"], [*_STATS, "--top-k", "007", "--totals", "totals.tsv"]):
+            assert self._run(tmp_path_factory, argv, {"totals.tsv": "1995\t007\n"})[1:] == (0, [])
+
+    def test_negative_years_under_a_negative_floor(self, tmp_path_factory):
+        work, code, errors = self._run(
+            tmp_path_factory, ["ingest", "--unigrams", "shard.tsv", "--output", "a.json", "--year-floor=-500",
+                               "--window=-100:2008"], {"shard.tsv": "гл\t-50\t5\t1\nгл\t-101\t5\t1\n"})
+        assert (code, errors) == (0, [])
+        state = json.loads((work / "a.json").read_text(encoding="utf-8"))
+        assert (state["counters"], state["words"]) == ({"lines_parsed": 2, "lines_skipped": 0}, {"гл": {"-50": [0, 5, 0]}})
+        with contextlib.chdir(work):
+            assert _main_errors(["build", "--aggregate", "a.json", "--window=-60:-40", "--min-total", "0",
+                                 "--out-words", "d.txt"]) == (0, [])
 
 
 # word-list files in the three dictionary formats, holding any words
@@ -1434,10 +1543,13 @@ _SPEC_ENTRIES = {
 
 @st.composite
 def _specs(draw):
-    """A synth spec of valid entries, with common words, and up to two
-    entries set to any JSON value, under a spec key or an unknown one."""
+    """A synth spec of valid entries, with common words, one time in eight
+    a word list given as a string, and up to two entries set to any JSON
+    value, under a spec key or an unknown one."""
     doc = draw(st.fixed_dictionaries({}, optional=_SPEC_ENTRIES))
     doc.setdefault("common_words", ["год"])
+    if draw(st.integers(0, 7)) == 0:
+        doc[draw(st.sampled_from(_WORD_LIST_KEYS))] = draw(st.sampled_from(["", "ab", "др"]))
     for _ in range(draw(st.integers(0, 2))):
         doc[draw(st.sampled_from([*sorted(_SPEC_ENTRIES), "unknown"]))] = draw(_VALUES)
     return doc
@@ -1470,7 +1582,11 @@ class TestInputFileFuzz:
         work = _fuzz_dir(tmp_path_factory)
         (work / "spec.json").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         with contextlib.chdir(work):
-            assert _exit_0_or_one_error(*_main_errors(["synth", "--spec", "spec.json", "--out-dir", "out"]))
+            code, errors = _main_errors(["synth", "--spec", "spec.json", "--out-dir", "out"])
+        assert _exit_0_or_one_error(code, errors)
+        # a string where a word list belongs is refused, never split into letters
+        if any(isinstance(doc.get(key), str) for key in _WORD_LIST_KEYS):
+            assert code == 1
 
     @given(_TOTALS_FILES, st.sampled_from([[], ["--top-k", "1"], ["--dynamics-window", "1995:1996"]]))
     @settings(max_examples=150, deadline=None)

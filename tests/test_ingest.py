@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import itertools
 import json
+import re
 import statistics
 import sys
 from collections import OrderedDict
@@ -28,12 +29,14 @@ from abbrevkit.ingest import (
     _letter_class,
     _median,
     ingest_paths,
+    parse_count,
     parse_line,
+    parse_year,
     read_input,
 )
 
 import oracles
-from helpers import aggregate, aggregate_states
+from helpers import BAD_COUNT_SPELLINGS, BAD_YEAR_SPELLINGS, aggregate, aggregate_states
 
 CFG = IngestConfig()
 RANGES = CFG.letter_ranges()
@@ -87,6 +90,26 @@ class TestParseLine:
 
     def test_trailing_newline_tolerated(self):
         assert parse_line("др .\t1995\t120\t30\n").tokens == ("др", ".")
+
+
+class TestNumberRule:
+    """A year is spelled as ``str(year)`` writes it, a count in ASCII digits."""
+
+    @pytest.mark.parametrize("text, year", [("1995", 1995), ("0", 0), ("-50", -50), ("9" * 30, int("9" * 30))])
+    def test_years(self, text, year):
+        assert parse_year(text) == year
+
+    @pytest.mark.parametrize("text", [*BAD_YEAR_SPELLINGS, "-0", "--5", "-", "", "1995\n", "1995.0", "x", "1" * 5000])
+    def test_not_years(self, text):
+        assert parse_year(text) is None
+
+    @pytest.mark.parametrize("text, count", [("0", 0), ("5", 5), ("007", 7), ("01995", 1995)])
+    def test_counts(self, text, count):
+        assert parse_count(text) == count
+
+    @pytest.mark.parametrize("text", [*BAD_COUNT_SPELLINGS, "-1", "", "5\n", "\u00b2", "x", "1" * 5000])
+    def test_not_counts(self, text):
+        assert parse_count(text) is None
 
 
 class TestClassifyBigram:
@@ -384,6 +407,14 @@ class TestMergeMonoid:
         with pytest.raises(ConfigMismatchError):
             _combined(Aggregator(IngestConfig(case_fold=True)), Aggregator(CFG))
 
+    def test_each_script_once(self):
+        """A script named twice is the same letter class as named once, so
+        the two configs are equal and their aggregates merge."""
+        twice = IngestConfig(scripts=("latin", "cyrillic", "latin"))
+        assert twice.scripts == ("cyrillic", "latin")
+        assert twice == IngestConfig(scripts=("cyrillic", "latin"))
+        assert _combined(Aggregator(twice), Aggregator(IngestConfig())).config == IngestConfig()
+
 
 class TestConsumption:
     def test_skip_policy_counts(self):
@@ -411,15 +442,17 @@ class TestConsumption:
 
 # pieces of corpus lines around every edge of `parse_line`'s accept test:
 # what `int` takes beyond plain digits (spaces, a sign, underscores, other
-# decimal digits, a carriage return), ints too large to take, years at
-# and beyond the limits and the window, volumes of 0 and above the match
-# count, and ngrams of 0 to 3 tokens with empty ones
+# decimal digits, a carriage return, a year's leading zero), counts with
+# leading zeros, ints too large to take, years at and beyond the limits
+# and the window, volumes of 0 and above the match count, and ngrams of
+# 0 to 3 tokens with empty ones
 _NGRAMS = ["др", "Др", "ДР", "ab", "Ab", "слово", "ёж", "ß", "İ", "Ω", "а_NOUN", "12", "т.е", ".",
            "др .", "Др .", "ab .", "слово .", "др ,", "12 .", "др ..", "a  .", " др", "др ", "", " ",
            "a b c", "др . .", "др\r", "Straße ."]
 _YEARS = ["1995", "1990", "2008", "1989", "2009", "1499", "1500", "2100", "2101", " 1995", "+1995",
-          "1_995", "\u0661\u0669\u0669\u0665", "1995\r", "-1995", "1995.0", "x", "", "9" * 30, "1" * 5000]
-_COUNTS = ["0", "1", "2", "5", "12", " 12", "+5", "1_000", "\u0662\u0660\u0660\u0660", "-1", "5\r", "x", "",
+          "1_995", "\u0661\u0669\u0669\u0665", "1995\r", "-1995", "1995.0", "x", "", "9" * 30, "1" * 5000, "01995",
+          "-0"]
+_COUNTS = ["0", "1", "2", "5", "007", "12", " 12", "+5", "1_000", "\u0662\u0660\u0660\u0660", "-1", "5\r", "x", "",
            "9" * 40, "1" * 5000]
 _ENDS = ["\n", "\r\n", "", "\r", "\r\r\n", "\n\n"]
 
@@ -636,11 +669,12 @@ class TestFilesAndPersistence:
         with pytest.raises(ValueError):
             Aggregator.load(path)
 
-    @pytest.mark.parametrize("key", ["2050", "1989", "x", "01995", " 1995", "1995.0", "-1995"])
+    @pytest.mark.parametrize("key", list(dict.fromkeys(
+        ["2050", "1989", "x", "01995", " 1995", "1995.0", "-1995", *BAD_YEAR_SPELLINGS])))
     def test_year_keys_are_window_years(self, key):
         state = Aggregator().to_state()
         state["words"] = {"др": {"1995": [9, 10, 1], key: [1, 2, 1]}}
-        with pytest.raises(ValueError, match=f"'др' has year key '{key}'"):
+        with pytest.raises(ValueError, match=re.escape(f"'др' has year key {key!r}")):
             Aggregator.from_state(state)
 
     @pytest.mark.parametrize("limits, message", [
@@ -892,6 +926,60 @@ def test_read_guard_skips_only_the_readers():
     source = "def read_input(p):\n    open(p)\nclass A:\n    def read_input(self, p):\n        open(p, 'rb')\n"
     assert _reads(source, READERS) == ["open"]
     assert _reads(source) == ["open", "open"]
+
+
+# the functions that turn text into an int: the one number rule, and the
+# parse loop's inline fast path, which `TestConsumeLinesMatchesReference`
+# pins to `parse_line`
+NUMBER_READERS = ("parse_year", "parse_count", "Aggregator.consume_lines")
+
+
+def _int_conversions(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Where Python `source` calls `int`, passes it to a call (``map(int,
+    ...)``, ``type=int``) or puts it in a dict display (a table of casts),
+    outside the functions named, with their classes, in `allowed`: the
+    enclosing function of each, or ``<module>``.  A type test (``type(x)
+    is int``, ``isinstance(x, int)``) and an annotation are none of these."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if scope in allowed:
+                return
+        uses = []
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") not in ("isinstance", "issubclass"):
+            uses = [node.func, *node.args, *(keyword.value for keyword in node.keywords)]
+        elif isinstance(node, ast.Dict):
+            uses = node.values
+        found.extend(scope or "<module>" for use in uses if isinstance(use, ast.Name) and use.id == "int")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_number_rule_reads_ints():
+    package = Path(abbrevkit.__file__).parent
+    found = {name: _int_conversions((package / name).read_text(encoding="utf-8"), NUMBER_READERS)
+             for name in ("cli.py", "ingest.py")}
+    assert found == {"cli.py": [], "ingest.py": []}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("year = int(text)", ["<module>"]),
+    ("lo, hi = map(int, value.split(':'))", ["<module>"]),
+    ("p.add_argument('--year-floor', type=int)", ["<module>"]),
+    ("casts = {'seed': int, 'years': tuple}", ["<module>"]),
+    ("def f(x: int) -> dict[int, int]:\n    return type(x) is int or isinstance(x, int) or {int}", []),
+    ("class Aggregator:\n    def consume_lines(self):\n        int(x)\ndef consume_lines():\n    int(x)",
+     ["consume_lines"]),
+    ("def parse_year(t):\n    return int(t)\ndef g():\n    def parse_count(t):\n        return int(t)",
+     ["g.parse_count"]),
+])
+def test_int_guard_sees_each_conversion(source, expected):
+    assert _int_conversions(source, NUMBER_READERS) == expected
 
 
 def _ordered_maps(state: dict) -> dict:
