@@ -11,6 +11,7 @@ error included, is one ``ERROR`` line with exit 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -18,6 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Sequence
 
@@ -335,18 +337,21 @@ def _write_spans(
     one `indent` selects) is slow.  Each record is a fixed template with
     its keys in sorted order; a token's template, its quoted text
     included, and its kind piece are made once per distinct text and
-    kind, so a batch of tokens is one bytes ``%`` of joined templates."""
+    kind, so a batch of tokens is one bytes ``%`` of joined templates,
+    and a batch of sentences one of a repeated template."""
     quote = json.encoder.encode_basestring
-
-    def number(value: int | None) -> bytes:
-        return b"null" if value is None else b"%d" % value
+    # the token range is null in every sentence, or in none
+    tokenized = bool(sentences) and sentences[0].token_start is not None
+    token_field = b"%d" if tokenized else b"null"
+    sentence_template = (
+        b',\n    {\n      "end": %d,\n      "start": %d,\n      "token_end": ' + token_field
+        + b',\n      "token_start": ' + token_field + b"\n    }"
+    )
+    sentence_values = itemgetter(1, 0, 3, 2) if tokenized else itemgetter(1, 0)  # end, start[, token_end, token_start]
 
     def sentence_records(lo: int, hi: int) -> bytes:
-        return b"".join(
-            b',\n    {\n      "end": %d,\n      "start": %d,\n      "token_end": %b,\n      "token_start": %b\n    }'
-            % (s.end, s.start, number(s.token_end), number(s.token_start))
-            for s in sentences[lo:hi]
-        )
+        batch = sentences[lo:hi]
+        return sentence_template * len(batch) % tuple(chain.from_iterable(map(sentence_values, batch)))
 
     kind_pieces = {kind: f',\n      "kind": {quote(kind)},\n      "start": '.encode() for kind in set(kinds)}
     templates = {
@@ -403,13 +408,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
-    def word_map(value, default_p: float) -> dict[str, float]:
+    def number(key: str, value) -> float:
+        """A JSON number as a float: a string or a boolean is refused, not cast."""
+        if type(value) not in (int, float):
+            raise CliError(f"spec {path}: {key} must be a number, got {value!r}")
+        return float(value)
+
+    def word_map(key: str, value, default_p: float) -> dict[str, float]:
         if isinstance(value, dict):
-            return {w: float(p) for w, p in value.items()}
+            return {w: number(f"{key}[{w!r}]", p) for w, p in value.items()}
         return {w: default_p for w in value}
 
     # fields left out keep the SynthSpec defaults; a None cast passes the value as it is, for SynthSpec to check
-    casts = {"years": tuple, "totals_range": tuple, "title_like": tuple, "period_comma_swap": float,
+    casts = {"years": tuple, "totals_range": tuple, "title_like": tuple,
+             "period_comma_swap": lambda value: number("period_comma_swap", value),
              "seed": None, "volumes_divisor": None}
     unknown = set(doc) - set(casts) - {"abbrev_words", "common_words", "default_p1", "default_p0"}
     if unknown:
@@ -419,8 +431,10 @@ def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
             raise CliError(f"spec {path}: {key} must be a list of words, got {doc[key]!r}")
     try:
         return synth.SynthSpec(
-            abbrev_words=word_map(doc.get("abbrev_words", []), float(doc.get("default_p1", 0.955))),
-            common_words=word_map(doc.get("common_words", []), float(doc.get("default_p0", 0.068))),
+            abbrev_words=word_map("abbrev_words", doc.get("abbrev_words", []),
+                                  number("default_p1", doc.get("default_p1", 0.955))),
+            common_words=word_map("common_words", doc.get("common_words", []),
+                                  number("default_p0", doc.get("default_p0", 0.068))),
             **{key: cast(doc[key]) if cast else doc[key] for key, cast in casts.items() if key in doc},
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -581,7 +595,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
         if args.verbose:
             logger.setLevel(logging.DEBUG)
-        code = args.func(args)
+        # a command's containers live until it ends, so the cyclic collector's passes find nothing
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            code = args.func(args)
+        finally:
+            if collecting:
+                gc.enable()
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:  # stdout's reader left: exit 1, and quietly at the final flush

@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_MEDIAN_THRESHOLD",
     "METHOD_LRT",
     "METHOD_MEDIAN",
-    "decide_median",
     "decide_lrt",
     "filter_occasional",
     "build_dictionary",
@@ -84,14 +83,22 @@ class DecisionRecord:
     beta: float | None = None
 
 
+def _median_threshold(value: Fraction | float | str) -> Fraction:
+    thr = as_fraction(value)
+    if not 0 < thr < 1:
+        raise InvalidConfigError(f"median threshold must be in (0,1), got {thr}")
+    return thr
+
+
+def _median_rule(profile: WordProfile, threshold: Fraction) -> DecisionRecord:
+    med = profile.median_share
+    return DecisionRecord(med is not None and med > threshold, METHOD_MEDIAN)
+
+
 def decide_median(profile: WordProfile, threshold: Fraction | float | str = DEFAULT_MEDIAN_THRESHOLD) -> DecisionRecord:
     """Median-share rule: abbreviation iff the median yearly share is
     strictly above the threshold ("more than 90%" at the default)."""
-    thr = as_fraction(threshold)
-    if not 0 < thr < 1:
-        raise InvalidConfigError(f"median threshold must be in (0,1), got {thr}")
-    med = profile.median_share
-    return DecisionRecord(med is not None and med > thr, METHOD_MEDIAN)
+    return _median_rule(profile, _median_threshold(threshold))
 
 
 def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord:
@@ -146,10 +153,7 @@ class BuildOptions:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        thr = as_fraction(self.median_threshold)
-        if not 0 < thr < 1:
-            raise InvalidConfigError(f"median threshold must be in (0,1), got {thr}")
-        object.__setattr__(self, "median_threshold", thr)
+        object.__setattr__(self, "median_threshold", _median_threshold(self.median_threshold))
         if self.min_total < 0 or self.min_volumes < 0 or self.min_active_years < 0:
             raise InvalidConfigError("thresholds must be non-negative")
 
@@ -194,6 +198,7 @@ def build_dictionary(
     on the words the median rule admits, and its decision is stored.
     """
     options = options or BuildOptions()
+    threshold = _median_threshold(options.median_threshold)  # once per build, not per word
     window = None
     candidates: list[AbbrevEntry] = []
     undecided = 0
@@ -205,8 +210,8 @@ def build_dictionary(
             undecided += 1
             continue
         if options.method == "median":
-            decision = decide_median(profile, options.median_threshold)
-        elif options.method == "lrt" or decide_median(profile, options.median_threshold).is_abbreviation:
+            decision = _median_rule(profile, threshold)
+        elif options.method == "lrt" or _median_rule(profile, threshold).is_abbreviation:
             decision = decide_lrt(profile, options.params)
         else:
             continue

@@ -9,10 +9,13 @@ of title-like prefixes.  So the dictionary changes a boundary only at
 override-listed stems; with an empty dictionary the rule is the naive
 period-space-capital pattern, the measurable baseline.
 
-`sentence_spans` applies the rule without tokenizing.  `token_columns`,
-the one tokenizer, makes one pass into columns (texts, byte starts,
-byte ends, kinds), fusing a dictionary stem with its period into one
-abbreviation token, and gives each sentence its token range; the CLI
+`_period_verdicts` applies the rule, in one scan of the candidate
+periods; it is the only place a period is decided.  `sentence_spans`
+cuts the text at its verdicts without tokenizing.  `token_columns`, the
+one tokenizer, makes one pass into columns (texts, byte starts, byte
+ends, kinds), a regex match per token with the whitespace after it,
+fusing a dictionary stem with its period into one abbreviation token,
+and gives each sentence its token range from the same verdicts; the CLI
 calls it only for ``--spans``.
 
 All spans are byte offsets into the UTF-8 encoding of the input.
@@ -22,8 +25,9 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from bisect import bisect_right
-from itertools import accumulate, chain, compress
+from bisect import bisect_left
+from itertools import accumulate, compress, islice
+from operator import add
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,10 +88,10 @@ class LoadedDictionary:
 
 EMPTY_DICTIONARY = LoadedDictionary(())
 
-# word, whitespace run, number (periods between digits stay inside),
-# then any single leftover character; no character starts more than one
-# of the first four, and words, the most common, are tried first
-_TOKEN_RE = re.compile(r"[^\W\d_]+|\s+|\d+(?:[.,]\d+)+|\d+|.", re.UNICODE)
+# one chunk per token: a word, a number (periods between digits stay
+# inside) or any other single character, with the whitespace after it;
+# whitespace is a chunk of its own only at the start of the text
+_TOKEN_RE = re.compile(r"(?:[^\W\d_]+|\d+(?:[.,]\d+)+|\d+|\S)\s*|\s+", re.UNICODE)
 
 # a candidate period: whitespace and then a non-space character (group 1)
 # follow it
@@ -95,6 +99,26 @@ _PERIOD_RE = re.compile(r"\.(?=\s+(\S))", re.UNICODE)
 # a letter run, the word class of _TOKEN_RE; matched on the reversed
 # text it reads the stem that ends at a period
 _RUN_RE = re.compile(r"[^\W\d_]*", re.UNICODE)
+
+
+def _period_verdicts(
+    text: str, dictionary: LoadedDictionary, override: Iterable[str]
+) -> tuple[list[int], list[bool]]:
+    """The char end of every candidate period in `text`, in order, and
+    whether the boundary rule ends a sentence there."""
+    # the stems a capital cannot end a sentence after, under the dictionary's case rule
+    protected = LoadedDictionary([w for w in override if w[:1].isalpha() and w in dictionary], dictionary.case_fold)
+    backwards = text[::-1] if protected else ""
+    ends: list[int] = []
+    verdicts: list[bool] = []
+    for match in _PERIOD_RE.finditer(text):
+        end = match.end()
+        ends.append(end)
+        verdicts.append(
+            match.group(1).isupper()
+            and not (backwards and _RUN_RE.match(backwards, len(text) - end + 1).group()[::-1] in protected)
+        )
+    return ends, verdicts
 
 
 def token_columns(
@@ -109,54 +133,70 @@ def token_columns(
     Word, number, punctuation and other tokens; whitespace becomes the
     gaps between spans.  A period directly after a word whose stem is in
     `dictionary` fuses with it into one abbreviation token.  The
-    `_TOKEN_RE` matches tile the text, so the byte ends are a running
-    sum of their UTF-8 sizes; size and kind are worked out once per
-    distinct match, as matches repeat.
+    `_TOKEN_RE` chunks tile the text, each a token and the whitespace
+    after it, so a token starts where the chunk before it ends, a
+    running sum of their UTF-8 sizes; token, sizes and kind are worked
+    out once per distinct chunk, as chunks repeat.  A sentence ends at
+    each period `_period_verdicts` says ends one: the k-th candidate
+    period is the k-th period chunk with whitespace in it and a chunk
+    after it.
     """
     dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
     chunks = _TOKEN_RE.findall(text)
-    sizes: dict[str, int] = {}
-    kind_of: dict[str, str] = {}  # "" for whitespace, which is no token
-    abbreviations: dict[str, str] = {}  # dictionary stem -> stem + "."
+    token_of: dict[str, str] = {}
+    sizes: dict[str, int] = {}  # UTF-8 size of every chunk and token
+    kind_of: dict[str, str] = {}  # "" for leading whitespace, which is no token
+    breaks = set()  # a period and the whitespace after it
     for chunk in dict.fromkeys(chunks):
+        token = token_of[chunk] = chunk.rstrip()
         sizes[chunk] = len(chunk.encode("utf-8"))
+        sizes[token] = len(token.encode("utf-8"))
         lead = chunk[0]
-        if chunk.isspace():
+        if not token:
             kind = ""
         elif lead.isdigit():
             kind = KIND_NUMBER
         elif lead.isalpha():
             kind = KIND_WORD
-            if chunk in dictionary:
-                abbreviations[chunk] = chunk + "."
+            if token == chunk and chunk in dictionary:
+                kind = KIND_ABBREV  # a word again below, unless a period follows it
+                token_of[chunk + "."] = chunk + "."
+                sizes[chunk + "."] = sizes[chunk] + 1
         elif unicodedata.category(lead).startswith("P"):
             kind = KIND_PUNCT
+            if lead == "." and token != chunk:
+                breaks.add(chunk)
         else:
             kind = KIND_OTHER
         kind_of[chunk] = kind
-    ends = list(accumulate(map(sizes.__getitem__, chunks)))
+    bounds = list(accumulate(map(sizes.__getitem__, chunks), initial=0))  # chunk starts, then the text's end
     kinds = list(map(kind_of.__getitem__, chunks))
-    if abbreviations:
-        dot = -1  # list.index finds the periods at C speed
-        for _ in range(chunks.count(".")):
-            dot = chunks.index(".", dot + 1)
-            if dot and chunks[dot - 1] in abbreviations:
-                # the stem's chunk becomes the abbreviation; the period's is dropped
-                chunks[dot - 1] = abbreviations[chunks[dot - 1]]
-                kinds[dot - 1] = KIND_ABBREV
-                ends[dot - 1] = ends[dot]
-                kinds[dot] = ""
-    texts = list(compress(chunks, kinds))
-    starts = list(compress(chain((0,), ends), kinds))
-    ends = list(compress(ends, kinds))
+    # where the token after each candidate period starts, kept where the period ends a sentence
+    cuts = list(compress(islice(bounds, 1, len(chunks)), map(breaks.__contains__, chunks)))
+    cuts = list(compress(cuts, _period_verdicts(text, dictionary, override)[1]))
+    stem = -1  # list.index finds the stems at C speed
+    for _ in range(kinds.count(KIND_ABBREV)):
+        stem = kinds.index(KIND_ABBREV, stem + 1)
+        if stem + 1 < len(chunks) and chunks[stem + 1][0] == ".":
+            # the stem's chunk becomes the abbreviation; the period's is dropped
+            chunks[stem] += "."
+            kinds[stem + 1] = ""
+        else:
+            kinds[stem] = KIND_WORD
+    texts = list(compress(map(token_of.__getitem__, chunks), kinds))
+    starts = list(compress(bounds, kinds))
+    del chunks, bounds  # freed before the last columns are built, which lowers the peak
+    ends = list(map(add, starts, map(sizes.__getitem__, texts)))
     kinds = list(filter(None, kinds))
 
     sentences = []
     first = 0
-    for span in sentence_spans(text, dictionary, override):
-        last = bisect_right(ends, span.end, first)
-        sentences.append(SentenceSpan(span.start, span.end, first, last))
+    for cut in cuts:
+        last = bisect_left(starts, cut, first)
+        sentences.append(SentenceSpan(starts[first], ends[last - 1], first, last))
         first = last
+    if texts:
+        sentences.append(SentenceSpan(starts[first], ends[-1], first, len(texts)))
     return (texts, starts, ends, kinds), sentences
 
 
@@ -174,16 +214,7 @@ def sentence_spans(
     sentence; whitespace around a sentence is outside its span.
     """
     dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
-    # the stems a capital cannot end a sentence after, under the dictionary's case rule
-    protected = LoadedDictionary([w for w in override if w[:1].isalpha() and w in dictionary], dictionary.case_fold)
-    backwards = text[::-1] if protected else ""
-    cuts = []  # char index just after each terminal period
-    for match in _PERIOD_RE.finditer(text):
-        if not match.group(1).isupper():
-            continue
-        if protected and _RUN_RE.match(backwards, len(text) - match.start()).group()[::-1] in protected:
-            continue
-        cuts.append(match.end())
+    cuts = list(compress(*_period_verdicts(text, dictionary, override)))  # char index just after each terminal period
     cuts.append(len(text))
 
     spans: list[SentenceSpan] = []

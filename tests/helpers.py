@@ -14,8 +14,9 @@ import oracles
 # wide alphabet for the oracle comparisons: both cases of Cyrillic and
 # Latin, a titlecase letter (not uppercase), digits that are not decimal
 # (superscript two, one half), underscore, a combining accent, no-break
-# space, line separator, tabs and newlines, and numbers with . and ,
-WIDE_ATOMS = list("абвгАБВГabcABC\u01c5\u00b2\u00bd_\u0301\u00a0\u2028 \t\n.,!") + [
+# space, line separator, unit separator, ideographic space, tabs and
+# newlines, and numbers with . and ,
+WIDE_ATOMS = list("абвгАБВГabcABC\u01c5\u00b2\u00bd_\u0301\u00a0\u2028\x1f\u3000 \t\n.,!") + [
     "гл", "Гл", "ГЛ", "ab", "Ab", "\u00b2гл", "\u00bdab", "_гл", "3гл", "x\u00b2y", "е\u0301ж",
     "3", "3.14", "1,5", "..", ". ", ".\n", ". Да", ". да", ". \u01c5", ".\u00a0Z", ".\u2028Ж",
 ]

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import gzip
 import hashlib
 import importlib
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abbrevkit
-from abbrevkit import analytics, dictionary, likelihood, segment, synth
+from abbrevkit import analytics, cli, dictionary, likelihood, segment, synth
 from abbrevkit.cli import build_parser, main
 from abbrevkit.ingest import Aggregator, IngestConfig, YearlyUsage, is_word
 
@@ -42,6 +43,7 @@ SPEC_DOC = {
 
 # the spec entries that hold word lists
 _WORD_LIST_KEYS = ["abbrev_words", "common_words", "title_like"]
+_NUMBER_KEYS = ["default_p1", "default_p0", "period_comma_swap"]
 
 
 def _cli_env() -> dict:
@@ -492,6 +494,48 @@ class TestSegmentWithoutTokens:
         assert capsys.readouterr().out == expected
         assert main([*argv, "--output", str(inputs / "spans.json")]) == 0
         assert (inputs / "spans.json").read_text(encoding="utf-8") == expected
+
+
+class TestCollectorOffDuringCommands:
+    """`main` runs a command with the cyclic garbage collector off and
+    leaves it as it found it, whether the command succeeds, fails with a
+    one-line error or loses its stdout reader."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path, outcome: BaseException | None) -> tuple[int, list[bool]]:
+        """`main` on a stand-in command that records whether the collector
+        is on and then raises `outcome`, or returns 0 when it is None."""
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if outcome is not None:
+                raise outcome
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_segment", command)
+        # a file of its own: the broken-pipe path points its descriptor at os.devnull
+        with open(tmp_path / "stdout", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            code = main(["segment", "in.txt", "--baseline"])
+            monkeypatch.undo()
+        return code, seen
+
+    @pytest.mark.parametrize("outcome, code", [
+        (None, 0), (cli.CliError("no such thing"), 1), (BrokenPipeError(), 1),
+    ], ids=["exit-0", "cli-error", "broken-pipe"])
+    def test_off_in_the_command_and_on_after(self, monkeypatch, tmp_path, outcome, code):
+        assert gc.isenabled()
+        assert self._run(monkeypatch, tmp_path, outcome) == (code, [False])
+        assert gc.isenabled()
+
+    def test_left_off_when_the_caller_had_it_off(self, monkeypatch, tmp_path):
+        gc.disable()
+        try:
+            assert self._run(monkeypatch, tmp_path, None) == (0, [False])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 # the wide alphabet plus what JSON escapes: quote, backslash, every
@@ -1096,6 +1140,14 @@ MALFORMED = {
     "flag-min-total-not-int": (["build", "--aggregate", "agg.json", "--min-total", "x", "--out-words", "d.txt"], {}),
     "synth-spec-list": (SYNTH, [1]),
     "synth-sentences-list": (SYNTH, {"sentences": [3]}),
+    "synth-default-p1-string": (SYNTH, {"abbrev_words": ["ab"], "common_words": ["cd"], "default_p1": "0.9"}),
+    "synth-default-p0-true": (SYNTH, {"abbrev_words": ["ab"], "common_words": ["cd"], "default_p0": True}),
+    "synth-word-map-string": (SYNTH, {"abbrev_words": {"ab": "0.9"}, "common_words": ["cd"]}),
+    "synth-word-map-false": (SYNTH, {"abbrev_words": ["ab"], "common_words": {"cd": False}}),
+    "synth-period-comma-swap-true": (SYNTH, {"abbrev_words": ["ab"], "common_words": ["cd"],
+                                             "period_comma_swap": True}),
+    "synth-period-comma-swap-string": (SYNTH, {"abbrev_words": ["ab"], "common_words": ["cd"],
+                                               "period_comma_swap": "0.5"}),
     "flag-window-inverted": (["build", "--aggregate", "agg.json", "--window", "2008:1990", "--out-words", "d.txt"], {}),
     "config-window-inverted": (CONFIG_BUILD, {"window": "2008:1990"}),
     "flag-mean-window-inverted": (["params", "--aggregate", "agg.json", "--seed-abbrevs", "in.txt",
@@ -1188,6 +1240,12 @@ MESSAGE_PARTS = {
     "config-min-active-years-negative": ["--min-active-years", "'-1'"],
     "flag-max-volumes-zero": ["--max-volumes", "'0'"],
     "config-max-volumes-zero": ["--max-volumes", "'0'"],
+    "synth-default-p1-string": ["spec bad.json: default_p1 must be a number, got '0.9'"],
+    "synth-default-p0-true": ["spec bad.json: default_p0 must be a number, got True"],
+    "synth-word-map-string": ["spec bad.json: abbrev_words['ab'] must be a number, got '0.9'"],
+    "synth-word-map-false": ["spec bad.json: common_words['cd'] must be a number, got False"],
+    "synth-period-comma-swap-true": ["spec bad.json: period_comma_swap must be a number, got True"],
+    "synth-period-comma-swap-string": ["spec bad.json: period_comma_swap must be a number, got '0.5'"],
 }
 
 
@@ -1544,12 +1602,20 @@ _SPEC_ENTRIES = {
 @st.composite
 def _specs(draw):
     """A synth spec of valid entries, with common words, one time in eight
-    a word list given as a string, and up to two entries set to any JSON
+    a word list given as a string, one time in eight a probability given
+    as a string or a boolean, and up to two entries set to any JSON
     value, under a spec key or an unknown one."""
     doc = draw(st.fixed_dictionaries({}, optional=_SPEC_ENTRIES))
     doc.setdefault("common_words", ["год"])
     if draw(st.integers(0, 7)) == 0:
         doc[draw(st.sampled_from(_WORD_LIST_KEYS))] = draw(st.sampled_from(["", "ab", "др"]))
+    if draw(st.integers(0, 7)) == 0:
+        not_a_number = draw(st.sampled_from(["0.5", "1", "", True, False]))
+        key = draw(st.sampled_from([*_NUMBER_KEYS, "word map"]))
+        if key == "word map":
+            doc["abbrev_words"] = {"др": not_a_number}
+        else:
+            doc[key] = not_a_number
     for _ in range(draw(st.integers(0, 2))):
         doc[draw(st.sampled_from([*sorted(_SPEC_ENTRIES), "unknown"]))] = draw(_VALUES)
     return doc
@@ -1586,6 +1652,13 @@ class TestInputFileFuzz:
         assert _exit_0_or_one_error(code, errors)
         # a string where a word list belongs is refused, never split into letters
         if any(isinstance(doc.get(key), str) for key in _WORD_LIST_KEYS):
+            assert code == 1
+        # and a string or a boolean where a probability belongs is refused, never cast
+        probabilities = [doc.get(key, 0.5) for key in _NUMBER_KEYS]
+        for key in ("abbrev_words", "common_words"):
+            if isinstance(doc.get(key), dict):
+                probabilities += doc[key].values()
+        if any(isinstance(value, (str, bool)) for value in probabilities):
             assert code == 1
 
     @given(_TOTALS_FILES, st.sampled_from([[], ["--top-k", "1"], ["--dynamics-window", "1995:1996"]]))

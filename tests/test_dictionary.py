@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abbrevkit import dictionary
 from abbrevkit.dictionary import (
     METHOD_LRT,
     METHOD_MEDIAN,
@@ -209,6 +210,17 @@ def _corpus():
 
 
 class TestBuildDictionary:
+    @pytest.mark.parametrize("method", ["median", "both-must-agree"])
+    @pytest.mark.parametrize("words", [1, 40])
+    def test_threshold_converted_once_per_build(self, monkeypatch, method, words):
+        profiles = build_profiles({f"др{'а' * i}": {1995: (95, 100, 3), 1996: (96, 100, 3)} for i in range(words)})
+        options = BuildOptions(method=method, median_threshold="0.9")
+        calls = []
+        monkeypatch.setattr(dictionary, "as_fraction", lambda value: calls.append(value) or as_fraction(value))
+        built = build_dictionary(profiles, options)
+        assert len(built.entries) == words
+        assert calls == [Fraction(9, 10)]
+
     def test_median_build_recovers_planted(self):
         built = build_dictionary(_corpus(), BuildOptions(method="median"))
         assert built.words() == ["гл", "др"]

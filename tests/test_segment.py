@@ -19,6 +19,7 @@ from abbrevkit.segment import (
     sentence_texts,
     token_columns,
 )
+from abbrevkit import segment as segment_module
 from abbrevkit import synth
 from abbrevkit.dictionary import (
     BuildOptions,
@@ -423,3 +424,67 @@ class TestProtectedStems:
         texts = sentence_texts(self.TEXT, sentence_spans(self.TEXT, loaded, override))
         # ул and ab are override words only, so a capital ends a sentence after them
         assert any(sentence.endswith(" ул.") for sentence in texts) and "Снова ab." in texts
+
+
+class _CountedPattern:
+    """A compiled pattern that counts the calls of its methods."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestOnePeriodScan:
+    """`token_columns` reads its sentence boundaries from the one period
+    scan: it never calls `sentence_spans` and runs the period pattern
+    once.  The k-th candidate period pairs with the k-th period chunk
+    that has whitespace after it and a chunk after that, so the edges of
+    that pairing each split as the token walk does."""
+
+    TEXTS = [
+        "  Он пришёл. Да",  # whitespace at the start
+        "\n\tгл. Вторая. ",
+        "Он пришёл. ",  # a period, whitespace and nothing after
+        "Он пришёл. Да. ",
+        "Он пришёл.\u00a0Да",  # whitespace that is not a space, then a capital
+        "Он пришёл.\u2028Да",
+        "Он пришёл.\u3000Да.\x1fНет",
+        "Смотри гл. Вторая часть",  # a fused stem whose period ends a sentence
+        "Смотри гл.",
+        "Смотри гл. вторая гл.\nНовая",
+        "Он.. Да",
+        "Он .. Да. . Нет",
+        "3. Да",
+        "Пи 3.14. Да 1,5. Нет",
+        "",
+        " \n ",
+        ".",
+        ". Да",
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    @pytest.mark.parametrize("words, override", [((), ()), (("гл", "Он"), ()), (("гл", "Он"), ("гл",))])
+    def test_edges_match_the_token_walk(self, monkeypatch, text, words, override):
+        loaded = LoadedDictionary(words)
+        pattern = _CountedPattern(segment_module._PERIOD_RE)
+        monkeypatch.setattr(segment_module, "_PERIOD_RE", pattern)
+
+        def refuse(*args):
+            raise AssertionError("sentence_spans called")
+
+        monkeypatch.setattr(segment_module, "sentence_spans", refuse)
+        columns, sentences = token_columns(text, loaded, override)
+        assert pattern.calls == 1
+        assert (list(zip(*columns)), sentences) == oracles.dict_segment_reference(text, loaded, override)
+        monkeypatch.undo()
+        assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in sentences]
+
