@@ -10,7 +10,7 @@ from .dictionary import (
     DecisionRecord,
     build_dictionary,
     decide_lrt,
-    decide_median,
+    load_dictionary,
 )
 from .ingest import Aggregator, IngestConfig, NgramRecord, WordProfile, parse_line
 from .likelihood import (
@@ -22,7 +22,7 @@ from .likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from .segment import baseline_segment, load_dictionary, sentence_spans
+from .segment import baseline_segment, sentence_spans
 from .synth import SynthSpec, generate_ngrams, generate_text
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "binomial_pmf",
     "build_dictionary",
     "decide_lrt",
-    "decide_median",
     "generate_ngrams",
     "generate_text",
     "likelihood_ratio",

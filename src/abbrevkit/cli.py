@@ -236,7 +236,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     dictionary_digest = None
     if args.dictionary:
         digest = hashlib.sha256()
-        loaded = segment.load_dictionary(args.dictionary, digest=digest)
+        loaded = dictionary.load_dictionary(args.dictionary, digest=digest)
         entries = [profiles[w] for w in sorted(profiles) if w in loaded]
         dictionary_digest = digest.hexdigest()
     needs_dict = [k for k in args.reports if k != "p-series"]
@@ -299,8 +299,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if not args.dictionary:
             raise CliError("segment needs --dictionary (or --baseline)")
         # None defers to the dictionary's own case policy (JSON metadata)
-        loaded = segment.load_dictionary(args.dictionary, case_fold=args.case_fold or None)
-    override = segment.load_dictionary(args.override_list).words if args.override_list else ()
+        loaded = dictionary.load_dictionary(args.dictionary, case_fold=args.case_fold or None)
+    override = dictionary.load_dictionary(args.override_list).words if args.override_list else ()
     with ingest.read_input(None if args.input == "-" else args.input) as handle:
         text = handle.read()
     # only --spans needs tokens; the boundaries come from periods alone
@@ -445,8 +445,8 @@ def _share_estimate(args: argparse.Namespace, profiles: dict[str, ingest.WordPro
     """p0 and p1 by year from the seed lists, for `params` and the p-series report."""
     return likelihood.estimate_share_params(
         profiles,
-        segment.load_dictionary(args.seed_abbrevs).words,
-        segment.load_dictionary(args.seed_commons).words,
+        dictionary.load_dictionary(args.seed_abbrevs).words,
+        dictionary.load_dictionary(args.seed_commons).words,
         args.window,
         args.mean_window,
         args.pooled,

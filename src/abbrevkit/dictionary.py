@@ -1,11 +1,12 @@
-"""Turn aggregated word profiles into an abbreviation dictionary.
+"""Build an abbreviation dictionary from aggregated word profiles, write it and read it.
 
 Two decision rules are offered: the median-share rule (the word counts
 as an abbreviation when the median of its yearly with-period shares
 exceeds a threshold, 90% by default) and the binomial likelihood-ratio
 test on pooled counts.  Candidate entries then pass occasionalism
 filters on volume spread and active timespan.  Builds are deterministic
-for fixed inputs and configuration.
+for fixed inputs and configuration.  `load_dictionary`, the one reader,
+also reads the override and seed word lists.
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
-from .ingest import WordProfile
+from .ingest import WORD_RULE, WordProfile, is_word, read_input
 from .likelihood import (
     HypothesisParams,
     alpha_error,
@@ -42,6 +44,9 @@ __all__ = [
     "dictionary_to_tsv",
     "dictionary_to_json",
     "dictionary_to_wordlist",
+    "LoadedDictionary",
+    "DictionaryLoadError",
+    "load_dictionary",
 ]
 
 FLAG_LOW_VOLUME = "low-volume"
@@ -83,22 +88,11 @@ class DecisionRecord:
     beta: float | None = None
 
 
-def _median_threshold(value: Fraction | float | str) -> Fraction:
-    thr = as_fraction(value)
-    if not 0 < thr < 1:
-        raise InvalidConfigError(f"median threshold must be in (0,1), got {thr}")
-    return thr
-
-
 def _median_rule(profile: WordProfile, threshold: Fraction) -> DecisionRecord:
-    med = profile.median_share
-    return DecisionRecord(med is not None and med > threshold, METHOD_MEDIAN)
-
-
-def decide_median(profile: WordProfile, threshold: Fraction | float | str = DEFAULT_MEDIAN_THRESHOLD) -> DecisionRecord:
     """Median-share rule: abbreviation iff the median yearly share is
     strictly above the threshold ("more than 90%" at the default)."""
-    return _median_rule(profile, _median_threshold(threshold))
+    med = profile.median_share
+    return DecisionRecord(med is not None and med > threshold, METHOD_MEDIAN)
 
 
 def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord:
@@ -153,7 +147,9 @@ class BuildOptions:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        object.__setattr__(self, "median_threshold", _median_threshold(self.median_threshold))
+        object.__setattr__(self, "median_threshold", as_fraction(self.median_threshold))  # the one conversion
+        if not 0 < self.median_threshold < 1:
+            raise InvalidConfigError(f"median threshold must be in (0,1), got {self.median_threshold}")
         if self.min_total < 0 or self.min_volumes < 0 or self.min_active_years < 0:
             raise InvalidConfigError("thresholds must be non-negative")
 
@@ -198,7 +194,6 @@ def build_dictionary(
     on the words the median rule admits, and its decision is stored.
     """
     options = options or BuildOptions()
-    threshold = _median_threshold(options.median_threshold)  # once per build, not per word
     window = None
     candidates: list[AbbrevEntry] = []
     undecided = 0
@@ -210,8 +205,8 @@ def build_dictionary(
             undecided += 1
             continue
         if options.method == "median":
-            decision = _median_rule(profile, threshold)
-        elif options.method == "lrt" or _median_rule(profile, threshold).is_abbreviation:
+            decision = _median_rule(profile, options.median_threshold)
+        elif options.method == "lrt" or _median_rule(profile, options.median_threshold).is_abbreviation:
             decision = decide_lrt(profile, options.params)
         else:
             continue
@@ -249,6 +244,11 @@ def build_dictionary(
 
 
 # -- serialization ---------------------------------------------------------
+
+# the JSON document's format and version, for its writer and its reader
+DOCUMENT_FORMAT = "abbrevkit-dictionary"
+DOCUMENT_VERSION = 1
+
 
 def _share_repr(share: Fraction | None) -> str:
     return repr(float(share)) if share is not None else "-"
@@ -293,8 +293,8 @@ def dictionary_to_json(dictionary: AbbrevDictionary) -> str:
     that overflows the float range serializes as null (strict JSON has
     no Infinity)."""
     doc = {
-        "format": "abbrevkit-dictionary",
-        "version": 1,
+        "format": DOCUMENT_FORMAT,
+        "version": DOCUMENT_VERSION,
         "build_meta": dictionary.build_meta,
         "entries": [
             {
@@ -322,3 +322,79 @@ def dictionary_to_wordlist(dictionary: AbbrevDictionary) -> str:
     """Plain list, one word per line, for segmenter consumption."""
     words = dictionary.words()
     return "\n".join(words) + ("\n" if words else "")
+
+
+class DictionaryLoadError(ValueError):
+    """An unreadable or malformed dictionary; the message names the file."""
+
+    def __init__(self, message: str, line_number: int = 0):
+        super().__init__(message)
+        self.line_number = line_number
+
+
+class LoadedDictionary:
+    """Read-only stem membership with O(len(stem)) lookup; `words` as given."""
+
+    def __init__(self, words: Iterable[str], case_fold: bool = False):
+        self.case_fold = case_fold
+        self.words = tuple(words)
+        self._stems = frozenset(w.lower() for w in self.words) if case_fold else frozenset(self.words)
+
+    def __contains__(self, stem: str) -> bool:
+        return (stem.lower() if self.case_fold else stem) in self._stems
+
+    def __len__(self) -> int:
+        return len(self._stems)
+
+
+def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None) -> LoadedDictionary:
+    """Load words, each passing `is_word`, from any dictionary output
+    format, detected from content: the JSON document, the TSV table
+    (first column) or a plain word list, where lines blank or starting
+    with ``#`` once stripped are skipped.  Unreadable and malformed files
+    raise DictionaryLoadError naming `path` and the offending line.  A
+    hashlib `digest` is fed the bytes in the read (see `read_input`)."""
+    try:
+        with read_input(path, digest) as handle:
+            content = handle.read()
+    except ValueError as exc:
+        raise DictionaryLoadError(str(exc)) from None
+
+    def error(reason: str, line_number: int = 0) -> DictionaryLoadError:
+        where = f"{path} line {line_number}" if line_number else path
+        return DictionaryLoadError(f"dictionary {where}: {reason}", line_number)
+
+    if content.lstrip().startswith("{"):
+        try:
+            doc = json.loads(content)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON dictionary: {exc}", exc.lineno) from None
+        if doc.get("format") != DOCUMENT_FORMAT:
+            raise error(f"not a dictionary document: format={doc.get('format')!r}")
+        if type(doc.get("version")) is not int or doc["version"] != DOCUMENT_VERSION:
+            raise error(f"unsupported dictionary version {doc.get('version')!r}, expected {DOCUMENT_VERSION}")
+        if "entries" not in doc or "build_meta" not in doc:
+            raise error("a dictionary document needs 'entries' and 'build_meta'")
+        entries, meta = doc["entries"], doc["build_meta"]
+        if not isinstance(entries, list) or not isinstance(meta, dict):
+            raise error("'entries' must be a list and 'build_meta' an object")
+        words = [entry.get("word") if isinstance(entry, dict) else None for entry in entries]
+        for index, word in enumerate(words):
+            if not is_word(word):
+                raise error(f"entry {index} 'word' {word!r} is not a word ({WORD_RULE})")
+        fold = meta.get("case_fold", False)
+        if type(fold) is not bool:
+            raise error(f"build_meta case_fold must be true or false, got {fold!r}")
+        return LoadedDictionary(words, case_fold=fold if case_fold is None else case_fold)
+    words = []
+    for line_number, line in enumerate(content.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        word, *rest = fields = line.split("\t")
+        if rest and len(fields) != 8:
+            raise error(f"expected 8 TSV columns, got {len(fields)}", line_number)
+        if not is_word(word):
+            raise error(f"{word!r} is not a word ({WORD_RULE})", line_number)
+        words.append(word)
+    return LoadedDictionary(words, case_fold=bool(case_fold))

@@ -513,7 +513,7 @@ class Aggregator:
             raise ValueError(f"aggregate state must be a JSON object, got {type(state).__name__}")
         if state.get("format") != cls.STATE_FORMAT:
             raise ValueError(f"not an aggregate state file: format={state.get('format')!r}")
-        if state.get("version") != cls.STATE_VERSION:
+        if type(state.get("version")) is not int or state["version"] != cls.STATE_VERSION:  # true == 1.0 == 1
             raise ValueError(f"unsupported aggregate state version {state.get('version')!r}")
         state = {"fingerprints": {}, **state}
         for key in ("config", "counters", "fingerprints", "words"):

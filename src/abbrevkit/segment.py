@@ -18,25 +18,23 @@ fusing a dictionary stem with its period into one abbreviation token,
 and gives each sentence its token range from the same verdicts; the CLI
 calls it only for ``--spans``.
 
-All spans are byte offsets into the UTF-8 encoding of the input.
+Dictionaries are read by `dictionary.load_dictionary`; this module
+only segments.  All spans are byte offsets into the UTF-8 encoding of
+the input.
 """
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from bisect import bisect_left
 from itertools import accumulate, compress, islice
 from operator import add
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .ingest import WORD_RULE, is_word, read_input
+from .dictionary import LoadedDictionary
 
 __all__ = [
     "SentenceSpan",
-    "LoadedDictionary",
-    "DictionaryLoadError",
     "KIND_WORD",
     "KIND_ABBREV",
     "KIND_PUNCT",
@@ -45,7 +43,6 @@ __all__ = [
     "token_columns",
     "sentence_spans",
     "baseline_segment",
-    "load_dictionary",
     "sentence_texts",
 ]
 
@@ -56,34 +53,11 @@ KIND_NUMBER = "number"
 KIND_OTHER = "other"
 
 
-class DictionaryLoadError(ValueError):
-    """An unreadable or malformed dictionary; the message names the file."""
-
-    def __init__(self, message: str, line_number: int = 0):
-        super().__init__(message)
-        self.line_number = line_number
-
-
 class SentenceSpan(NamedTuple):
     start: int
     end: int
     token_start: int | None = None
     token_end: int | None = None  # exclusive; None when no tokenization ran
-
-
-class LoadedDictionary:
-    """Read-only stem membership with O(len(stem)) lookup; `words` as given."""
-
-    def __init__(self, words: Iterable[str], case_fold: bool = False):
-        self.case_fold = case_fold
-        self.words = tuple(words)
-        self._stems = frozenset(w.lower() for w in self.words) if case_fold else frozenset(self.words)
-
-    def __contains__(self, stem: str) -> bool:
-        return (stem.lower() if self.case_fold else stem) in self._stems
-
-    def __len__(self) -> int:
-        return len(self._stems)
 
 
 EMPTY_DICTIONARY = LoadedDictionary(())
@@ -123,7 +97,7 @@ def _period_verdicts(
 
 def token_columns(
     text: str,
-    dictionary: LoadedDictionary | None = None,
+    dictionary: LoadedDictionary = EMPTY_DICTIONARY,
     override: Iterable[str] = (),
 ) -> tuple[tuple[list[str], list[int], list[int], list[str]], list[SentenceSpan]]:
     """The tokens of `text` as four columns -- texts, byte starts, byte
@@ -141,7 +115,6 @@ def token_columns(
     period is the k-th period chunk with whitespace in it and a chunk
     after it.
     """
-    dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
     chunks = _TOKEN_RE.findall(text)
     token_of: dict[str, str] = {}
     sizes: dict[str, int] = {}  # UTF-8 size of every chunk and token
@@ -202,7 +175,7 @@ def token_columns(
 
 def sentence_spans(
     text: str,
-    dictionary: LoadedDictionary | None = None,
+    dictionary: LoadedDictionary = EMPTY_DICTIONARY,
     override: Iterable[str] = (),
 ) -> list[SentenceSpan]:
     """Sentence byte spans by the one boundary rule, without tokens.
@@ -213,7 +186,6 @@ def sentence_spans(
     dictionary and in the override list.  End of text ends the last
     sentence; whitespace around a sentence is outside its span.
     """
-    dictionary = dictionary if dictionary is not None else EMPTY_DICTIONARY
     cuts = list(compress(*_period_verdicts(text, dictionary, override)))  # char index just after each terminal period
     cuts.append(len(text))
 
@@ -235,56 +207,7 @@ def baseline_segment(text: str) -> list[SentenceSpan]:
     """The naive period-space-capital pattern: the one boundary rule
     with an empty dictionary, so every period followed by whitespace and
     an uppercase character ends a sentence."""
-    return sentence_spans(text, EMPTY_DICTIONARY)
-
-
-def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None) -> LoadedDictionary:
-    """Load words, each passing `is_word`, from any dictionary output
-    format, detected from content: the JSON document, the TSV table
-    (first column) or a plain word list, where lines blank or starting
-    with ``#`` once stripped are skipped.  Unreadable and malformed files
-    raise DictionaryLoadError naming `path` and the offending line.  A
-    hashlib `digest` is fed the bytes in the read (see `read_input`)."""
-    try:
-        with read_input(path, digest) as handle:
-            content = handle.read()
-    except ValueError as exc:
-        raise DictionaryLoadError(str(exc)) from None
-
-    def error(reason: str, line_number: int = 0) -> DictionaryLoadError:
-        where = f"{path} line {line_number}" if line_number else path
-        return DictionaryLoadError(f"dictionary {where}: {reason}", line_number)
-
-    if content.lstrip().startswith("{"):
-        try:
-            doc = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise error(f"invalid JSON dictionary: {exc}", exc.lineno) from None
-        if doc.get("format") != "abbrevkit-dictionary":
-            raise error(f"not a dictionary document: format={doc.get('format')!r}")
-        entries, meta = doc.get("entries", []), doc.get("build_meta", {})
-        if not isinstance(entries, list) or not isinstance(meta, dict):
-            raise error("'entries' must be a list and 'build_meta' an object")
-        words = [entry.get("word") if isinstance(entry, dict) else None for entry in entries]
-        for index, word in enumerate(words):
-            if not is_word(word):
-                raise error(f"entry {index} 'word' {word!r} is not a word ({WORD_RULE})")
-        fold = meta.get("case_fold", False)
-        if type(fold) is not bool:
-            raise error(f"build_meta case_fold must be true or false, got {fold!r}")
-        return LoadedDictionary(words, case_fold=fold if case_fold is None else case_fold)
-    words = []
-    for line_number, line in enumerate(content.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        word, *rest = fields = line.split("\t")
-        if rest and len(fields) != 8:
-            raise error(f"expected 8 TSV columns, got {len(fields)}", line_number)
-        if not is_word(word):
-            raise error(f"{word!r} is not a word ({WORD_RULE})", line_number)
-        words.append(word)
-    return LoadedDictionary(words, case_fold=bool(case_fold))
+    return sentence_spans(text)
 
 
 def sentence_texts(text: str, sentences: Sequence[SentenceSpan]) -> list[str]:

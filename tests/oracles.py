@@ -45,6 +45,7 @@ from abbrevkit.ingest import (
     is_word,
     parse_line,
 )
+from abbrevkit.dictionary import LoadedDictionary
 from abbrevkit.segment import (
     EMPTY_DICTIONARY,
     KIND_ABBREV,
@@ -52,7 +53,6 @@ from abbrevkit.segment import (
     KIND_OTHER,
     KIND_PUNCT,
     KIND_WORD,
-    LoadedDictionary,
     SentenceSpan,
 )
 
@@ -220,7 +220,7 @@ def from_state_reference(state: dict) -> Aggregator:
         raise ValueError(f"aggregate state must be a JSON object, got {type(state).__name__}")
     if state.get("format") != cls.STATE_FORMAT:
         raise ValueError(f"not an aggregate state file: format={state.get('format')!r}")
-    if state.get("version") != cls.STATE_VERSION:
+    if type(state.get("version")) is not int or state["version"] != cls.STATE_VERSION:  # true == 1.0 == 1
         raise ValueError(f"unsupported aggregate state version {state.get('version')!r}")
     state = {"fingerprints": {}, **state}
     for key in ("config", "counters", "fingerprints", "words"):

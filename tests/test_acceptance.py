@@ -25,7 +25,8 @@ from abbrevkit.likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from abbrevkit.segment import LoadedDictionary, baseline_segment, token_columns
+from abbrevkit.dictionary import LoadedDictionary
+from abbrevkit.segment import baseline_segment, token_columns
 from abbrevkit.synth import SynthSpec, generate_ngrams, generate_text, make_spec, make_vocabulary
 from abbrevkit import analytics
 from helpers import boundary_f1, boundary_offsets, build_profiles

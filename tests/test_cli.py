@@ -482,7 +482,7 @@ class TestSegmentWithoutTokens:
 
     def test_spans_without_json_dumps(self, inputs, monkeypatch, capsys):
         text = (inputs / "in.txt").read_text(encoding="utf-8")
-        columns, sentences = segment.token_columns(text, segment.LoadedDictionary(["гл", "гор"]))
+        columns, sentences = segment.token_columns(text, dictionary.LoadedDictionary(["гл", "гор"]))
         expected = oracles.spans_json_reference(sentences, zip(*columns))
 
         def refuse(*args, **kwargs):
@@ -574,7 +574,7 @@ class TestSpansMatchOracle:
             (work / "override.txt").write_text("".join(w + "\n" for w in override), encoding="utf-8")
             argv = ["--dictionary", str(work / "dict.txt"), "--override-list", str(work / "override.txt")]
             argv += ["--case-fold"] if case_fold else []
-            loaded = segment.LoadedDictionary(words, case_fold=case_fold)
+            loaded = dictionary.LoadedDictionary(words, case_fold=case_fold)
             columns, sentences = segment.token_columns(read, loaded, override)
             tokens = list(zip(*columns))
         assert self._spans(work, text, argv) == oracles.spans_json_reference(sentences, tokens)
@@ -598,7 +598,7 @@ class TestSpansMatchOracle:
             (tmp_path / "dict.txt").write_text("".join(w + "\n" for w in sorted(spec.abbrev_words)), encoding="utf-8")
             (tmp_path / "override.txt").write_text("".join(w + "\n" for w in spec.title_like), encoding="utf-8")
             argv = ["--dictionary", str(tmp_path / "dict.txt"), "--override-list", str(tmp_path / "override.txt")]
-            loaded = segment.LoadedDictionary(spec.abbrev_words)
+            loaded = dictionary.LoadedDictionary(spec.abbrev_words)
             tokens, sentences = oracles.dict_segment_reference(text, loaded, spec.title_like)
             assert len(tokens) > 2 * 4096 and any(t.kind == segment.KIND_ABBREV for t in tokens)
         assert len(sentences) > 2 * 4096
@@ -845,7 +845,7 @@ class TestEveryDictionaryFormat:
         assert main(["build", "--aggregate", str(agg), "--out-tsv", str(outs[0]), "--out-json", str(outs[1]),
                      "--out-words", str(outs[2])]) == 0
         for out in outs:
-            assert segment.load_dictionary(out).words == ("i\u0307stanbul",), out
+            assert dictionary.load_dictionary(out).words == ("i\u0307stanbul",), out
 
 
 def _config(tmp_path, doc, name="config.json"):
@@ -1079,8 +1079,8 @@ def _config_state(**changes):
 
 
 def _dictionary_doc(**changes):
-    return {"format": "abbrevkit-dictionary", "version": 1, "build_meta": {},
-            "entries": [{"word": "гл"}], **changes}
+    doc = {"format": "abbrevkit-dictionary", "version": 1, "build_meta": {}, "entries": [{"word": "гл"}], **changes}
+    return {key: value for key, value in doc.items() if value is not None}
 
 
 BUILD = ["build", "--aggregate", "bad.json", "--out-words", "d.txt"]
@@ -1181,6 +1181,16 @@ MALFORMED = {
     "aggregate-word-with-tab": (BUILD, _state(words={"a\tb c": {"1995": [9, 10, 1]}})),
     "aggregate-word-hash": (BUILD, _state(words={"#x": {"1995": [9, 10, 1]}})),
     "dictionary-entry-hash": (SEGMENT, _dictionary_doc(entries=[{"word": "#x"}])),
+    "dictionary-version-99": (SEGMENT, _dictionary_doc(version=99)),
+    "dictionary-version-true": (SEGMENT, _dictionary_doc(version=True)),
+    "dictionary-version-float": (SEGMENT, _dictionary_doc(version=1.0)),
+    "dictionary-without-entries": (SEGMENT, _dictionary_doc(entries=None)),
+    "dictionary-without-build-meta": (SEGMENT, _dictionary_doc(build_meta=None)),
+    "stats-dictionary-without-entries": (["stats", "--aggregate", "agg.json", "--dictionary", "bad.json",
+                                          "--reports", "length-histogram", "--out-dir", "r"],
+                                         _dictionary_doc(entries=None)),
+    "aggregate-version-true": (BUILD, _state(version=True)),
+    "aggregate-version-float": (BUILD, _state(version=1.0)),
     "seed-word-digit": (["params", "--aggregate", "agg.json", "--seed-abbrevs", "bad.txt", "--seed-commons", "in.txt"],
                         "др\nг1\n".encode("utf-8")),
     "override-word-inner-space": (["segment", "in.txt", "--baseline", "--override-list", "bad.txt"],
@@ -1222,6 +1232,14 @@ MESSAGE_PARTS = {
     "aggregate-word-with-tab": ["aggregate state:", "word key 'a\\tb c'"],
     "aggregate-word-hash": ["aggregate state:", "word key '#x' is not a word"],
     "dictionary-entry-hash": ["entry 0", "'#x' is not a word"],
+    "dictionary-version-99": ["unsupported dictionary version 99"],
+    "dictionary-version-true": ["unsupported dictionary version True"],
+    "dictionary-version-float": ["unsupported dictionary version 1.0"],
+    "dictionary-without-entries": ["needs 'entries' and 'build_meta'"],
+    "dictionary-without-build-meta": ["needs 'entries' and 'build_meta'"],
+    "stats-dictionary-without-entries": ["needs 'entries' and 'build_meta'"],
+    "aggregate-version-true": ["unsupported aggregate state version True"],
+    "aggregate-version-float": ["unsupported aggregate state version 1.0"],
     "seed-word-digit": ["line 2:", "'г1' is not a word"],
     "override-word-inner-space": ["line 2:", "'гл вторая' is not a word"],
     "flag-p0-p1-flat-error-targets": ["min usage search", "p0=0.1", "p1=0.10000000000000002"],

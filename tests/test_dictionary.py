@@ -1,12 +1,16 @@
+import ast
 import statistics
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abbrevkit
 from abbrevkit import dictionary
 from abbrevkit.dictionary import (
+    DEFAULT_MEDIAN_THRESHOLD,
     METHOD_LRT,
     METHOD_MEDIAN,
     AbbrevEntry,
@@ -16,7 +20,6 @@ from abbrevkit.dictionary import (
     as_fraction,
     build_dictionary,
     decide_lrt,
-    decide_median,
     dictionary_to_json,
     dictionary_to_tsv,
     dictionary_to_wordlist,
@@ -80,10 +83,18 @@ class TestMedianShare:
         assert med == statistics.median(values)
 
 
-class TestDecideMedian:
+def _median_build(profile: WordProfile, threshold=DEFAULT_MEDIAN_THRESHOLD) -> list[AbbrevEntry]:
+    """The entries a median build admits from `profile` alone, with no
+    evidence or occasionalism gate in the way of the median rule."""
+    options = BuildOptions(median_threshold=threshold, min_total=0, min_volumes=0, min_active_years=0)
+    return build_dictionary({profile.word: profile}, options).entries
+
+
+class TestMedianRule:
     def test_above_threshold(self):
         profile = profile_of("др", {1995: (96, 100), 1996: (97, 100), 1997: (95, 100)})
-        decision = decide_median(profile, "0.9")
+        [entry] = _median_build(profile, "0.9")
+        decision = entry.decision
         assert decision.is_abbreviation
         assert decision.method == METHOD_MEDIAN
         assert (decision.eta, decision.likelihood, decision.alpha, decision.beta) == (None,) * 4
@@ -91,7 +102,7 @@ class TestDecideMedian:
     def test_exact_threshold_excluded(self):
         profile = profile_of("др", {1995: (9, 10)})
         assert profile.median_share == Fraction(9, 10)
-        assert not decide_median(profile, "0.9").is_abbreviation
+        assert _median_build(profile, "0.9") == []
 
     def test_undefined_median_is_common(self):
         # data only outside the aggregates window: no evidence
@@ -101,22 +112,19 @@ class TestDecideMedian:
             window=(1990, 2008),
         )["др"]
         assert profile.median_share is None
-        assert not decide_median(profile).is_abbreviation
+        assert _median_build(profile) == []
 
     def test_threshold_domain(self):
-        profile = profile_of("др", {1995: (9, 10)})
         with pytest.raises(InvalidConfigError):
-            decide_median(profile, "1.5")
+            BuildOptions(median_threshold="1.5")
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 50)), min_size=1, max_size=19))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_shares(self, pairs):
         base = {1990 + i: (min(n, t), t) for i, (n, t) in enumerate(pairs)}
         raised = {year: (t, t) for year, (n, t) in base.items()}
-        low = decide_median(profile_of("w", base))
-        high = decide_median(profile_of("w", raised))
-        if low.is_abbreviation:
-            assert high.is_abbreviation
+        if _median_build(profile_of("w", base)):
+            assert _median_build(profile_of("w", raised))
 
 
 class TestDecideLrt:
@@ -219,7 +227,7 @@ class TestBuildDictionary:
         monkeypatch.setattr(dictionary, "as_fraction", lambda value: calls.append(value) or as_fraction(value))
         built = build_dictionary(profiles, options)
         assert len(built.entries) == words
-        assert calls == [Fraction(9, 10)]
+        assert calls == []  # `BuildOptions` converted it when it was made
 
     def test_median_build_recovers_planted(self):
         built = build_dictionary(_corpus(), BuildOptions(method="median"))
@@ -346,3 +354,50 @@ class TestAsFraction:
         assert as_fraction("0.9") == Fraction(9, 10)
         assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
         assert as_fraction(1) == 1
+
+
+def _strings(source: str) -> list[str]:
+    """The string constants of Python `source`, docstrings included."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The abbrevkit modules Python `source` imports, or imports names
+    from, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("abbrevkit."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and (module == "abbrevkit" or module.startswith("abbrevkit.")):
+                module = module.partition(".")[2]
+            elif node.level != 1:
+                continue
+            found.update([module] if module else [alias.name for alias in node.names])
+    return found
+
+
+def test_only_dictionary_knows_the_format():
+    """The dictionary document's format is written in one module, and the
+    segmenter reads no file: it takes no name from `ingest`."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(abbrevkit.__file__).parent.glob("*.py"))}
+    knowing = [name for name, source in sources.items()
+               if any("abbrevkit-dictionary" in text for text in _strings(source))]
+    assert knowing == ["dictionary"]
+    assert "ingest" not in _imported_modules(sources["segment"])
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .ingest import read_input", {"ingest"}),
+    ("from . import ingest, likelihood", {"ingest", "likelihood"}),
+    ("from abbrevkit.ingest import is_word", {"ingest"}),
+    ("from abbrevkit import ingest", {"ingest"}),
+    ("import abbrevkit.ingest as ingest\nimport json", {"ingest"}),
+    ("def f():\n    from .ingest import read_input", {"ingest"}),
+    ("from ..ingest import x\nfrom ingest import y\nimport ingest\nfrom abbrevkitx import ingest", set()),
+])
+def test_import_guard_sees_each_import(source, expected):
+    assert _imported_modules(source) == expected

@@ -10,11 +10,8 @@ from abbrevkit.segment import (
     KIND_NUMBER,
     KIND_PUNCT,
     KIND_WORD,
-    DictionaryLoadError,
-    LoadedDictionary,
     SentenceSpan,
     baseline_segment,
-    load_dictionary,
     sentence_spans,
     sentence_texts,
     token_columns,
@@ -23,10 +20,13 @@ from abbrevkit import segment as segment_module
 from abbrevkit import synth
 from abbrevkit.dictionary import (
     BuildOptions,
+    DictionaryLoadError,
+    LoadedDictionary,
     build_dictionary,
     dictionary_to_json,
     dictionary_to_tsv,
     dictionary_to_wordlist,
+    load_dictionary,
 )
 from abbrevkit.ingest import Aggregator, is_word
 
