@@ -26,6 +26,7 @@ from typing import BinaryIO, Callable, Iterable, Sequence
 from . import analytics, dictionary, ingest, likelihood, segment, synth
 
 logger = logging.getLogger("abbrevkit")
+_BATCH = 4096  # output lines or --spans records a write; about 0.5 MB of records
 
 
 class CliError(Exception):
@@ -293,52 +294,51 @@ def _read_totals(path: str) -> dict[int, int]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    if args.baseline:
-        loaded = None
-    else:
-        if not args.dictionary:
-            raise CliError("segment needs --dictionary (or --baseline)")
-        # None defers to the dictionary's own case policy (JSON metadata)
-        loaded = dictionary.load_dictionary(args.dictionary, case_fold=args.case_fold or None)
+    if not (args.baseline or args.dictionary):
+        raise CliError("segment needs --dictionary (or --baseline)")
+    # the baseline is the empty dictionary; None defers to the dictionary's own case policy (JSON metadata)
+    loaded = segment.EMPTY_DICTIONARY if args.baseline else (
+        dictionary.load_dictionary(args.dictionary, case_fold=args.case_fold or None))
     override = dictionary.load_dictionary(args.override_list).words if args.override_list else ()
     with ingest.read_input(None if args.input == "-" else args.input) as handle:
         text = handle.read()
-    # only --spans needs tokens; the boundaries come from periods alone
-    columns: tuple[Sequence, ...] = ((), (), (), ())
-    if args.baseline:
-        sentences = segment.baseline_segment(text)
-    elif args.spans:
-        columns, sentences = segment.token_columns(text, loaded, override)
-    else:
-        sentences = segment.sentence_spans(text, loaded, override)
-    if args.spans:
-        sys.stdout.flush()  # the document goes to the binary layer beneath
-        with ingest.atomic_output(args.output, binary=True) if args.output else nullcontext(sys.stdout.buffer) as out:
-            _write_spans(out, sentences, *columns)
-        return 0
-    with ingest.atomic_output(args.output) if args.output else nullcontext(sys.stdout) as out:
-        for line in segment.sentence_texts(text, sentences):
-            out.write(line + "\n")
+    sys.stdout.flush()  # every output is UTF-8 bytes, written to the binary layer beneath
+    with ingest.atomic_output(args.output, binary=True) if args.output else nullcontext(sys.stdout.buffer) as out:
+        # only --spans needs tokens; the boundaries come from periods alone
+        if not args.spans:
+            lines = segment.sentence_texts(text, loaded, override)
+            for lo in range(0, len(lines), _BATCH):
+                _write_all(out, ("\n".join(lines[lo:lo + _BATCH]) + "\n").encode("utf-8"))
+        elif args.baseline:
+            _write_spans(out, ((), (), (), ()), segment.baseline_segment(text))
+        else:
+            _write_spans(out, *segment.token_columns(text, loaded, override))
     return 0
+
+
+def _write_all(out: BinaryIO, data: bytes) -> None:
+    """Write all of `data`, which a raw, unbuffered stdout may take in parts."""
+    view = memoryview(data)
+    while view:
+        view = view[out.write(view):]
 
 
 def _write_spans(
     out: BinaryIO,
+    columns: tuple[Sequence[str], Sequence[int], Sequence[int], Sequence[str]],
     sentences: Sequence[segment.SentenceSpan],
-    texts: Sequence[str],
-    starts: Sequence[int],
-    ends: Sequence[int],
-    kinds: Sequence[str],
 ) -> None:
-    """Write the ``--spans`` document from the sentences and the token
-    columns of `segment.token_columns`, a bounded batch of records at a
-    time.  The bytes are the UTF-8 of ``json.dumps(doc, ensure_ascii=False,
-    sort_keys=True, indent=2) + "\\n"``, whose pure-Python encoder (the
-    one `indent` selects) is slow.  Each record is a fixed template with
-    its keys in sorted order; a token's template, its quoted text
-    included, and its kind piece are made once per distinct text and
-    kind, so a batch of tokens is one bytes ``%`` of joined templates,
-    and a batch of sentences one of a repeated template."""
+    """Write the ``--spans`` document from the token columns (texts,
+    starts, ends, kinds) and the sentences of `segment.token_columns`, a
+    bounded batch of records at a time.  The bytes are the UTF-8 of
+    ``json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) +
+    "\\n"``, whose pure-Python encoder (the one `indent` selects) is
+    slow.  Each record is a fixed template with its keys in sorted
+    order; a token's template, its quoted text included, and its kind
+    piece are made once per distinct text and kind, so a batch of tokens
+    is one bytes ``%`` of joined templates, and a batch of sentences one
+    of a repeated template."""
+    texts, starts, ends, kinds = columns
     quote = json.encoder.encode_basestring
     # the token range is null in every sentence, or in none
     tokenized = bool(sentences) and sentences[0].token_start is not None
@@ -363,11 +363,11 @@ def _write_spans(
         values = zip(ends[lo:hi], map(kind_pieces.__getitem__, kinds[lo:hi]), starts[lo:hi])
         return b"".join(map(templates.__getitem__, texts[lo:hi])) % tuple(chain.from_iterable(values))
 
-    out.write(b'{\n  "sentences": ')
+    _write_all(out, b'{\n  "sentences": ')
     _write_array(out, len(sentences), sentence_records)
-    out.write(b',\n  "tokens": ')
+    _write_all(out, b',\n  "tokens": ')
     _write_array(out, len(texts), token_records)
-    out.write(b"\n}\n")
+    _write_all(out, b"\n}\n")
 
 
 def _write_array(out: BinaryIO, size: int, records: Callable[[int, int], bytes]) -> None:
@@ -376,12 +376,12 @@ def _write_array(out: BinaryIO, size: int, records: Callable[[int, int], bytes])
     renders records lo..hi-1, each starting with the separator
     ``b",\\n"`` that the first record drops.  ``[]`` when there are none."""
     if not size:
-        out.write(b"[]")
+        _write_all(out, b"[]")
         return
-    for lo in range(0, size, 4096):  # about 0.5 MB a write
-        batch = records(lo, lo + 4096)
-        out.write(b"[" + batch[1:] if lo == 0 else batch)
-    out.write(b"\n  ]")
+    for lo in range(0, size, _BATCH):
+        batch = records(lo, lo + _BATCH)
+        _write_all(out, b"[" + batch[1:] if lo == 0 else batch)
+    _write_all(out, b"\n  ]")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -10,8 +10,9 @@ override-listed stems; with an empty dictionary the rule is the naive
 period-space-capital pattern, the measurable baseline.
 
 `_period_verdicts` applies the rule, in one scan of the candidate
-periods; it is the only place a period is decided.  `sentence_spans`
-cuts the text at its verdicts without tokenizing.  `token_columns`, the
+periods; it is the only place a period is decided.  `sentence_texts`
+cuts the text at its verdicts into output lines, on char offsets, and
+`sentence_spans` into byte spans, neither tokenizing.  `token_columns`, the
 one tokenizer, makes one pass into columns (texts, byte starts, byte
 ends, kinds), a regex match per token with the whitespace after it,
 fusing a dictionary stem with its period into one abbreviation token,
@@ -20,7 +21,7 @@ calls it only for ``--spans``.
 
 Dictionaries are read by `dictionary.load_dictionary`; this module
 only segments.  All spans are byte offsets into the UTF-8 encoding of
-the input.
+the input; the text lines need none.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import unicodedata
 from bisect import bisect_left
 from itertools import accumulate, compress, islice
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .dictionary import LoadedDictionary
 
@@ -80,18 +81,21 @@ def _period_verdicts(
 ) -> tuple[list[int], list[bool]]:
     """The char end of every candidate period in `text`, in order, and
     whether the boundary rule ends a sentence there."""
-    # the stems a capital cannot end a sentence after, under the dictionary's case rule
-    protected = LoadedDictionary([w for w in override if w[:1].isalpha() and w in dictionary], dictionary.case_fold)
+    # the stems a capital cannot end a sentence after, under the dictionary's case rule; a run
+    # is lowercased only once reversed back: reversed, a final sigma or an İ lowercases wrong
+    fold = dictionary.case_fold
+    protected = frozenset(w.lower() if fold else w for w in override if w[:1].isalpha() and w in dictionary)
     backwards = text[::-1] if protected else ""
     ends: list[int] = []
     verdicts: list[bool] = []
     for match in _PERIOD_RE.finditer(text):
         end = match.end()
         ends.append(end)
-        verdicts.append(
-            match.group(1).isupper()
-            and not (backwards and _RUN_RE.match(backwards, len(text) - end + 1).group()[::-1] in protected)
-        )
+        verdict = match.group(1).isupper()
+        if verdict and backwards:
+            stem = _RUN_RE.match(backwards, len(text) - end + 1).group()[::-1]
+            verdict = (stem.lower() if fold else stem) not in protected
+        verdicts.append(verdict)
     return ends, verdicts
 
 
@@ -186,20 +190,16 @@ def sentence_spans(
     dictionary and in the override list.  End of text ends the last
     sentence; whitespace around a sentence is outside its span.
     """
-    cuts = list(compress(*_period_verdicts(text, dictionary, override)))  # char index just after each terminal period
-    cuts.append(len(text))
-
+    cuts = [0, *compress(*_period_verdicts(text, dictionary, override)), len(text)]  # just after each terminal period
     spans: list[SentenceSpan] = []
-    cursor = pos = 0  # char index and byte offset of the piece's start
-    for cut in cuts:
-        piece = text[cursor:cut]
+    pos = 0  # byte offset of the piece's start
+    for piece in map(text.__getitem__, map(slice, cuts, islice(cuts, 1, None))):
         size = len(piece.encode("utf-8"))
         body = piece.lstrip()
         if body:
             start = pos + size - len(body.encode("utf-8"))
             spans.append(SentenceSpan(start, start + len(body.rstrip().encode("utf-8"))))
         pos += size
-        cursor = cut
     return spans
 
 
@@ -210,11 +210,10 @@ def baseline_segment(text: str) -> list[SentenceSpan]:
     return sentence_spans(text)
 
 
-def sentence_texts(text: str, sentences: Sequence[SentenceSpan]) -> list[str]:
-    """Slice sentence spans out of the text, flattening inner newlines."""
-    source = text.encode("utf-8")
-    out = []
-    for span in sentences:
-        piece = source[span.start:span.end].decode("utf-8")
-        out.append(" ".join(piece.split()))
-    return out
+def sentence_texts(text: str, dictionary: LoadedDictionary = EMPTY_DICTIONARY, override: Iterable[str] = ()) -> list[str]:
+    """The sentences of `sentence_spans` as text, each with its inner
+    whitespace runs flattened to one space, cut on the char offsets of
+    the same verdicts: no byte offset and no span is made."""
+    cuts = [0, *compress(*_period_verdicts(text, dictionary, override)), len(text)]
+    pieces = map(text.__getitem__, map(slice, cuts, islice(cuts, 1, None)))
+    return list(filter(None, map(" ".join, map(str.split, pieces))))

@@ -15,6 +15,7 @@ import stat
 import subprocess
 import sys
 import threading
+import types
 from inspect import signature
 from pathlib import Path
 
@@ -411,6 +412,77 @@ class TestSegmentCommand:
         assert proc.returncode == 1
         assert stderr == b""
 
+    @pytest.mark.parametrize("encoding", ["cp1251", "ascii"])
+    @pytest.mark.parametrize("mode", [["--dictionary", "dict.txt"], ["--baseline"], ["--dictionary", "dict.txt", "--spans"]],
+                             ids=["lines", "baseline", "spans"])
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, encoding, mode):
+        # stdout carries the bytes of --output, not the locale's encoding
+        (tmp_path / "dict.txt").write_text("гл\n", encoding="utf-8")
+        (tmp_path / "in.txt").write_text("Смотри гл. Вторая часть. Ὀδός «ἡ» Ω. Конец", encoding="utf-8")
+        argv = [sys.executable, "-m", "abbrevkit.cli", "segment", "in.txt", *mode]
+        env = dict(_cli_env(), PYTHONIOENCODING=encoding)
+        subprocess.run([*argv, "--output", "out.txt"], env=env, cwd=tmp_path, check=True)
+        result = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (tmp_path / "out.txt").read_bytes()
+        assert "Конец".encode("utf-8") in result.stdout
+
+    @pytest.mark.parametrize("mode", [[], ["--spans"]], ids=["lines", "spans"])
+    def test_unbuffered_stdout_closed_mid_write(self, tmp_path, mode):
+        # one write batch, far larger than a pipe's buffer, to a raw (unbuffered)
+        # stdout: the write that the closed reader cuts short is retried, and fails
+        (tmp_path / "in.txt").write_text("Один два три четыре пять шесть. " * 3000, encoding="utf-8")
+        with subprocess.Popen(
+            [sys.executable, "-m", "abbrevkit.cli", "segment", "in.txt", "--baseline", *mode],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(_cli_env(), PYTHONUNBUFFERED="1"), cwd=tmp_path,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 1
+        assert stderr == b""
+
+    @pytest.mark.parametrize("mode", [[], ["--spans"], ["--baseline", "--spans"]], ids=["lines", "spans", "baseline-spans"])
+    def test_short_writes_are_retried(self, tmp_path, monkeypatch, mode):
+        """A raw stdout that takes half of each write gets every byte of --output."""
+        (tmp_path / "dict.txt").write_text("гл\n", encoding="utf-8")
+        spec = synth.make_spec(12, 60, seed=13)
+        (tmp_path / "in.txt").write_text(synth.generate_text(spec, 5000).text, encoding="utf-8")
+        argv = ["segment", str(tmp_path / "in.txt"), "--dictionary", str(tmp_path / "dict.txt"), *mode]
+        assert main([*argv, "--output", str(tmp_path / "out.txt")]) == 0
+
+        class HalfWrites(io.RawIOBase):
+            def __init__(self):
+                self.data = bytearray()
+                self.short = 0
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                taken = bytes(data[:max(1, len(data) // 2)])
+                self.data += taken
+                self.short += len(taken) < len(data)
+                return len(taken)
+
+        raw = HalfWrites()
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=raw, flush=lambda: None))
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert raw.short and bytes(raw.data) == (tmp_path / "out.txt").read_bytes()
+
+    def test_final_sigma_under_case_fold(self, tmp_path, capsys):
+        # the protected stem οδος matches ΟΔΟΣ read forwards, not a lowercased reversed run
+        for name in ("dict.txt", "override.txt"):
+            (tmp_path / name).write_text("οδος\n", encoding="utf-8")
+        (tmp_path / "in.txt").write_text("ΟΔΟΣ. Αθήνα вчера.", encoding="utf-8")
+        argv = ["segment", str(tmp_path / "in.txt"), "--dictionary", str(tmp_path / "dict.txt"),
+                "--override-list", str(tmp_path / "override.txt"), "--case-fold"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "ΟΔΟΣ. Αθήνα вчера.\n"
+        assert main([*argv, "--spans"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["sentences"]) == 1
+
     def test_needs_dictionary_without_baseline(self, tmp_path):
         text = tmp_path / "in.txt"
         text.write_text("Привет.", encoding="utf-8")
@@ -615,15 +687,21 @@ class TestAtomicOutputs:
         out = tmp_path / "out.txt"
         out.write_bytes(b"old output\n")
 
-        def failing_texts(text, sentences):
-            yield "Привет."
+        written = []
+        real_write_all = cli._write_all
+
+        def failing_write_all(out, data):
+            # the first bytes reach the temporary file, then the write fails
+            real_write_all(out, data[:3])
+            out.flush()
+            written.append(data[:3])
             raise ValueError("write failed")
 
-        monkeypatch.setattr(segment, "sentence_texts", failing_texts)
+        monkeypatch.setattr(cli, "_write_all", failing_write_all)
         code = main([
             "segment", str(tmp_path / "in.txt"), "--dictionary", str(tmp_path / "dict.txt"), "--output", str(out),
         ])
-        assert code == 1
+        assert code == 1 and written == ["Привет.".encode()[:3]]
         assert out.read_bytes() == b"old output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dict.txt", "in.txt", "out.txt"]
 

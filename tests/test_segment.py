@@ -31,7 +31,7 @@ from abbrevkit.dictionary import (
 from abbrevkit.ingest import Aggregator, is_word
 
 import oracles
-from helpers import boundary_f1, boundary_offsets, wide_texts
+from helpers import WIDE_ATOMS, boundary_f1, boundary_offsets, texts_of, wide_texts
 
 
 def _ends(spans):
@@ -308,9 +308,7 @@ class TestTokenizeKinds:
 
     def test_sentence_texts_flatten_newlines(self):
         text = "Первое\nпредложение. Второе."
-        _, sents = token_columns(text, LoadedDictionary(()))
-        lines = sentence_texts(text, sents)
-        assert lines == ["Первое предложение.", "Второе."]
+        assert sentence_texts(text, LoadedDictionary(())) == ["Первое предложение.", "Второе."]
 
 
 class TestBoundaryF1:
@@ -381,8 +379,7 @@ class TestPeriodRuleMatchesOracles:
     def test_override_only_acts_on_dictionary_stems(self):
         text = "Он уехал в гор. Казань. Вот ул. Ленина."
         loaded = LoadedDictionary({"гор"})
-        spans = sentence_spans(text, loaded, override=["гор", "ул"])
-        assert sentence_texts(text, spans) == ["Он уехал в гор. Казань.", "Вот ул.", "Ленина."]
+        assert sentence_texts(text, loaded, ["гор", "ул"]) == ["Он уехал в гор. Казань.", "Вот ул.", "Ленина."]
 
 
 class TestProtectedStems:
@@ -404,15 +401,15 @@ class TestProtectedStems:
         words = ["", "²гл", "гл"]
         loaded = LoadedDictionary(words, case_fold=case_fold)
         self._assert_matches_reference(self.TEXT, loaded, words)
-        spans = sentence_spans(self.TEXT, loaded, words)
-        assert "Он 1." in sentence_texts(self.TEXT, spans)
-        assert "Далее ²гл." in sentence_texts(self.TEXT, spans)
+        texts = sentence_texts(self.TEXT, loaded, words)
+        assert "Он 1." in texts
+        assert "Далее ²гл." in texts
 
     def test_mixed_case_override_under_case_fold(self):
         loaded = LoadedDictionary(["гл", "ab"], case_fold=True)
         override = ["ГЛ", "Ab"]
         self._assert_matches_reference(self.TEXT, loaded, override)
-        texts = sentence_texts(self.TEXT, sentence_spans(self.TEXT, loaded, override))
+        texts = sentence_texts(self.TEXT, loaded, override)
         assert "Вот гл. Там Гл. Здесь ГЛ. Итог ул." in texts
         assert "Снова ab. Next AB. Last" in texts
 
@@ -421,9 +418,66 @@ class TestProtectedStems:
         loaded = LoadedDictionary(["гл"], case_fold=case_fold)
         override = ["гл", "ул", "ab"]
         self._assert_matches_reference(self.TEXT, loaded, override)
-        texts = sentence_texts(self.TEXT, sentence_spans(self.TEXT, loaded, override))
+        texts = sentence_texts(self.TEXT, loaded, override)
         # ул and ab are override words only, so a capital ends a sentence after them
         assert any(sentence.endswith(" ул.") for sentence in texts) and "Снова ab." in texts
+
+
+class TestFinalSigma:
+    """Under case-fold a protected stem is lowercased in reading order:
+    ``ΟΔΟΣ`` lowercases to ``οδος``, with a final sigma, where the
+    reversed run ``ΣΟΔΟ`` would lowercase to ``σοδο``."""
+
+    TEXT = "ΟΔΟΣ. Αθήνα вчера."
+
+    def test_one_sentence(self):
+        loaded = LoadedDictionary(["οδος"], case_fold=True)
+        assert sentence_texts(self.TEXT, loaded, ["οδος"]) == [self.TEXT]
+        assert sentence_spans(self.TEXT, loaded, ["οδος"]) == [SentenceSpan(0, len(self.TEXT.encode()))]
+        columns, sentences = token_columns(self.TEXT, loaded, ["οδος"])
+        assert columns[0][:2] == ["ΟΔΟΣ.", "Αθήνα"] and len(sentences) == 1
+        # without the stem's protection the capital after it ends a sentence
+        assert sentence_texts(self.TEXT, loaded) == ["ΟΔΟΣ.", "Αθήνα вчера."]
+
+
+# the oracle alphabet plus whitespace of two and three UTF-8 bytes, on
+# its own, around periods and leading a text
+_CUT_TEXTS = st.builds(
+    str.__add__,
+    st.sampled_from(["", " ", "\n\u00a0", "\u3000", "\u2028\u0085 "]),
+    texts_of([*WIDE_ATOMS, "\u00a0", "\u3000", "\u2028", "\u0085", ".\u0085Да", ".\u3000\u00a0Б", "Б. \u0085"]),
+)
+
+
+class TestCharCuts:
+    """`sentence_texts` cuts on char offsets exactly the text that
+    `sentence_spans` cuts on byte offsets, whitespace runs flattened."""
+
+    @staticmethod
+    def _span_texts(text, loaded, override):
+        source = text.encode("utf-8")
+        spans = sentence_spans(text, loaded, override)
+        return [" ".join(source[s.start:s.end].decode("utf-8").split()) for s in spans]
+
+    @given(_CUT_TEXTS, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_lines_are_the_span_texts(self, text, data):
+        if data.draw(st.booleans(), label="baseline"):
+            loaded, override = segment_module.EMPTY_DICTIONARY, []
+        else:
+            loaded, override = _drawn_dictionary(data, text)  # case-fold drawn too
+        assert sentence_texts(text, loaded, override) == self._span_texts(text, loaded, override)
+
+    @pytest.mark.parametrize("text", [
+        "", " \t\n\u00a0\u3000\u2028\u0085", "\u0085  Он пришёл. Да", "Он пришёл. Да\u3000гл. Вторая",
+    ], ids=["empty", "whitespace-only", "leading-whitespace", "no-final-period"])
+    @pytest.mark.parametrize("words, case_fold", [((), False), (("гл",), False), (("ГЛ",), True)])
+    def test_edges(self, text, words, case_fold):
+        loaded = LoadedDictionary(words, case_fold=case_fold)
+        lines = sentence_texts(text, loaded, ["гл"])
+        assert lines == self._span_texts(text, loaded, ["гл"])
+        assert all(line and line == " ".join(line.split()) for line in lines)
+        assert sentence_texts(text) == self._span_texts(text, segment_module.EMPTY_DICTIONARY, [])
 
 
 class _CountedPattern:
