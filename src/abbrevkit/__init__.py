@@ -22,7 +22,6 @@ from .likelihood import (
     min_usage_for_error,
     solve_threshold,
 )
-from .segment import baseline_segment, sentence_spans
 from .synth import SynthSpec, generate_ngrams, generate_text
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "SynthSpec",
     "WordProfile",
     "alpha_error",
-    "baseline_segment",
     "beta_error",
     "binomial_pmf",
     "build_dictionary",
@@ -49,6 +47,5 @@ __all__ = [
     "load_dictionary",
     "min_usage_for_error",
     "parse_line",
-    "sentence_spans",
     "solve_threshold",
 ]

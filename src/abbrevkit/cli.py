@@ -309,10 +309,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
             lines = segment.sentence_texts(text, loaded, override)
             for lo in range(0, len(lines), _BATCH):
                 _write_all(out, ("\n".join(lines[lo:lo + _BATCH]) + "\n").encode("utf-8"))
-        elif args.baseline:
-            _write_spans(out, ((), (), (), ()), segment.baseline_segment(text))
         else:
-            _write_spans(out, *segment.token_columns(text, loaded, override))
+            columns, sentences = segment.token_columns(text, loaded, override)
+            if args.baseline:  # the baseline's document lists no tokens
+                columns = ((), (), (), ())
+            _write_spans(out, columns, sentences)
     return 0
 
 
@@ -330,18 +331,18 @@ def _write_spans(
 ) -> None:
     """Write the ``--spans`` document from the token columns (texts,
     starts, ends, kinds) and the sentences of `segment.token_columns`, a
-    bounded batch of records at a time.  The bytes are the UTF-8 of
-    ``json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) +
-    "\\n"``, whose pure-Python encoder (the one `indent` selects) is
-    slow.  Each record is a fixed template with its keys in sorted
-    order; a token's template, its quoted text included, and its kind
-    piece are made once per distinct text and kind, so a batch of tokens
-    is one bytes ``%`` of joined templates, and a batch of sentences one
-    of a repeated template."""
+    bounded batch of records at a time; empty columns, as ``--baseline``
+    passes, list no tokens and give every sentence a null token range.
+    The bytes are the UTF-8 of ``json.dumps(doc, ensure_ascii=False,
+    sort_keys=True, indent=2) + "\\n"``, whose pure-Python encoder (the
+    one `indent` selects) is slow.  Each record is a fixed template with
+    its keys in sorted order; a token's template, its quoted text
+    included, and its kind piece are made once per distinct text and
+    kind, so a batch of tokens is one bytes ``%`` of joined templates,
+    and a batch of sentences one of a repeated template."""
     texts, starts, ends, kinds = columns
     quote = json.encoder.encode_basestring
-    # the token range is null in every sentence, or in none
-    tokenized = bool(sentences) and sentences[0].token_start is not None
+    tokenized = bool(texts)
     token_field = b"%d" if tokenized else b"null"
     sentence_template = (
         b',\n    {\n      "end": %d,\n      "start": %d,\n      "token_end": ' + token_field

@@ -10,14 +10,14 @@ override-listed stems; with an empty dictionary the rule is the naive
 period-space-capital pattern, the measurable baseline.
 
 `_period_verdicts` applies the rule, in one scan of the candidate
-periods; it is the only place a period is decided.  `sentence_texts`
-cuts the text at its verdicts into output lines, on char offsets, and
-`sentence_spans` into byte spans, neither tokenizing.  `token_columns`, the
-one tokenizer, makes one pass into columns (texts, byte starts, byte
-ends, kinds), a regex match per token with the whitespace after it,
-fusing a dictionary stem with its period into one abbreviation token,
-and gives each sentence its token range from the same verdicts; the CLI
-calls it only for ``--spans``.
+periods; it is the only place a period is decided, and two functions
+read its verdicts.  `sentence_texts` cuts the text at them into output
+lines, on char offsets, without tokenizing.  `token_columns`, the one
+tokenizer, makes one pass into columns (texts, byte starts, byte ends,
+kinds), a regex match per token with the whitespace after it, fusing a
+dictionary stem with its period into one abbreviation token, and gives
+each sentence its byte span and token range from the same verdicts; the
+CLI calls it only for ``--spans``, in both modes.
 
 Dictionaries are read by `dictionary.load_dictionary`; this module
 only segments.  All spans are byte offsets into the UTF-8 encoding of
@@ -42,8 +42,6 @@ __all__ = [
     "KIND_NUMBER",
     "KIND_OTHER",
     "token_columns",
-    "sentence_spans",
-    "baseline_segment",
     "sentence_texts",
 ]
 
@@ -105,8 +103,8 @@ def token_columns(
     override: Iterable[str] = (),
 ) -> tuple[tuple[list[str], list[int], list[int], list[str]], list[SentenceSpan]]:
     """The tokens of `text` as four columns -- texts, byte starts, byte
-    ends (exclusive) and kinds -- and the sentences of `sentence_spans`,
-    each with the range of tokens it covers.
+    ends (exclusive) and kinds -- and its sentences, each with its byte
+    span and the range of tokens it covers; no tokens, no sentences.
 
     Word, number, punctuation and other tokens; whitespace becomes the
     gaps between spans.  A period directly after a word whose stem is in
@@ -117,7 +115,9 @@ def token_columns(
     out once per distinct chunk, as chunks repeat.  A sentence ends at
     each period `_period_verdicts` says ends one: the k-th candidate
     period is the k-th period chunk with whitespace in it and a chunk
-    after it.
+    after it.  A sentence's span runs from its first token's start to its
+    last token's end, so whitespace around a sentence is outside it; with
+    the empty dictionary the sentences are the baseline's.
     """
     chunks = _TOKEN_RE.findall(text)
     token_of: dict[str, str] = {}
@@ -177,43 +177,10 @@ def token_columns(
     return (texts, starts, ends, kinds), sentences
 
 
-def sentence_spans(
-    text: str,
-    dictionary: LoadedDictionary = EMPTY_DICTIONARY,
-    override: Iterable[str] = (),
-) -> list[SentenceSpan]:
-    """Sentence byte spans by the one boundary rule, without tokens.
-
-    A period followed by whitespace ends a sentence when the next
-    non-space character is uppercase, unless its stem (the letter run
-    ending at the period, starting with a letter) is both in the
-    dictionary and in the override list.  End of text ends the last
-    sentence; whitespace around a sentence is outside its span.
-    """
-    cuts = [0, *compress(*_period_verdicts(text, dictionary, override)), len(text)]  # just after each terminal period
-    spans: list[SentenceSpan] = []
-    pos = 0  # byte offset of the piece's start
-    for piece in map(text.__getitem__, map(slice, cuts, islice(cuts, 1, None))):
-        size = len(piece.encode("utf-8"))
-        body = piece.lstrip()
-        if body:
-            start = pos + size - len(body.encode("utf-8"))
-            spans.append(SentenceSpan(start, start + len(body.rstrip().encode("utf-8"))))
-        pos += size
-    return spans
-
-
-def baseline_segment(text: str) -> list[SentenceSpan]:
-    """The naive period-space-capital pattern: the one boundary rule
-    with an empty dictionary, so every period followed by whitespace and
-    an uppercase character ends a sentence."""
-    return sentence_spans(text)
-
-
 def sentence_texts(text: str, dictionary: LoadedDictionary = EMPTY_DICTIONARY, override: Iterable[str] = ()) -> list[str]:
-    """The sentences of `sentence_spans` as text, each with its inner
+    """The sentences of `token_columns` as text, each with its inner
     whitespace runs flattened to one space, cut on the char offsets of
-    the same verdicts: no byte offset and no span is made."""
+    the same verdicts: no token, byte offset or span is made."""
     cuts = [0, *compress(*_period_verdicts(text, dictionary, override)), len(text)]
     pieces = map(text.__getitem__, map(slice, cuts, islice(cuts, 1, None)))
     return list(filter(None, map(" ".join, map(str.split, pieces))))

@@ -26,7 +26,7 @@ from abbrevkit.likelihood import (
     solve_threshold,
 )
 from abbrevkit.dictionary import LoadedDictionary
-from abbrevkit.segment import baseline_segment, token_columns
+from abbrevkit.segment import token_columns
 from abbrevkit.synth import SynthSpec, generate_ngrams, generate_text, make_spec, make_vocabulary
 from abbrevkit import analytics
 from helpers import boundary_f1, boundary_offsets, build_profiles
@@ -350,7 +350,7 @@ def test_criterion_09_segmenter():
     sample = generate_text(spec, 1000)
     loaded = LoadedDictionary(spec.abbrev_words)
     _, sents = token_columns(sample.text, loaded, override=spec.title_like)
-    base = baseline_segment(sample.text)
+    _, base = token_columns(sample.text)
     _, _, f1_dict = boundary_f1(boundary_offsets(sents), sample.boundaries)
     _, _, f1_base = boundary_f1(boundary_offsets(base), sample.boundaries)
     assert f1_dict > f1_base, (f1_dict, f1_base)
@@ -376,7 +376,7 @@ def test_criterion_09_segmenter():
             sentence_count=1 + seed % 40,
         ).text
         spans = assert_lossless(text, empty)
-        base_spans = baseline_segment(text)
+        base_spans = oracles.baseline_segment_reference(text)
         assert [(s.start, s.end) for s in spans] == [(s.start, s.end) for s in base_spans]
         checked += 1
     assert_lossless(sample.text, loaded)

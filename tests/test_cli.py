@@ -396,7 +396,7 @@ class TestSegmentCommand:
         assert main(["segment", "--baseline", "--spans"]) == 0
         assert capsys.readouterr().out == from_file
         text = "Один. Два.\nТри.\nЧетыре.\n"
-        assert from_file == oracles.spans_json_reference(segment.baseline_segment(text), [])
+        assert from_file == oracles.spans_json_reference(oracles.baseline_segment_reference(text), [])
 
     @pytest.mark.parametrize("mode", [[], ["--spans"]], ids=["lines", "spans"])
     def test_closed_stdout_exits_1_quietly(self, tmp_path, mode):
@@ -510,8 +510,9 @@ class TestSegmentCommand:
 
 class TestSegmentWithoutTokens:
     """Only --spans tokenizes: with `token_columns`, the one tokenizer,
-    patched to raise, both modes still segment.  --spans calls it once and writes
-    its JSON without json.dumps."""
+    patched to raise, both text modes still segment.  --spans, with a
+    dictionary or --baseline, calls it once and writes its JSON without
+    json.dumps; --baseline lists no tokens."""
 
     @pytest.fixture()
     def inputs(self, tmp_path):
@@ -536,13 +537,23 @@ class TestSegmentWithoutTokens:
         ]
 
     def test_baseline_mode(self, inputs, monkeypatch, capsys):
+        real = segment.token_columns
         monkeypatch.setattr(segment, "token_columns", self._refuse)
         assert main(["segment", str(inputs / "in.txt"), "--baseline"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "Смотри гл.", "Вторая часть.", "Он уехал в гор.", "Казань вчера.",
         ]
+        calls = []
+        monkeypatch.setattr(segment, "token_columns", lambda text, *rest: calls.append(rest) or real(text, *rest))
         assert main(["segment", str(inputs / "in.txt"), "--baseline", "--spans"]) == 0
-        assert json.loads(capsys.readouterr().out)["tokens"] == []
+        assert calls == [(segment.EMPTY_DICTIONARY, ())]
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tokens"] == []
+        text = (inputs / "in.txt").read_text(encoding="utf-8")
+        assert doc["sentences"] == [
+            {"start": s.start, "end": s.end, "token_start": None, "token_end": None}
+            for s in oracles.baseline_segment_reference(text)
+        ]
 
     def test_spans_tokenize(self, inputs, monkeypatch, capsys):
         calls = []
@@ -637,7 +648,7 @@ class TestSpansMatchOracle:
         # breaks the word rule, and the CLI refuses it in any word list
         runs = sorted(run for run in set(re.findall(r"[^\W\d_]+", read)) if is_word(run))
         if data.draw(st.booleans(), label="baseline"):
-            argv, tokens, sentences = ["--baseline"], [], segment.baseline_segment(read)
+            argv, tokens, sentences = ["--baseline"], [], oracles.baseline_segment_reference(read)
         else:
             words = data.draw(st.lists(st.sampled_from(runs), unique=True)) if runs else []
             override = data.draw(st.lists(st.sampled_from(runs), max_size=3)) if runs else []

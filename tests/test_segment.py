@@ -1,5 +1,7 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,6 @@ from abbrevkit.segment import (
     KIND_PUNCT,
     KIND_WORD,
     SentenceSpan,
-    baseline_segment,
-    sentence_spans,
     sentence_texts,
     token_columns,
 )
@@ -38,31 +38,38 @@ def _ends(spans):
     return [span.end for span in spans]
 
 
+def _untokenized(sentences):
+    """`sentences` without their token ranges, as the oracles build them."""
+    return [SentenceSpan(s.start, s.end) for s in sentences]
+
+
 class TestBaseline:
+    """The baseline is `token_columns` with the empty dictionary."""
+
     def test_two_plain_sentences(self):
-        spans = baseline_segment("Он пришел. Она ушла.")
+        _, spans = token_columns("Он пришел. Она ушла.")
         assert len(spans) == 2
 
     def test_lowercase_continuation_single_sentence(self):
-        assert len(baseline_segment("т. е. так")) == 1
+        assert len(token_columns("т. е. так")[1]) == 1
 
     def test_abbreviation_before_capital_forced_split(self):
         # the known failure mode of the naive pattern
-        assert len(baseline_segment("Смотри гл. Вторая часть")) == 2
+        assert len(token_columns("Смотри гл. Вторая часть")[1]) == 2
 
     def test_empty_and_whitespace(self):
-        assert baseline_segment("") == []
-        assert baseline_segment("  \n\t ") == []
+        assert token_columns("")[1] == []
+        assert token_columns("  \n\t ")[1] == []
 
     def test_period_without_space_not_boundary(self):
-        assert len(baseline_segment("гл.Вторая")) == 1
+        assert len(token_columns("гл.Вторая")[1]) == 1
 
     def test_number_internal_period_not_boundary(self):
-        assert len(baseline_segment("Это 3.14 примерно")) == 1
+        assert len(token_columns("Это 3.14 примерно")[1]) == 1
 
     def test_deterministic(self):
         text = "Ав. Бе ве. Ге де."
-        assert baseline_segment(text) == baseline_segment(text)
+        assert token_columns(text) == token_columns(text)
 
 
 class TestDictSegment:
@@ -164,7 +171,7 @@ class TestBaselineEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_empty_dictionary_matches_baseline(self, text):
         _, sents = token_columns(text, LoadedDictionary(()))
-        base = baseline_segment(text)
+        base = oracles.baseline_segment_reference(text)
         assert [(s.start, s.end) for s in sents] == [(s.start, s.end) for s in base]
 
     def test_on_generated_texts(self):
@@ -180,7 +187,7 @@ class TestBaselineEquivalence:
                 sentence_count=25,
             )
             _, sents = token_columns(sample.text, LoadedDictionary(()))
-            assert _ends(sents) == _ends(baseline_segment(sample.text))
+            assert _ends(sents) == _ends(oracles.baseline_segment_reference(sample.text))
 
 
 class TestMonotoneDictionary:
@@ -210,7 +217,7 @@ class TestSegmenterBeatsBaseline:
         sample = synth.generate_text(spec, 300)
         loaded = LoadedDictionary(spec.abbrev_words)
         _, sents = token_columns(sample.text, loaded, override=spec.title_like)
-        base = baseline_segment(sample.text)
+        _, base = token_columns(sample.text)
         _, _, dict_f1 = boundary_f1(boundary_offsets(sents), sample.boundaries)
         _, _, base_f1 = boundary_f1(boundary_offsets(base), sample.boundaries)
         assert dict_f1 > base_f1
@@ -353,14 +360,13 @@ class TestPeriodRuleMatchesOracles:
         columns, sentences = token_columns(text, loaded, override)
         assert (list(zip(*columns)), sentences) == (expected_tokens, expected)
         assert list(zip(*token_columns(text, loaded)[0])) == expected_tokens
-        assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
 
     @given(wide_texts)
     @settings(max_examples=400, deadline=None)
     def test_baseline_and_tokens(self, text):
-        assert baseline_segment(text) == oracles.baseline_segment_reference(text)
-        assert sentence_spans(text) == oracles.baseline_segment_reference(text)
-        assert list(zip(*token_columns(text)[0])) == oracles.tokenize_reference(text)
+        columns, sentences = token_columns(text)
+        assert _untokenized(sentences) == oracles.baseline_segment_reference(text)
+        assert list(zip(*columns)) == oracles.tokenize_reference(text)
 
     def test_on_generated_texts(self):
         spec = synth.make_spec(12, 60, seed=11)
@@ -371,10 +377,7 @@ class TestPeriodRuleMatchesOracles:
             columns, sentences = token_columns(text, loaded, spec.title_like)
             assert (list(zip(*columns)), sentences) == expected
             assert list(zip(*token_columns(text, loaded)[0])) == expected[0]
-            assert sentence_spans(text, loaded, spec.title_like) == [
-                SentenceSpan(s.start, s.end) for s in expected[1]
-            ]
-        assert baseline_segment(text) == oracles.baseline_segment_reference(text)
+        assert _untokenized(token_columns(text)[1]) == oracles.baseline_segment_reference(text)
 
     def test_override_only_acts_on_dictionary_stems(self):
         text = "Он уехал в гор. Казань. Вот ул. Ленина."
@@ -394,7 +397,6 @@ class TestProtectedStems:
         expected_tokens, expected = oracles.dict_segment_reference(text, loaded, override)
         columns, sentences = token_columns(text, loaded, override)
         assert (list(zip(*columns)), sentences) == (expected_tokens, expected)
-        assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in expected]
 
     @pytest.mark.parametrize("case_fold", [False, True])
     def test_empty_and_digit_led_stems_are_never_protected(self, case_fold):
@@ -433,9 +435,9 @@ class TestFinalSigma:
     def test_one_sentence(self):
         loaded = LoadedDictionary(["οδος"], case_fold=True)
         assert sentence_texts(self.TEXT, loaded, ["οδος"]) == [self.TEXT]
-        assert sentence_spans(self.TEXT, loaded, ["οδος"]) == [SentenceSpan(0, len(self.TEXT.encode()))]
         columns, sentences = token_columns(self.TEXT, loaded, ["οδος"])
-        assert columns[0][:2] == ["ΟΔΟΣ.", "Αθήνα"] and len(sentences) == 1
+        assert columns[0][:2] == ["ΟΔΟΣ.", "Αθήνα"]
+        assert _untokenized(sentences) == [SentenceSpan(0, len(self.TEXT.encode()))]
         # without the stem's protection the capital after it ends a sentence
         assert sentence_texts(self.TEXT, loaded) == ["ΟΔΟΣ.", "Αθήνα вчера."]
 
@@ -450,13 +452,14 @@ _CUT_TEXTS = st.builds(
 
 
 class TestCharCuts:
-    """`sentence_texts` cuts on char offsets exactly the text that
-    `sentence_spans` cuts on byte offsets, whitespace runs flattened."""
+    """`sentence_texts` cuts on char offsets exactly the text that the
+    sentence spans of `token_columns` cut on byte offsets, whitespace
+    runs flattened."""
 
     @staticmethod
     def _span_texts(text, loaded, override):
         source = text.encode("utf-8")
-        spans = sentence_spans(text, loaded, override)
+        _, spans = token_columns(text, loaded, override)
         return [" ".join(source[s.start:s.end].decode("utf-8").split()) for s in spans]
 
     @given(_CUT_TEXTS, st.data())
@@ -499,8 +502,7 @@ class _CountedPattern:
 
 class TestOnePeriodScan:
     """`token_columns` reads its sentence boundaries from the one period
-    scan: it never calls `sentence_spans` and runs the period pattern
-    once.  The k-th candidate period pairs with the k-th period chunk
+    scan: it runs the period pattern once.  The k-th candidate period pairs with the k-th period chunk
     that has whitespace after it and a chunk after that, so the edges of
     that pairing each split as the token walk does."""
 
@@ -531,14 +533,50 @@ class TestOnePeriodScan:
         loaded = LoadedDictionary(words)
         pattern = _CountedPattern(segment_module._PERIOD_RE)
         monkeypatch.setattr(segment_module, "_PERIOD_RE", pattern)
-
-        def refuse(*args):
-            raise AssertionError("sentence_spans called")
-
-        monkeypatch.setattr(segment_module, "sentence_spans", refuse)
         columns, sentences = token_columns(text, loaded, override)
         assert pattern.calls == 1
         assert (list(zip(*columns)), sentences) == oracles.dict_segment_reference(text, loaded, override)
-        monkeypatch.undo()
-        assert sentence_spans(text, loaded, override) == [SentenceSpan(s.start, s.end) for s in sentences]
 
+
+def _splitter_uses(source):
+    """Where `source` names `SentenceSpan` outside an annotation (to call
+    it, alias it or take `SentenceSpan._make`) or reads `_PERIOD_RE`: a
+    set of (name, owner) pairs, the owner being the module-level function
+    or class the use sits in, or None at module level."""
+    found = set()
+    for statement in ast.parse(source).body:
+        owner = getattr(statement, "name", None)
+        annotations = set()
+        for node in ast.walk(statement):  # parents first, so an annotation is marked before it is seen
+            if id(node) in annotations:
+                continue
+            note = node.annotation if isinstance(node, (ast.arg, ast.AnnAssign)) else getattr(node, "returns", None)
+            annotations.update(map(id, ast.walk(note)) if note else ())
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("SentenceSpan", "_PERIOD_RE") and isinstance(node.ctx, ast.Load):
+                found.add((name, owner))
+    return found
+
+
+def test_one_sentence_splitter():
+    """Sentences are built in `segment.token_columns` only, and the
+    candidate periods found in `segment._period_verdicts` only: a second
+    sentence splitter cannot come back unnoticed."""
+    package = Path(segment_module.__file__).parent
+    uses = {(path.stem, *use) for path in sorted(package.glob("*.py"))
+            for use in _splitter_uses(path.read_text(encoding="utf-8"))}
+    assert uses == {("segment", "SentenceSpan", "token_columns"), ("segment", "_PERIOD_RE", "_period_verdicts")}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(t):\n    return [SentenceSpan(0, 1)]", {("SentenceSpan", "f")}),
+    ("spans = [segment.SentenceSpan(0, 1)]", {("SentenceSpan", None)}),
+    ("def f(rows):\n    return list(map(SentenceSpan._make, rows))", {("SentenceSpan", "f")}),
+    ("Span = SentenceSpan\ndef f():\n    return Span(0, 1)", {("SentenceSpan", None)}),
+    ("class C:\n    def m(self, t):\n        return _PERIOD_RE.finditer(t)", {("_PERIOD_RE", "C")}),
+    ("def f(t):\n    def g():\n        return segment._PERIOD_RE\n    return g", {("_PERIOD_RE", "f")}),
+    ("_PERIOD_RE = re.compile('.')\nspans: list[SentenceSpan] = []\n"
+     "def f(s: SentenceSpan, *r: SentenceSpan) -> list[segment.SentenceSpan]:\n    return [s]", set()),
+])
+def test_splitter_guard_sees_each_use(source, expected):
+    assert _splitter_uses(source) == expected
