@@ -5,15 +5,18 @@ The dictionary reports take the finalized `WordProfile` of every entry.
 Five report kinds: cumulative counts of rare entries by volume spread,
 yearly p0/p1 share series from seed lists, entry counts by word length,
 summed frequency by word length with a log-linear fit, and yearly usage
-dynamics with the share captured by the most frequent entries.  Reports
-serialize to TSV (one '#' header line, then rows) and to JSON; both are
-plot-ready and deterministic.
+dynamics with the share captured by the most frequent entries.  The fit
+is exact least squares, solved in `Fraction`s and rounded once per
+figure, so this module needs no numpy.  Reports serialize to TSV (one
+'#' header line, then rows) and to JSON; both are plot-ready and
+deterministic.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .ingest import WordProfile
@@ -115,22 +118,16 @@ def length_histogram(entries: Sequence[WordProfile]) -> Report:
 
 
 def _linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-    """Least squares y = slope*x + intercept plus R^2 (1.0 for an exact
-    fit, including the degenerate all-equal-y case)."""
-    import numpy as np  # only here, so that the other commands start without it
-
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    ss_res = float(np.dot(residuals, residuals))
-    centered = y - y.mean()
-    ss_tot = float(np.dot(centered, centered))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    """Least squares y = slope*x + intercept plus R^2 (1.0 when every y
+    is equal), solved exactly in rationals and each rounded once."""
+    x, y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((a - x_mean) ** 2 for a in x)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+    syy = sum((b - y_mean) ** 2 for b in y)
+    slope = sxy / sxx
+    r2 = 1 - (syy - slope * sxy) / syy if syy else 1
+    return float(slope), float(y_mean - slope * x_mean), float(r2)
 
 
 def frequency_by_length(entries: Sequence[WordProfile]) -> Report:

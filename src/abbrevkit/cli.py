@@ -240,6 +240,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         loaded = dictionary.load_dictionary(args.dictionary, digest=digest)
         entries = [profiles[w] for w in sorted(profiles) if w in loaded]
         dictionary_digest = digest.hexdigest()
+        words = dict.fromkeys(loaded.words)
+        held = dictionary.LoadedDictionary((entry.word for entry in entries), loaded.case_fold)
+        missing = [w for w in words if w not in held]
+        if missing:
+            logger.warning("%d of %d dictionary words are not in the aggregate, so no report counts them: %s",
+                           len(missing), len(words), ", ".join(missing[:5]) + (", ..." if len(missing) > 5 else ""))
     needs_dict = [k for k in args.reports if k != "p-series"]
     if needs_dict and entries is None:
         raise CliError(f"reports {needs_dict} need --dictionary")

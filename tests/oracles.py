@@ -20,6 +20,8 @@ checks, and `finalize_reference` the eager finalize that built every
 `pool_shares_reference` and `dynamics_reference` are the dense walks
 that probed every year of a range in every series, before the share
 estimate and the dynamics report read only the years a series has.
+`linear_fit_exact` solves the frequency-by-length fit's normal
+equations by Cramer's rule, where the library centres its sums.
 """
 from __future__ import annotations
 
@@ -404,6 +406,23 @@ def dynamics_reference(
             "entries": len(entries),
         },
     )
+
+
+def linear_fit_exact(xs: Sequence[float], ys: Sequence[float]) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact least-squares slope, intercept and R^2 of y against x: the
+    normal equations [[Σx², Σx], [Σx, n]] · (slope, intercept) = (Σxy, Σy)
+    solved by Cramer's rule, and R^2 = 1 - SSres/SStot from the residuals
+    (1 when every y is equal)."""
+    x, y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    n, sx, sy = len(x), sum(x), sum(y)
+    sxx = sum(a * a for a in x)
+    sxy = sum(a * b for a, b in zip(x, y))
+    det = sxx * n - sx * sx
+    slope = (sxy * n - sx * sy) / det
+    intercept = (sxx * sy - sx * sxy) / det
+    ss_res = sum((b - slope * a - intercept) ** 2 for a, b in zip(x, y))
+    ss_tot = sum((b - sy / n) ** 2 for b in y)
+    return slope, intercept, 1 - ss_res / ss_tot if ss_tot else Fraction(1)
 
 
 # -- segmentation: the token walk and the character scan the segmenter

@@ -136,6 +136,33 @@ class TestFrequencyByLength:
         fit = frequency_by_length(entries).meta["fit"]
         assert fit["slope"] == pytest.approx(-0.5, rel=0.05)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fit_is_the_exact_fit_rounded_once(self, seed):
+        rng = random.Random(seed)
+        lengths = rng.sample(range(1, 41), rng.randint(2, 25))
+        sums = {length: 0 for length in lengths}
+        entries = []
+        for length in lengths + rng.choices(lengths, k=2 * len(lengths)):
+            n_total = rng.randint(1, 10 ** rng.randint(1, 9))
+            sums[length] += n_total
+            entries.append(_entry("ж" * length, n_total=n_total))
+        xs = sorted(sums)
+        exact = oracles.linear_fit_exact(xs, [math.log10(sums[x]) for x in xs])
+        fit = frequency_by_length(entries).meta["fit"]
+        assert [fit[k].hex() for k in ("slope", "intercept", "r_squared")] == [float(v).hex() for v in exact]
+
+    def test_all_equal_frequencies(self):
+        entries = [_entry("в" * length, n_total=1000) for length in (2, 3, 5)]
+        fit = frequency_by_length(entries).meta["fit"]
+        assert [fit[k].hex() for k in ("slope", "intercept", "r_squared")] == [0.0.hex(), 3.0.hex(), 1.0.hex()]
+
+    def test_benchmark_pair_frozen(self):
+        # the two lengths of the seed-1 corpus-noisy-jobs2 dictionary
+        fit = frequency_by_length([_entry("абв", n_total=431330), _entry("абвгд", n_total=576318)]).meta["fit"]
+        assert fit == {"slope": 0.06292625931206652, "intercept": 5.446030887446835, "r_squared": 1.0}
+        exact = oracles.linear_fit_exact([3, 5], [math.log10(431330), math.log10(576318)])
+        assert fit == dict(zip(("slope", "intercept", "r_squared"), map(float, exact)))
+
     def test_zero_frequency_length_omitted(self):
         entries = [_entry("др", n_total=10), _entry("гло", n_total=0)]
         report = frequency_by_length(entries)

@@ -262,6 +262,28 @@ class TestStatsCommand:
         for name in names:
             assert (out_one / name).read_bytes() == (out_two / name).read_bytes()
 
+    def test_words_missing_from_the_aggregate_are_named(self, aggregate_file, tmp_path, caplog):
+        words = tmp_path / "dict.txt"
+        assert main(["build", "--aggregate", str(aggregate_file), "--out-words", str(words)]) == 0
+        built = words.read_text(encoding="utf-8").split()
+        args = ["stats", "--aggregate", str(aggregate_file), "--dictionary", str(words), "--reports", "length-histogram"]
+        with caplog.at_level(logging.INFO):
+            assert main([*args, "--out-dir", str(tmp_path / "r0")]) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        before = (tmp_path / "r0" / "length-histogram.tsv").read_bytes()
+
+        strays = ["небылица", "ъъа", "ъъб", "ъъв", "ъъг", "ъъд"]
+        for listed, shown in [(strays[:1], "небылица"), (strays + strays[:2], ", ".join(strays[:5]) + ", ...")]:
+            words.write_text("\n".join(built + listed) + "\n", encoding="utf-8")
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                assert main([*args, "--out-dir", str(tmp_path / "r1")]) == 0
+            warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            missing = len(set(listed))
+            assert warnings == [f"{missing} of {len(built) + missing} dictionary words are not in the aggregate, "
+                                f"so no report counts them: {shown}"]
+            assert (tmp_path / "r1" / "length-histogram.tsv").read_bytes() == before
+
     def test_report_meta_carries_window_and_fingerprint(self, corpus, aggregate_file, tmp_path):
         dict_path = tmp_path / "dict.tsv"
         assert main(["build", "--aggregate", str(aggregate_file), "--out-tsv", str(dict_path)]) == 0
@@ -1069,14 +1091,15 @@ with open(out, "w") as handle:
 
 
 class TestNumpyOnlyWhereUsed:
-    """numpy serves only `synth` and the frequency-by-length fit, so no
-    other command pays for importing it."""
+    """numpy serves only `synth`, so no other command pays for importing
+    it: `stats` fits its line in exact rationals."""
 
     def test_not_loaded_by_other_commands(self, corpus, aggregate_file, tmp_path):
         words = str(tmp_path / "dict.txt")
         text, override = str(corpus / "text.txt"), str(corpus / "override.txt")
         (tmp_path / "commons.txt").write_text("слово\nдом\nгод\n", encoding="utf-8")
         seeds = ["--seed-abbrevs", str(corpus / "abbreviations.txt"), "--seed-commons", str(tmp_path / "commons.txt")]
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC_DOC, ensure_ascii=False), encoding="utf-8")
         steps = [
             "abbrevkit",
             "abbrevkit.cli",
@@ -1089,7 +1112,8 @@ class TestNumpyOnlyWhereUsed:
             ["segment", text, "--baseline", "--output", str(tmp_path / "s3")],
             ["params", "--aggregate", str(aggregate_file), *seeds],
             ["stats", "--aggregate", str(aggregate_file), "--dictionary", words, "--out-dir", str(tmp_path / "r"),
-             "--reports", "freq-by-length"],
+             "--reports", ",".join(analytics.REPORT_KINDS), *seeds],
+            ["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "synth")],
         ]
         out = tmp_path / "loaded.json"
         result = subprocess.run(
@@ -1097,8 +1121,12 @@ class TestNumpyOnlyWhereUsed:
             env=_cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+        assert sorted(path.stem for path in (tmp_path / "r").glob("*.json")) == sorted(analytics.REPORT_KINDS)
+        # the dictionary has words of two lengths, so `stats` made a fit
+        fit = json.loads((tmp_path / "r" / "freq-by-length.json").read_text(encoding="utf-8"))["meta"]["fit"]
+        assert set(fit) == {"slope", "intercept", "r_squared"}
         loaded = [has_numpy for _, has_numpy in json.loads(out.read_text())]
-        # the last step fits a line with numpy, which shows the probe sees it
+        # the last step draws with numpy, which shows the probe sees it
         assert loaded == [False] * (len(steps) - 1) + [True]
 
 
