@@ -21,9 +21,14 @@ from contextlib import nullcontext
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Sequence
 
-from . import analytics, dictionary, ingest, likelihood, segment, synth
+# every command reads its inputs through `ingest`; each imports the other
+# modules it runs itself, so that a call compiles and loads no more
+from . import ingest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from . import likelihood, segment, synth
 
 logger = logging.getLogger("abbrevkit")
 _BATCH = 4096  # output lines or --spans records a write; about 0.5 MB of records
@@ -93,22 +98,26 @@ def _load_object(path: str, what: str) -> dict:
     return doc
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse `argv` with the --config file's entries spliced in right after
-    the command name, as the flags they name.  argparse keeps the last
-    occurrence of a flag, so the command line's own flags win.  An error
-    the config's entries cause names the config file."""
-    pre = _Parser(prog=parser.prog, add_help=False)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` with the parser of the command it names (every
+    command's when it names none, as for ``--help``), and with the
+    --config file's entries spliced in right after the command name, as
+    the flags they name.  argparse keeps the last occurrence of a flag, so
+    the command line's own flags win.  An error the config's entries cause
+    names the config file."""
+    pre = _Parser(prog=_PROG, add_help=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     found = pre.parse_known_args(argv)[0]
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
-    if not found.config or not found.rest or found.rest[0] not in commands:
+    command = found.rest[0] if found.rest and found.rest[0] in _COMMANDS else None
+    parser = build_parser(command)
+    if not found.config or command is None:
         return parser.parse_args(argv)
     at = len(argv) - len(found.rest) + 1
     config = _load_object(found.config, "config")
     try:
-        flags = _config_flags(commands[found.rest[0]], config)
+        commands = next(a.choices for a in parser._actions if a.dest == "command")
+        flags = _config_flags(commands[command], config)
         return parser.parse_args([*argv[:at], *flags, *argv[at:]])
     except CliError as exc:
         # the same error without the config's entries is the command line's own
@@ -184,6 +193,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from . import dictionary, likelihood
+
     if not (args.out_tsv or args.out_json or args.out_words):
         raise CliError("build needs at least one of --out-tsv/--out-json/--out-words")
     if (args.alpha_target is None) != (args.beta_target is None):
@@ -194,7 +205,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     min_total = args.min_total
     if args.alpha_target is not None:
         # error targets pin the evidence gate at the smallest workable N
-        result = likelihood.min_usage_for_error(params, args.alpha_target, args.beta_target)
+        try:
+            result = likelihood.min_usage_for_error(params, args.alpha_target, args.beta_target)
+        except likelihood.SearchExhaustedError as exc:
+            raise CliError(str(exc)) from None
         min_total = max(min_total, result.total)
         logger.info(
             "error targets need usage >= %d (eta=%d, alpha=%.3g, beta=%.3g); min_total=%d",
@@ -229,6 +243,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import analytics, dictionary
+
     agg = ingest.Aggregator.load(args.aggregate)
     profiles = agg.finalize(args.window)
     effective_window = args.window or (agg.config.year_min, agg.config.year_max)
@@ -300,6 +316,8 @@ def _read_totals(path: str) -> dict[int, int]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    from . import dictionary, segment
+
     if not (args.baseline or args.dictionary):
         raise CliError("segment needs --dictionary (or --baseline)")
     # the baseline is the empty dictionary; None defers to the dictionary's own case policy (JSON metadata)
@@ -392,6 +410,8 @@ def _write_array(out: BinaryIO, size: int, records: Callable[[int, int], bytes])
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     doc = _load_object(args.spec, "spec")
     sentences = doc.pop("sentences", 1000)
     if type(sentences) is not int or sentences < 1:
@@ -415,6 +435,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
+    from . import synth
+
     def number(key: str, value) -> float:
         """A JSON number as a float: a string or a boolean is refused, not cast."""
         if type(value) not in (int, float):
@@ -450,6 +472,8 @@ def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
 
 def _share_estimate(args: argparse.Namespace, profiles: dict[str, ingest.WordProfile]) -> likelihood.ShareEstimate:
     """p0 and p1 by year from the seed lists, for `params` and the p-series report."""
+    from . import dictionary, likelihood
+
     return likelihood.estimate_share_params(
         profiles,
         dictionary.load_dictionary(args.seed_abbrevs).words,
@@ -461,6 +485,8 @@ def _share_estimate(args: argparse.Namespace, profiles: dict[str, ingest.WordPro
 
 
 def cmd_params(args: argparse.Namespace) -> int:
+    from . import likelihood
+
     agg = ingest.Aggregator.load(args.aggregate)
     profiles = agg.finalize(args.window)
     est = _share_estimate(args, profiles)
@@ -496,31 +522,27 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 # -- parser -----------------------------------------------------------------
+# Each command's options are added by a function of their own, which
+# imports the modules their choices come from, so that a parser for one
+# command loads no module the command does not run.
 
-def build_parser() -> argparse.ArgumentParser:
-    """Every option's default lives here, once; `--config` entries go
-    through the same parser (see `_parse_args`)."""
-    parser = _Parser(
-        prog="abbrevkit",
-        description="Mine abbreviation dictionaries from ngram corpora and segment text with them.",
-    )
-    parser.add_argument("--config", help="JSON config file; explicit flags override its values")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # options several commands share, declared once and passed as parents
-    aggregate = _Parser(add_help=False)
-    aggregate.add_argument("--aggregate", required=True, help="aggregate state from 'ingest'")
-    aggregate.add_argument("--window", type=_parse_window, help="aggregate sub-window, default: the ingest window")
-    threshold = _Parser(add_help=False)
-    threshold.add_argument("--C", type=float, default=1.0,
-                           help="likelihood-ratio decision threshold, default %(default)s")
-    shares = _Parser(add_help=False)
-    shares.add_argument("--mean-window", type=_parse_window, default="1998:2008",
-                        help="share-mean window, default %(default)s")
-    shares.add_argument("--macro", dest="pooled", action="store_false",
-                        help="average per-word shares instead of pooling counts (p-series)")
+def _aggregate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--aggregate", required=True, help="aggregate state from 'ingest'")
+    p.add_argument("--window", type=_parse_window, help="aggregate sub-window, default: the ingest window")
 
-    p = sub.add_parser("ingest", help="parse ngram files into a reusable aggregate state")
+
+def _threshold_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--C", type=float, default=1.0, help="likelihood-ratio decision threshold, default %(default)s")
+
+
+def _share_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mean-window", type=_parse_window, default="1998:2008",
+                   help="share-mean window, default %(default)s")
+    p.add_argument("--macro", dest="pooled", action="store_false",
+                   help="average per-word shares instead of pooling counts (p-series)")
+
+
+def _ingest_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unigrams", nargs="+", default=[], help="1-gram files (optionally .gz)")
     p.add_argument("--bigrams", nargs="+", default=[], help="2-gram files (optionally .gz)")
     p.add_argument("--output", required=True, help="aggregate state file to write (.json or .json.gz)")
@@ -538,7 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year-ceiling", type=_year, default=2100, help="reject years above this, default %(default)s")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build", parents=[aggregate, threshold], help="classify word forms and write the dictionary")
+
+def _build_options(p: argparse.ArgumentParser) -> None:
+    from . import dictionary
+
+    _aggregate_options(p)
+    _threshold_option(p)
     p.add_argument("--method", choices=dictionary.METHODS, default="median", help="decision rule, default %(default)s")
     p.add_argument("--median-threshold", type=dictionary.as_fraction, default="0.9",
                    help="median share cut, default %(default)s (strictly above)")
@@ -554,7 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-words", help="write the plain word list here")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("stats", parents=[aggregate, shares], help="emit analytics reports")
+
+def _stats_options(p: argparse.ArgumentParser) -> None:
+    from . import analytics
+
+    _aggregate_options(p)
+    _share_options(p)
     p.add_argument("--dictionary", help="dictionary file (needed by all reports except p-series)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--reports", type=_comma_list("reports", analytics.REPORT_KINDS),
@@ -569,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--totals", help="optional 'year TAB total' file to normalize dynamics")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("segment", help="split text into sentences using a dictionary")
+
+def _segment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", default="-", help="text file, default stdin")
     p.add_argument("--dictionary", help="dictionary in any build output format")
     p.add_argument("--override-list", help="title-like prefixes kept non-terminal before capitals")
@@ -579,27 +612,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
+
+def _synth_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="JSON spec (word lists, probabilities, seed)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("params", parents=[aggregate, threshold, shares],
-                       help="estimate p0/p1 from seed lists and the minimum usable usage")
+
+def _params_options(p: argparse.ArgumentParser) -> None:
+    _aggregate_options(p)
+    _threshold_option(p)
+    _share_options(p)
     p.add_argument("--seed-abbrevs", required=True)
     p.add_argument("--seed-commons", required=True)
     p.add_argument("--alpha-target", type=float, default=0.001, help="default %(default)s")
     p.add_argument("--beta-target", type=float, default=0.001, help="default %(default)s")
     p.set_defaults(func=cmd_params)
 
+
+_PROG = "abbrevkit"
+# each command's help line and the function that adds its options
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "ingest": ("parse ngram files into a reusable aggregate state", _ingest_options),
+    "build": ("classify word forms and write the dictionary", _build_options),
+    "stats": ("emit analytics reports", _stats_options),
+    "segment": ("split text into sentences using a dictionary", _segment_options),
+    "synth": ("generate a synthetic corpus with ground truth", _synth_options),
+    "params": ("estimate p0/p1 from seed lists and the minimum usable usage", _params_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every option's default is declared once, in its
+    command's options function; `--config` entries go through the same
+    parser (see `_parse_args`).  Every command is named, with its help
+    line, but only `command`'s options are added, or every command's when
+    it is None."""
+    parser = _Parser(
+        prog=_PROG,
+        description="Mine abbreviation dictionaries from ngram corpora and segment text with them.",
+    )
+    parser.add_argument("--config", help="JSON config file; explicit flags override its values")
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_options(p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
-    parser = build_parser()
     try:
-        args = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if args.verbose:
             logger.setLevel(logging.DEBUG)
         # a command's containers live until it ends, so the cyclic collector's passes find nothing
@@ -616,7 +682,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
-    except (CliError, ValueError, OSError, likelihood.SearchExhaustedError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -15,16 +15,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ingest import WORD_RULE, WordProfile, is_word, read_input
-from .likelihood import (
-    HypothesisParams,
-    alpha_error,
-    beta_error,
-    likelihood_ratio,
-    solve_threshold,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .likelihood import HypothesisParams
 
 __all__ = [
     "DecisionRecord",
@@ -103,6 +99,9 @@ def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord
     n, total = profile.n_total, profile.N_total
     if total == 0:
         return DecisionRecord(False, METHOD_LRT)
+    # imported here, so that reading a dictionary (`segment`) does without it
+    from .likelihood import alpha_error, beta_error, likelihood_ratio, solve_threshold
+
     eta = solve_threshold(total, params)
     return DecisionRecord(
         is_abbreviation=n > eta,
@@ -132,13 +131,20 @@ class AbbrevDictionary:
         return [entry.profile.word for entry in self.entries]
 
 
+def _paper_params() -> HypothesisParams:
+    """The paper's operating point, the default of `BuildOptions.params`."""
+    from .likelihood import HypothesisParams
+
+    return HypothesisParams(0.068, 0.955, 1.0)
+
+
 @dataclass(frozen=True)
 class BuildOptions:
     """Decision method and all thresholds of a dictionary build."""
 
     method: str = "median"
     median_threshold: Fraction = DEFAULT_MEDIAN_THRESHOLD
-    params: HypothesisParams = field(default_factory=lambda: HypothesisParams(0.068, 0.955, 1.0))
+    params: HypothesisParams = field(default_factory=_paper_params)
     min_total: int = 40
     min_volumes: int = 2
     min_active_years: int = 2

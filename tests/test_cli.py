@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import gc
@@ -176,6 +177,19 @@ class TestBuildCommand:
             "--alpha-target", "0.001", "--beta-target", "0.001",
             "--min-total", "0", "--out-words", str(out),
         ]) == 0
+
+    def test_unreachable_error_targets_one_error_line(self, aggregate_file, tmp_path):
+        """An exhausted error-target search is the command's own one-line
+        error, raised before any output is written."""
+        out = tmp_path / "dict.txt"
+        code, errors = _main_errors([
+            "build", "--aggregate", str(aggregate_file), "--method", "lrt", "--p0", "0.3", "--p1", "0.31",
+            "--alpha-target", "0.001", "--beta-target", "0.001", "--out-words", str(out),
+        ])
+        assert code == 1
+        assert [record.getMessage() for record in errors] == [
+            "no N <= 10000 reaches alpha <= 0.001 and beta <= 0.001"]
+        assert not out.exists()
 
     def test_empty_aggregate_empty_dictionary(self, tmp_path):
         empty_src = tmp_path / "empty.tsv"
@@ -1058,6 +1072,83 @@ class TestConfigFile:
         assert abbreviations(capsys.readouterr().out) == 0
 
 
+def _usage_outcome(argv: list[str], whole: bool) -> tuple[str, list[str]]:
+    """What `main(argv)`, or a parse of `argv` by the whole parser of
+    `build_parser()`, prints on stdout, with its errors and exit."""
+    out = io.StringIO()
+    try:
+        if whole:
+            with contextlib.redirect_stdout(out):
+                build_parser().parse_args(argv)
+            return out.getvalue(), ["parsed"]
+        _, errors = _main_errors(argv, out)
+        return out.getvalue(), [record.getMessage() for record in errors]
+    except SystemExit as exc:
+        return out.getvalue(), [f"exit {exc.code}"]
+    except cli.CliError as exc:
+        return out.getvalue(), [str(exc)]
+
+
+_COMMAND_ARGV = {
+    "ingest": ["ingest", "--unigrams", "in.txt", "--output", "a.json"],
+    "build": ["build", "--aggregate", "agg.json", "--out-words", "d.txt"],
+    "stats": ["stats", "--aggregate", "agg.json", "--out-dir", "r"],
+    "segment": ["segment", "in.txt", "--baseline"],
+    "synth": ["synth", "--spec", "spec.json", "--out-dir", "out"],
+    "params": ["params", "--aggregate", "agg.json", "--seed-abbrevs", "a.txt", "--seed-commons", "c.txt"],
+}
+
+
+class TestParserPerCommand:
+    """`main` builds the options of the named command alone; its help,
+    its usage errors and its config errors are those of the whole parser
+    that `build_parser()` makes."""
+
+    @staticmethod
+    def _signature(action: argparse.Action) -> tuple:
+        # a type made by _int_at_least or _comma_list is a fresh closure per parser
+        kind = action.type
+        if kind is not None and getattr(kind, "__closure__", None):
+            kind = (kind.__qualname__, *(cell.cell_contents for cell in kind.__closure__))
+        fields = {key: value for key, value in vars(action).items() if key != "container"}
+        return type(action), {**fields, "type": kind}
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+    def test_same_actions_as_the_whole_parser(self, command):
+        def subparsers(parser):
+            return next(action.choices for action in parser._actions if action.dest == "command")
+
+        whole, own = subparsers(build_parser()), subparsers(build_parser(command))
+        assert list(own) == list(whole)
+        assert [self._signature(a) for a in own[command]._actions] == [
+            self._signature(a) for a in whole[command]._actions]
+        # the other commands are named, with no option but --help
+        assert all([a.dest for a in p._actions] == ["help"] for name, p in own.items() if name != command)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["-v"], ["--config"], ["--", "build"], ["-h", "build"],
+        *([command, "--help"] for command in _COMMAND_ARGV),
+        *([command] for command in _COMMAND_ARGV if command != "segment"),  # segment's input defaults to stdin
+        *([*argv, "--no-such-flag"] for argv in _COMMAND_ARGV.values()),
+        *(["-v", command, "-h"] for command in _COMMAND_ARGV),
+        ["build", "--aggregate", "a", "--method", "x"], ["stats", "--aggregate", "a", "--out-dir", "r",
+                                                         "--reports", "x"],
+        ["ingest", "--output", "a", "--jobs", "0"], ["params", "--aggregate", "a", "--window", "x"],
+    ], ids=repr)
+    def test_help_and_usage_errors_as_the_whole_parser(self, argv):
+        assert _usage_outcome(argv, whole=False) == _usage_outcome(argv, whole=True)
+
+    @pytest.mark.parametrize("command, entry", [
+        ("ingest", {"jobs": 0}), ("build", {"min_total": "x"}), ("stats", {"top_k": [1]}),
+        ("segment", {"spans": "yes"}), ("synth", {"out_dir": {}}), ("params", {"alpha_target": "x"}),
+    ])
+    def test_config_errors_name_the_config(self, tmp_path, command, entry):
+        config = _config(tmp_path, entry)
+        code, errors = _main_errors(["--config", config, *_COMMAND_ARGV[command]])
+        assert code == 1 and len(errors) == 1
+        assert errors[0].getMessage().endswith(f"(from --config {config})"), errors[0].getMessage()
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", ["ingest", "build", "stats", "segment", "synth", "params"])
     def test_help_shows_every_default(self, command, capsys):
@@ -1128,6 +1219,85 @@ class TestNumpyOnlyWhereUsed:
         loaded = [has_numpy for _, has_numpy in json.loads(out.read_text())]
         # the last step draws with numpy, which shows the probe sees it
         assert loaded == [False] * (len(steps) - 1) + [True]
+
+
+# run in a fresh interpreter: import abbrevkit alone (argv null) or run
+# cli.main(argv), then record the abbrevkit modules loaded
+_IMPORT_PROBE = """
+import json, sys
+argv, out = json.loads(sys.argv[1]), sys.argv[2]
+if argv is None:
+    import abbrevkit
+else:
+    from abbrevkit.cli import main
+    if main(argv) != 0:
+        raise SystemExit(f"{argv} failed")
+with open(out, "w") as handle:
+    json.dump(sorted(name for name in sys.modules if name.startswith("abbrevkit.")), handle)
+"""
+
+_BUILD_MODULES = ["cli", "dictionary", "ingest", "likelihood"]
+# each step of the probe and the modules it may load, no more and no fewer
+_IMPORT_PLAN = {
+    "package": [],
+    "ingest": ["cli", "ingest"],
+    "build": _BUILD_MODULES,
+    "params": _BUILD_MODULES,
+    "stats": ["analytics", *_BUILD_MODULES],
+    "segment": ["cli", "dictionary", "ingest", "segment"],
+    "segment-baseline-spans": ["cli", "dictionary", "ingest", "segment"],
+    "synth": ["cli", "ingest", "synth"],
+}
+
+
+class TestImportPlan:
+    """Each command loads only the abbrevkit modules it runs, so no call
+    compiles or imports the rest, and importing the package loads none
+    of its modules: a stray top-level import fails here."""
+
+    def test_each_command_loads_its_modules(self, corpus, aggregate_file, tmp_path):
+        words = str(tmp_path / "dict.txt")
+        assert main(["build", "--aggregate", str(aggregate_file), "--out-words", words]) == 0
+        (tmp_path / "commons.txt").write_text("слово\nдом\nгод\n", encoding="utf-8")
+        (tmp_path / "spec.json").write_text(json.dumps(SPEC_DOC, ensure_ascii=False), encoding="utf-8")
+        seeds = ["--seed-abbrevs", str(corpus / "abbreviations.txt"), "--seed-commons", str(tmp_path / "commons.txt")]
+        text = str(corpus / "text.txt")
+        steps = {
+            "package": None,
+            "ingest": ["ingest", "--unigrams", str(corpus / "1grams.tsv"), "--bigrams", str(corpus / "2grams.tsv"),
+                       "--output", str(tmp_path / "a.json.gz"), "--jobs", "2"],
+            "build": ["build", "--aggregate", str(aggregate_file), "--method", "lrt",
+                      "--alpha-target", "0.001", "--beta-target", "0.001", "--out-tsv", str(tmp_path / "d.tsv")],
+            "params": ["params", "--aggregate", str(aggregate_file), *seeds],
+            "stats": ["stats", "--aggregate", str(aggregate_file), "--dictionary", words,
+                      "--out-dir", str(tmp_path / "r"), *seeds],
+            "segment": ["segment", text, "--dictionary", words, "--override-list", str(corpus / "override.txt"),
+                        "--output", str(tmp_path / "s1")],
+            "segment-baseline-spans": ["segment", text, "--baseline", "--spans", "--output", str(tmp_path / "s2")],
+            "synth": ["synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "synth")],
+        }
+        loaded = {}
+        for name, argv in steps.items():
+            out = tmp_path / f"{name}.modules.json"
+            result = subprocess.run(
+                [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), str(out)],
+                env=_cli_env(), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            loaded[name] = [module.removeprefix("abbrevkit.") for module in json.loads(out.read_text())]
+        assert loaded == _IMPORT_PLAN
+
+    def test_package_names_come_from_their_modules(self):
+        for name in abbrevkit.__all__:
+            if name != "__version__":
+                value = getattr(abbrevkit, name)
+                assert getattr(sys.modules[value.__module__], name) is value, name
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            abbrevkit.no_such_name
+        assert set(abbrevkit.__all__) <= set(dir(abbrevkit))
+        from abbrevkit import synth as module  # a submodule, not a public name
+
+        assert module is synth
 
 
 def test_no_module_level_numpy_import():
@@ -1312,6 +1482,10 @@ MALFORMED = {
                         "др\nг1\n".encode("utf-8")),
     "override-word-inner-space": (["segment", "in.txt", "--baseline", "--override-list", "bad.txt"],
                                   "гор\nгл вторая\n".encode("utf-8")),
+    # Le Cam's bound puts any N meeting both targets beyond the search's cap
+    "flag-error-targets-out-of-reach": (["build", "--aggregate", "agg.json", "--method", "lrt", "--p0", "0.3",
+                                         "--p1", "0.31", "--alpha-target", "0.001", "--beta-target", "0.001",
+                                         "--out-words", "d.txt"], {}),
     # the float log-ratio slope is -1.4e-17 here: an error-target scan would run for minutes
     "flag-p0-p1-flat-error-targets": (["build", "--aggregate", "agg.json", "--method", "lrt", "--p0", "0.1",
                                        "--p1", "0.10000000000000002", "--alpha-target", "0.001",
@@ -1360,6 +1534,7 @@ MESSAGE_PARTS = {
     "seed-word-digit": ["line 2:", "'г1' is not a word"],
     "override-word-inner-space": ["line 2:", "'гл вторая' is not a word"],
     "flag-p0-p1-flat-error-targets": ["min usage search", "p0=0.1", "p1=0.10000000000000002"],
+    "flag-error-targets-out-of-reach": ["no N <= 10000 reaches alpha <= 0.001 and beta <= 0.001"],
     "flag-window-inverted": ["--window", "'2008:1990'"],
     "config-window-inverted": ["--window", "'2008:1990'"],
     "flag-mean-window-inverted": ["--mean-window", "'2008:1998'"],
@@ -1590,15 +1765,15 @@ _WORD_LISTS = st.one_of(
 )
 
 
-def _main_errors(argv: list[str]) -> tuple[int, list[logging.LogRecord]]:
-    """`main(argv)` in this process, with stdout discarded: its exit code
-    and the ERROR records it logged."""
+def _main_errors(argv: list[str], stdout: io.StringIO | None = None) -> tuple[int, list[logging.LogRecord]]:
+    """`main(argv)` in this process, with stdout sent to `stdout` or
+    discarded: its exit code and the ERROR records it logged."""
     errors = []
     handler = logging.Handler(logging.ERROR)
     handler.emit = errors.append
     logging.getLogger("abbrevkit").addHandler(handler)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(stdout or io.StringIO()):
             code = main(argv)
     finally:
         logging.getLogger("abbrevkit").removeHandler(handler)
