@@ -35,7 +35,3 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{_HOMES[name]}", __package__), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted([*globals(), *_HOMES])

@@ -18,17 +18,18 @@ import logging
 import os
 import sys
 from contextlib import nullcontext
+from importlib import import_module
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Sequence
 
-# every command reads its inputs through `ingest`; each imports the other
-# modules it runs itself, so that a call compiles and loads no more
+# every command reads its inputs through `ingest`; `build_parser` binds
+# the other modules here, those of the commands whose options it adds
 from . import ingest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from . import likelihood, segment, synth
+    from . import analytics, dictionary, likelihood, segment, synth
 
 logger = logging.getLogger("abbrevkit")
 _BATCH = 4096  # output lines or --spans records a write; about 0.5 MB of records
@@ -99,21 +100,22 @@ def _load_object(path: str, what: str) -> dict:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse `argv` with the parser of the command it names (every
-    command's when it names none, as for ``--help``), and with the
-    --config file's entries spliced in right after the command name, as
-    the flags they name.  argparse keeps the last occurrence of a flag, so
-    the command line's own flags win.  An error the config's entries cause
-    names the config file."""
+    """Parse `argv` with the options of the command it names alone (of
+    none when it names none, as for ``--help``, whose text names no
+    option of a command), and with the --config file's entries spliced in
+    right after the command name, as the flags they name.  argparse keeps
+    the last occurrence of a flag, so the command line's own flags win.
+    An error the config's entries cause names the config file."""
     pre = _Parser(prog=_PROG, add_help=False)
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     found = pre.parse_known_args(argv)[0]
-    command = found.rest[0] if found.rest and found.rest[0] in _COMMANDS else None
-    parser = build_parser(command)
+    rest = found.rest[1:] if found.rest[:1] == ["--"] else found.rest  # `-- build ...` names build
+    command = rest[0] if rest and rest[0] in _COMMANDS else None
+    parser = build_parser([command] if command else [])
     if not found.config or command is None:
         return parser.parse_args(argv)
-    at = len(argv) - len(found.rest) + 1
+    at = len(argv) - len(rest) + 1
     config = _load_object(found.config, "config")
     try:
         commands = next(a.choices for a in parser._actions if a.dest == "command")
@@ -193,8 +195,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    from . import dictionary, likelihood
-
     if not (args.out_tsv or args.out_json or args.out_words):
         raise CliError("build needs at least one of --out-tsv/--out-json/--out-words")
     if (args.alpha_target is None) != (args.beta_target is None):
@@ -243,8 +243,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from . import analytics, dictionary
-
     agg = ingest.Aggregator.load(args.aggregate)
     profiles = agg.finalize(args.window)
     effective_window = args.window or (agg.config.year_min, agg.config.year_max)
@@ -316,8 +314,6 @@ def _read_totals(path: str) -> dict[int, int]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    from . import dictionary, segment
-
     if not (args.baseline or args.dictionary):
         raise CliError("segment needs --dictionary (or --baseline)")
     # the baseline is the empty dictionary; None defers to the dictionary's own case policy (JSON metadata)
@@ -410,8 +406,6 @@ def _write_array(out: BinaryIO, size: int, records: Callable[[int, int], bytes])
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from . import synth
-
     doc = _load_object(args.spec, "spec")
     sentences = doc.pop("sentences", 1000)
     if type(sentences) is not int or sentences < 1:
@@ -435,8 +429,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
-    from . import synth
-
     def number(key: str, value) -> float:
         """A JSON number as a float: a string or a boolean is refused, not cast."""
         if type(value) not in (int, float):
@@ -472,8 +464,6 @@ def _spec_from_doc(doc: dict, path: str) -> synth.SynthSpec:
 
 def _share_estimate(args: argparse.Namespace, profiles: dict[str, ingest.WordProfile]) -> likelihood.ShareEstimate:
     """p0 and p1 by year from the seed lists, for `params` and the p-series report."""
-    from . import dictionary, likelihood
-
     return likelihood.estimate_share_params(
         profiles,
         dictionary.load_dictionary(args.seed_abbrevs).words,
@@ -485,8 +475,6 @@ def _share_estimate(args: argparse.Namespace, profiles: dict[str, ingest.WordPro
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    from . import likelihood
-
     agg = ingest.Aggregator.load(args.aggregate)
     profiles = agg.finalize(args.window)
     est = _share_estimate(args, profiles)
@@ -522,9 +510,8 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 # -- parser -----------------------------------------------------------------
-# Each command's options are added by a function of their own, which
-# imports the modules their choices come from, so that a parser for one
-# command loads no module the command does not run.
+# Each command's options are added by a function of their own, so that a
+# call builds, and imports the modules of, the command it runs alone.
 
 def _aggregate_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--aggregate", required=True, help="aggregate state from 'ingest'")
@@ -562,8 +549,6 @@ def _ingest_options(p: argparse.ArgumentParser) -> None:
 
 
 def _build_options(p: argparse.ArgumentParser) -> None:
-    from . import dictionary
-
     _aggregate_options(p)
     _threshold_option(p)
     p.add_argument("--method", choices=dictionary.METHODS, default="median", help="decision rule, default %(default)s")
@@ -583,8 +568,6 @@ def _build_options(p: argparse.ArgumentParser) -> None:
 
 
 def _stats_options(p: argparse.ArgumentParser) -> None:
-    from . import analytics
-
     _aggregate_options(p)
     _share_options(p)
     p.add_argument("--dictionary", help="dictionary file (needed by all reports except p-series)")
@@ -631,23 +614,25 @@ def _params_options(p: argparse.ArgumentParser) -> None:
 
 
 _PROG = "abbrevkit"
-# each command's help line and the function that adds its options
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "ingest": ("parse ngram files into a reusable aggregate state", _ingest_options),
-    "build": ("classify word forms and write the dictionary", _build_options),
-    "stats": ("emit analytics reports", _stats_options),
-    "segment": ("split text into sentences using a dictionary", _segment_options),
-    "synth": ("generate a synthetic corpus with ground truth", _synth_options),
-    "params": ("estimate p0/p1 from seed lists and the minimum usable usage", _params_options),
+# each command's help line, the function that adds its options, and the
+# abbrevkit modules besides `ingest` that it and its options use
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], tuple[str, ...]]] = {
+    "ingest": ("parse ngram files into a reusable aggregate state", _ingest_options, ()),
+    "build": ("classify word forms and write the dictionary", _build_options, ("dictionary", "likelihood")),
+    "stats": ("emit analytics reports", _stats_options, ("analytics", "dictionary", "likelihood")),
+    "segment": ("split text into sentences using a dictionary", _segment_options, ("dictionary", "segment")),
+    "synth": ("generate a synthetic corpus with ground truth", _synth_options, ("synth",)),
+    "params": ("estimate p0/p1 from seed lists and the minimum usable usage", _params_options,
+               ("dictionary", "likelihood")),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
     """The CLI's parser.  Every option's default is declared once, in its
     command's options function; `--config` entries go through the same
     parser (see `_parse_args`).  Every command is named, with its help
-    line, but only `command`'s options are added, or every command's when
-    it is None."""
+    line, but only the options of `commands` (all, by default) are added,
+    and only their modules are imported and bound in this module."""
     parser = _Parser(
         prog=_PROG,
         description="Mine abbreviation dictionaries from ngram corpora and segment text with them.",
@@ -655,9 +640,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; explicit flags override its values")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_options) in _COMMANDS.items():
+    for name, (summary, add_options, modules) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if command in (None, name):
+        if name in commands:
+            globals().update((module, import_module(f".{module}", __package__)) for module in modules)
             add_options(p)
     return parser
 

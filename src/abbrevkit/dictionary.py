@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .ingest import WORD_RULE, WordProfile, is_word, read_input
 
 if TYPE_CHECKING:  # pragma: no cover
+    from . import likelihood
     from .likelihood import HypothesisParams
 
 __all__ = [
@@ -99,17 +101,15 @@ def decide_lrt(profile: WordProfile, params: HypothesisParams) -> DecisionRecord
     n, total = profile.n_total, profile.N_total
     if total == 0:
         return DecisionRecord(False, METHOD_LRT)
-    # imported here, so that reading a dictionary (`segment`) does without it
-    from .likelihood import alpha_error, beta_error, likelihood_ratio, solve_threshold
-
-    eta = solve_threshold(total, params)
+    likelihood = sys.modules[__name__].likelihood  # the module, imported on first use (see `__getattr__`)
+    eta = likelihood.solve_threshold(total, params)
     return DecisionRecord(
         is_abbreviation=n > eta,
         method=METHOD_LRT,
         eta=eta,
-        likelihood=likelihood_ratio(n, total, params),
-        alpha=alpha_error(eta, total, params.p0),
-        beta=beta_error(eta, total, params.p1),
+        likelihood=likelihood.likelihood_ratio(n, total, params),
+        alpha=likelihood.alpha_error(eta, total, params.p0),
+        beta=likelihood.beta_error(eta, total, params.p1),
     )
 
 
@@ -133,9 +133,7 @@ class AbbrevDictionary:
 
 def _paper_params() -> HypothesisParams:
     """The paper's operating point, the default of `BuildOptions.params`."""
-    from .likelihood import HypothesisParams
-
-    return HypothesisParams(0.068, 0.955, 1.0)
+    return sys.modules[__name__].likelihood.HypothesisParams(0.068, 0.955, 1.0)
 
 
 @dataclass(frozen=True)
@@ -404,3 +402,15 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None
             raise error(f"{word!r} is not a word ({WORD_RULE})", line_number)
         words.append(word)
     return LoadedDictionary(words, case_fold=bool(case_fold))
+
+
+def __getattr__(name: str):
+    """`dictionary.likelihood`, imported on first use: only the
+    likelihood-ratio test and `BuildOptions`' default params need it, so
+    reading a dictionary (`segment`) does without it."""
+    if name != "likelihood":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import likelihood
+
+    globals()[name] = likelihood
+    return likelihood

@@ -1118,7 +1118,7 @@ class TestParserPerCommand:
         def subparsers(parser):
             return next(action.choices for action in parser._actions if action.dest == "command")
 
-        whole, own = subparsers(build_parser()), subparsers(build_parser(command))
+        whole, own = subparsers(build_parser()), subparsers(build_parser([command]))
         assert list(own) == list(whole)
         assert [self._signature(a) for a in own[command]._actions] == [
             self._signature(a) for a in whole[command]._actions]
@@ -1230,7 +1230,11 @@ if argv is None:
     import abbrevkit
 else:
     from abbrevkit.cli import main
-    if main(argv) != 0:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    if code != 0:
         raise SystemExit(f"{argv} failed")
 with open(out, "w") as handle:
     json.dump(sorted(name for name in sys.modules if name.startswith("abbrevkit.")), handle)
@@ -1240,6 +1244,7 @@ _BUILD_MODULES = ["cli", "dictionary", "ingest", "likelihood"]
 # each step of the probe and the modules it may load, no more and no fewer
 _IMPORT_PLAN = {
     "package": [],
+    "help": ["cli", "ingest"],
     "ingest": ["cli", "ingest"],
     "build": _BUILD_MODULES,
     "params": _BUILD_MODULES,
@@ -1264,6 +1269,7 @@ class TestImportPlan:
         text = str(corpus / "text.txt")
         steps = {
             "package": None,
+            "help": ["--help"],
             "ingest": ["ingest", "--unigrams", str(corpus / "1grams.tsv"), "--bigrams", str(corpus / "2grams.tsv"),
                        "--output", str(tmp_path / "a.json.gz"), "--jobs", "2"],
             "build": ["build", "--aggregate", str(aggregate_file), "--method", "lrt",
@@ -1294,7 +1300,6 @@ class TestImportPlan:
                 assert getattr(sys.modules[value.__module__], name) is value, name
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             abbrevkit.no_such_name
-        assert set(abbrevkit.__all__) <= set(dir(abbrevkit))
         from abbrevkit import synth as module  # a submodule, not a public name
 
         assert module is synth
