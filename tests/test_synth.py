@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -174,3 +175,43 @@ class TestGenerateText:
     def test_needs_common_words(self):
         with pytest.raises(ValueError):
             generate_text(SynthSpec(abbrev_words={}, common_words={}), 3)
+
+
+_ABBREVS = make_vocabulary(4, prefix="ъ")
+_COMMONS = {w: 0.1 for w in make_vocabulary(9)}
+
+
+class TestFrozenOutput:
+    """sha256 of generated bytes, pinned: a change to the generators'
+    draws, their order or the rendering fails here.  The n-gram digests
+    also depend on numpy's `default_rng` streams."""
+
+    @pytest.mark.parametrize("spec, sentences, digest", [
+        (make_spec(300, 2000, seed=5), 2000, "a97f2106ecc78591ba3bf849c627cecbacbd909552850814c4bc436d499cf4b4"),
+        (make_spec(3, 15), 200, "867e24bcc22d5665010e4bf5b78ea094eb533a84a6d7ac20c6fb4474b98c29e3"),
+        # every abbreviation title-like: the plain ones fall back to all of them
+        (SynthSpec(abbrev_words={w: 0.9 for w in _ABBREVS}, common_words=_COMMONS, seed=3,
+                   title_like=tuple(_ABBREVS)), 200,
+         "cd7b200e51e27e025303cb20a5d53a45c5065d1ea02042e7093c14f6b6a770fa"),
+        (SynthSpec(abbrev_words={}, common_words=_COMMONS, seed=4), 200,
+         "73c857ae64001a4ee4f21d10cf92f8ca0eb1c4f70ebc010b951043c1d971c3ca"),
+    ], ids=["300x2000", "3x15", "all-title-like", "no-abbreviations"])
+    def test_text(self, spec, sentences, digest):
+        sample = generate_text(spec, sentences)
+        # gold_json holds the other three fields
+        assert hashlib.sha256((sample.text + "\n" + sample.gold_json()).encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, lines, digests", [
+        (make_spec(50, 1250, seed=6), (24700, 24628),
+         ("4e982bce8f282061a334b95695b28de84a0af880da7067532bb56d2ea3753517",
+          "73e8ab471ca6bd67334d2f83c87205bbeac055d94fb7be58517b24610941640d")),
+        (SynthSpec(abbrev_words={w: 0.9 for w in _ABBREVS}, common_words=_COMMONS, seed=8,
+                   totals_range=(1, 300), period_comma_swap=0.3), (247, 299),
+         ("cbbedd989b76c7d7faa3a5f7dea205fc54b20d3cd55ac78eab1d9b1d4c3c1917",
+          "73bff7c4cb8a1bd19902a563bd0e6a72662b188c5d08efb0a3e89f7771ea3cb1")),
+    ], ids=["50x1250", "period-comma-swap"])
+    def test_ngrams(self, tmp_path, spec, lines, digests):
+        uni, bi = tmp_path / "1.tsv", tmp_path / "2.tsv"
+        counts = generate_ngrams(spec, uni, bi)
+        assert (counts["unigram_lines"], counts["bigram_lines"]) == lines
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (uni, bi)) == digests
