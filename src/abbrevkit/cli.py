@@ -110,7 +110,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     pre.add_argument("--config")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     found = pre.parse_known_args(argv)[0]
-    rest = found.rest[1:] if found.rest[:1] == ["--"] else found.rest  # `-- build ...` names build
+    rest = found.rest  # the tail of argv from the command on
+    if rest[:1] == ["--"]:  # `-- build ...` names build, which argparse would take for a command `--`
+        start = len(argv) - len(rest)
+        argv, rest = argv[:start] + rest[1:], rest[1:]
     command = rest[0] if rest and rest[0] in _COMMANDS else None
     parser = build_parser([command] if command else [])
     if not found.config or command is None:

@@ -14,7 +14,6 @@ import gzip
 import hashlib
 import io
 import json
-import logging
 import os
 import re
 import sys
@@ -28,8 +27,6 @@ from itertools import chain, compress, repeat
 from operator import floordiv, gt, le, lshift
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, TextIO
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "NgramRecord",

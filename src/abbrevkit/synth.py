@@ -14,8 +14,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from .ingest import atomic_output
 
@@ -127,7 +128,7 @@ def generate_ngrams(
 
     Per word and year, the unigram line carries the drawn total N and
     the bigram line (emitted when nonzero) the binomial with-period
-    count n.  Both files are written through `atomic_output`.  Returns
+    count n.  Each file is written through `atomic_output`, in one write.  Returns
     line counts for reporting.
     """
     import numpy as np  # only here, so that the other commands start without it
@@ -140,29 +141,29 @@ def generate_ngrams(
     words = sorted(list(spec.abbrev_words) + list(spec.common_words))
     probs = {**spec.abbrev_words, **spec.common_words}
 
-    uni_lines = 0
-    bi_lines = 0
+    divisor = spec.volumes_divisor
+    uni_lines: list[str] = []
+    bi_lines: list[str] = []
+    for word in words:
+        p = probs[word]
+        raw = np.exp(rng.uniform(log_lo, log_hi, size=len(years)))
+        totals = np.clip(raw.astype(np.int64), lo, hi)
+        withs = rng.binomial(totals, p)
+        if spec.period_comma_swap > 0.0:
+            swapped = rng.binomial(withs, spec.period_comma_swap).tolist()
+        else:
+            swapped = [0] * len(years)
+        for year, total, n, swap in zip(years, totals.tolist(), withs.tolist(), swapped):
+            uni_lines.append(f"{word}\t{year}\t{total}\t{_volumes(total, divisor)}\n")
+            kept = n - swap
+            if kept > 0:
+                bi_lines.append(f"{word} .\t{year}\t{kept}\t{_volumes(kept, divisor)}\n")
+            if swap > 0:
+                bi_lines.append(f"{word} ,\t{year}\t{swap}\t{_volumes(swap, divisor)}\n")
     with atomic_output(unigram_path) as uni, atomic_output(bigram_path) as bi:
-        for word in words:
-            p = probs[word]
-            raw = np.exp(rng.uniform(log_lo, log_hi, size=len(years)))
-            totals = np.clip(raw.astype(np.int64), lo, hi)
-            withs = rng.binomial(totals, p)
-            if spec.period_comma_swap > 0.0:
-                swapped = rng.binomial(withs, spec.period_comma_swap)
-            else:
-                swapped = np.zeros(len(years), dtype=np.int64)
-            for year, total, n, swap in zip(years, totals, withs, swapped):
-                uni.write(f"{word}\t{year}\t{total}\t{_volumes(int(total), spec.volumes_divisor)}\n")
-                uni_lines += 1
-                kept = int(n) - int(swap)
-                if kept > 0:
-                    bi.write(f"{word} .\t{year}\t{kept}\t{_volumes(kept, spec.volumes_divisor)}\n")
-                    bi_lines += 1
-                if swap > 0:
-                    bi.write(f"{word} ,\t{year}\t{int(swap)}\t{_volumes(int(swap), spec.volumes_divisor)}\n")
-                    bi_lines += 1
-    return {"unigram_lines": uni_lines, "bigram_lines": bi_lines}
+        uni.write("".join(uni_lines))
+        bi.write("".join(bi_lines))
+    return {"unigram_lines": len(uni_lines), "bigram_lines": len(bi_lines)}
 
 
 @dataclass
@@ -183,6 +184,23 @@ class TextSample:
         return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
+def _index_below(rng: random.Random) -> Callable[[int, int], int]:
+    """A draw of an index below n, called with n and k = n.bit_length().
+    It makes the same Mersenne Twister draws as ``rng.choice`` of a
+    length-n sequence and ``rng.randrange(n)``: CPython's
+    ``_randbelow_with_getrandbits`` takes k bits and redraws while the
+    value is >= n."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int, k: int) -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def generate_text(spec: SynthSpec, sentence_count: int) -> TextSample:
     """Assemble sentences from the spec vocabulary with abbreviations
     planted in three contexts: mid-sentence before a lowercase word,
@@ -195,56 +213,50 @@ def generate_text(spec: SynthSpec, sentence_count: int) -> TextSample:
     if not spec.common_words:
         raise ValueError("text generation needs at least one common word")
     rng = random.Random(f"text:{spec.seed}")
+    below, uniform = _index_below(rng), rng.random
     commons = sorted(spec.common_words)
+    capitals = [w.capitalize() for w in commons]
     abbrevs = sorted(spec.abbrev_words)
     title = sorted(spec.title_like)
     plain = [w for w in abbrevs if w not in spec.title_like] or abbrevs
-    propers = [w.capitalize() for w in commons[: max(5, len(commons) // 4)]]
+    propers = capitals[: max(5, len(commons) // 4)]
+    n_common, k_common = len(commons), len(commons).bit_length()
+    n_title, k_title = len(title), len(title).bit_length()
+    n_plain, k_plain = len(plain), len(plain).bit_length()
+    n_proper, k_proper = len(propers), len(propers).bit_length()
 
     used_abbrevs: set[str] = set()
-    pieces: list[str] = []
-    boundaries: list[int] = []
-    byte_len = 0
-
-    def emit(piece: str) -> None:
-        nonlocal byte_len
-        pieces.append(piece)
-        byte_len += len(piece.encode("utf-8"))
-
-    for index in range(sentence_count):
-        if index:
-            emit(" ")
-        words = [rng.choice(commons).capitalize()]
-        for _ in range(rng.randint(2, 6)):
-            words.append(rng.choice(commons))
-        roll = rng.random()
+    sentences: list[str] = []
+    for _ in range(sentence_count):
+        first = capitals[below(n_common, k_common)]
+        words = []
+        for _ in range(2 + below(5, 3)):  # rng.randint(2, 6) words
+            words.append(commons[below(n_common, k_common)])
+        rest = " ".join(words)
+        roll = uniform()
         if abbrevs and roll < 0.25:
             # abbreviation mid-sentence before a lowercase word
-            a = rng.choice(plain)
+            a = plain[below(n_plain, k_plain)]
             used_abbrevs.add(a)
-            words.insert(1, a + ".")
-            words.append(rng.choice(commons))
-            words[-1:] = [words[-1] + "."]
-        elif title and propers and roll < 0.45:
+            sentences.append(f"{first} {a}. {rest} {commons[below(n_common, k_common)]}.")
+        elif title and roll < 0.45:
             # title-like prefix before a proper noun: gold non-boundary
-            a = rng.choice(title)
+            a = title[below(n_title, k_title)]
             used_abbrevs.add(a)
-            words.insert(1, a + ".")
-            words.insert(2, rng.choice(propers))
-            words[-1:] = [words[-1] + "."]
+            sentences.append(f"{first} {a}. {propers[below(n_proper, k_proper)]} {rest}.")
         elif plain and roll < 0.60:
             # sentence ends with an abbreviation: double-function period
-            a = rng.choice(plain)
+            a = plain[below(n_plain, k_plain)]
             used_abbrevs.add(a)
-            words.append(a + ".")
+            sentences.append(f"{first} {rest} {a}.")
         else:
-            words[-1:] = [words[-1] + "."]
-        emit(" ".join(words))
-        boundaries.append(byte_len)
+            sentences.append(f"{first} {rest}.")
 
+    # each sentence ends one separating space before the next one starts
+    sizes = (len(sentence.encode("utf-8")) + 1 for sentence in sentences)
     return TextSample(
-        text="".join(pieces),
-        boundaries=boundaries,
+        text=" ".join(sentences),
+        boundaries=list(accumulate(sizes, initial=-1))[1:],
         abbreviations=sorted(used_abbrevs),
         title_like=[w for w in title if w in used_abbrevs],
     )

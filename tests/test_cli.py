@@ -191,6 +191,22 @@ class TestBuildCommand:
             "no N <= 10000 reaches alpha <= 0.001 and beta <= 0.001"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("options", [[], ["-v"], ["--config", "config.json"]], ids=repr)
+    def test_leading_double_dash_builds_the_same(self, aggregate_file, tmp_path, monkeypatch, options):
+        monkeypatch.chdir(tmp_path)
+        _config(tmp_path, {"method": "lrt"})
+        outs = [tmp_path / "plain.json", tmp_path / "dashed.json"]
+        for dashes, out in zip(([], ["--"]), outs):
+            assert main([*options, *dashes, "build", "--aggregate", str(aggregate_file), "--out-json", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        method = json.loads(outs[1].read_text(encoding="utf-8"))["build_meta"]["method"]
+        assert method == ("lrt" if "--config" in options else "median")
+
+    def test_bare_double_dash_one_error_line(self):
+        code, errors = _main_errors(["--"])
+        assert code == 1
+        assert [record.getMessage() for record in errors] == ["abbrevkit: the following arguments are required: command"]
+
     def test_empty_aggregate_empty_dictionary(self, tmp_path):
         empty_src = tmp_path / "empty.tsv"
         empty_src.write_text("", encoding="utf-8")
@@ -1126,7 +1142,7 @@ class TestParserPerCommand:
         assert all([a.dest for a in p._actions] == ["help"] for name, p in own.items() if name != command)
 
     @pytest.mark.parametrize("argv", [
-        ["--help"], [], ["bogus"], ["-v"], ["--config"], ["--", "build"], ["-h", "build"],
+        ["--help"], [], ["bogus"], ["-v"], ["--config"], ["-h", "build"],
         *([command, "--help"] for command in _COMMAND_ARGV),
         *([command] for command in _COMMAND_ARGV if command != "segment"),  # segment's input defaults to stdin
         *([*argv, "--no-such-flag"] for argv in _COMMAND_ARGV.values()),
@@ -1137,6 +1153,15 @@ class TestParserPerCommand:
     ], ids=repr)
     def test_help_and_usage_errors_as_the_whole_parser(self, argv):
         assert _usage_outcome(argv, whole=False) == _usage_outcome(argv, whole=True)
+
+    @pytest.mark.parametrize("argv, without", [
+        (["--"], []), (["--", "build"], ["build"]), (["-v", "--", "build"], ["-v", "build"]),
+        (["--", "bogus"], ["bogus"]), (["--", "build", "--help"], ["build", "--help"]),
+    ], ids=repr)
+    def test_leading_double_dash_is_dropped(self, argv, without):
+        """A `--` before the command is dropped: argparse alone would take
+        it for the command and fail with `invalid choice: '--'`."""
+        assert _usage_outcome(argv, whole=False) == _usage_outcome(without, whole=True)
 
     @pytest.mark.parametrize("command, entry", [
         ("ingest", {"jobs": 0}), ("build", {"min_total": "x"}), ("stats", {"top_k": [1]}),

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import random
 
 import pytest
 
 from abbrevkit.ingest import IngestConfig, ingest_paths, parse_line
 from abbrevkit.likelihood import estimate_share_params
-from abbrevkit.synth import SynthSpec, generate_ngrams, generate_text, make_spec, make_vocabulary
+from abbrevkit.synth import SynthSpec, _index_below, generate_ngrams, generate_text, make_spec, make_vocabulary
 
 
 def _render(record) -> str:
@@ -122,6 +123,25 @@ class TestGenerateNgrams:
         generate_ngrams(spec, uni, bi)
         seconds = {parse_line(line).tokens[1] for line in bi.read_text(encoding="utf-8").splitlines()}
         assert seconds == {".", ","}
+
+
+class TestIndexBelow:
+    """`generate_text` draws every index through `_index_below`, which
+    must make the draws `random.Random.choice` and `randint` make."""
+
+    @pytest.mark.parametrize("n", sorted({*range(1, 71), *(2**k + d for k in range(1, 21) for d in (-1, 1))}))
+    def test_same_draws_as_choice(self, n):
+        ours, reference = random.Random(n), random.Random(n)
+        below = _index_below(ours)
+        k = n.bit_length()
+        assert [below(n, k) for _ in range(100)] == [reference.choice(range(n)) for _ in range(100)]
+        assert ours.getstate() == reference.getstate()
+
+    def test_same_draws_as_randint(self):
+        ours, reference = random.Random(5), random.Random(5)
+        below = _index_below(ours)
+        assert [2 + below(5, 3) for _ in range(1000)] == [reference.randint(2, 6) for _ in range(1000)]
+        assert ours.getstate() == reference.getstate()
 
 
 class TestGenerateText:
