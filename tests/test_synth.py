@@ -208,6 +208,7 @@ class TestFrozenOutput:
 
     @pytest.mark.parametrize("spec, sentences, digest", [
         (make_spec(300, 2000, seed=5), 2000, "a97f2106ecc78591ba3bf849c627cecbacbd909552850814c4bc436d499cf4b4"),
+        # int(3 * 0.3) == 0: abbreviations, none of them title-like
         (make_spec(3, 15), 200, "867e24bcc22d5665010e4bf5b78ea094eb533a84a6d7ac20c6fb4474b98c29e3"),
         # every abbreviation title-like: the plain ones fall back to all of them
         (SynthSpec(abbrev_words={w: 0.9 for w in _ABBREVS}, common_words=_COMMONS, seed=3,
