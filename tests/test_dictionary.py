@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import statistics
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +26,9 @@ from abbrevkit.dictionary import (
     dictionary_to_wordlist,
     filter_occasional,
 )
-from abbrevkit.ingest import IngestConfig, WordProfile
+from abbrevkit.ingest import IngestConfig, WordProfile, ingest_paths
 from abbrevkit.likelihood import HypothesisParams
+from abbrevkit.synth import SynthSpec, generate_ngrams, make_spec, make_vocabulary
 from helpers import build_profiles, profile_of
 
 PARAMS = HypothesisParams(0.068, 0.955, 1.0)
@@ -306,6 +308,93 @@ class TestBuildDictionary:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(InvalidConfigError):
             BuildOptions(median_threshold=Fraction(3, 2))
+
+
+_COUNT_KEYS = ("undecided_low_evidence", "candidates", "removed_low_volume", "removed_short_timespan", "entries")
+
+
+@pytest.fixture(scope="module")
+def synth_profiles(tmp_path_factory):
+    """Profiles of one aggregate of three synth shapes: the paper's
+    shares at totals 1..60 over the whole window, the same shares active
+    in five years only, and shares near the median threshold."""
+    out = tmp_path_factory.mktemp("synth")
+    specs = [
+        make_spec(20, 200, seed=1, totals_range=(1, 60)),
+        SynthSpec({w: 0.955 for w in make_vocabulary(8, "щ")}, {w: 0.068 for w in make_vocabulary(8, "ы")},
+                  years=(2000, 2004), totals_range=(1, 60), seed=1),
+        SynthSpec({w: 0.9 for w in make_vocabulary(20, "ё")}, {w: 0.4 for w in make_vocabulary(20, "ь")},
+                  totals_range=(1, 60), seed=1),
+    ]
+    for index, spec in enumerate(specs):
+        generate_ngrams(spec, out / f"1-{index}.tsv", out / f"2-{index}.tsv")
+    return ingest_paths(sorted(out.glob("1-*")), sorted(out.glob("2-*"))).finalize()
+
+
+class TestFrozenOutput:
+    """sha256 of the TSV, JSON and word-list outputs and the build counts,
+    pinned for every method on thresholds where each gate fires: words
+    left undecided by `min_total`, removed as low-volume, as
+    short-timespan, and as both.  A change to any decision, filter,
+    count or rendering fails here."""
+
+    @pytest.mark.parametrize("method, thresholds, counts, digests", [
+        ("median", (40, 2, 2), (2, 46, 0, 0, 46),
+         ("eef813064a52cee78b44c6e54bfc313b445c9868ecca658fb3166b5c1954e974",
+          "84e9c29acb8b9778f6bfb68715bd5cf1c86a9bbb79dd5369ef7952d9b566a3cc",
+          "7e0d74e9562bf166e4adf49a70f4a1edb53d9d8340ce7e5045c55599173e15e1")),
+        ("median", (0, 0, 0), (0, 46, 0, 0, 46),
+         ("eef813064a52cee78b44c6e54bfc313b445c9868ecca658fb3166b5c1954e974",
+          "d27a46e33fa7ef757ba3def629fc31ab1aeaff216a5ac6e55bc669774328d074",
+          "7e0d74e9562bf166e4adf49a70f4a1edb53d9d8340ce7e5045c55599173e15e1")),
+        ("median", (100, 5, 15), (14, 40, 0, 2, 38),
+         ("48e3d746942036fa2ab4008fbec4d4e9a8b39e04e065a630e3d1a335a3d887fa",
+          "6a2b3f53b15fa044f6a8c5094b6249bebd83afdf74f5e1c97979f99447cc1863",
+          "5ead0d933f9d65828e3fe1955300ba64a631f67aae9619be96cbdc51d46f2a82")),
+        ("median", (10, 30, 18), (0, 46, 11, 8, 35),
+         ("a9cb0589f7bec5860af51f5ac6aa6b665c656c9f29c71c4c16bfb0d63971798b",
+          "c76ab59a9630e3b47074bdd6c49bfbb12c3532a7834436ab511233af21142355",
+          "5747e7ae8eb5fac35c6e5bb38123b47b49c70e2e69cfeb2e2b7e018a47c609ea")),
+        ("lrt", (40, 2, 2), (2, 48, 0, 0, 48),
+         ("e81262953d591dc9665a33b6fca0a4c6a145be7dc3320cf324f259b5fee4ffef",
+          "539bb79f0501763d6d046612733cea335dbcbaed9b7f12c4d4e9c8ded08d5ecc",
+          "9922f1a7cc41cd282ec216f3deb9af29101e75dd2a7bcc8bda8c6e657b81da88")),
+        ("lrt", (0, 0, 0), (0, 48, 0, 0, 48),
+         ("e81262953d591dc9665a33b6fca0a4c6a145be7dc3320cf324f259b5fee4ffef",
+          "b8a2f3ec85b65792973778ac83901a4eec996c027edf673819835cd21a2f97e1",
+          "9922f1a7cc41cd282ec216f3deb9af29101e75dd2a7bcc8bda8c6e657b81da88")),
+        ("lrt", (100, 5, 15), (14, 42, 0, 2, 40),
+         ("10a054f7612225f33a189daa238c8c1a95f24f0f904853147ec82774058263dc",
+          "996a6682b485474e5d5f93a1bcc2b946fafebeae646130757af623006a02ee23",
+          "00db6698e9d61135ccee248ce2171f7f215acf8b5eac714eeb0d40793068ef23")),
+        ("lrt", (10, 30, 18), (0, 48, 11, 8, 37),
+         ("8d39a8d6e30b2f1a87738d1b16fd76c40626640f67ee09cd3aa45b184989f078",
+          "782435c244a3eb2f967878c2d6e95f356fc628bd8ae6fed397f214ac2f999ecb",
+          "ffe7dc809b0f48a49a9fce322b5fa10d054ad5618b95eedd613b4fbaaf6cb2e6")),
+        ("both-must-agree", (40, 2, 2), (2, 46, 0, 0, 46),
+         ("3f097f2cd928692859d658a458fe12e913686a354981d2022956ea56f6273a54",
+          "59a1d34f12e889162eaed491ad9abd4d1356741c5e6a7be10231164ba1daa7ce",
+          "7e0d74e9562bf166e4adf49a70f4a1edb53d9d8340ce7e5045c55599173e15e1")),
+        ("both-must-agree", (0, 0, 0), (0, 46, 0, 0, 46),
+         ("3f097f2cd928692859d658a458fe12e913686a354981d2022956ea56f6273a54",
+          "f600636e5b5fd1b17fb9aea7384817abb801a9b3668f3e0147a12d8a8a961af0",
+          "7e0d74e9562bf166e4adf49a70f4a1edb53d9d8340ce7e5045c55599173e15e1")),
+        ("both-must-agree", (100, 5, 15), (14, 40, 0, 2, 38),
+         ("1422e3f4c959d57b3ece939361ea0ee849089f848ee063709c24114036dcb788",
+          "c18dc77d360ebf1e8f1a8c8e1a42c41de743b1fa1b1d492fcdc392ca16493936",
+          "5ead0d933f9d65828e3fe1955300ba64a631f67aae9619be96cbdc51d46f2a82")),
+        ("both-must-agree", (10, 30, 18), (0, 46, 11, 8, 35),
+         ("196ad54224f16eb68470a6890a646bae89d1318a00a1cef2a11e85d72b8726b1",
+          "03c83428befeeed18fd26aa40d6dd2c35bb32e87f15597eec5bcd437be82c8e0",
+          "5747e7ae8eb5fac35c6e5bb38123b47b49c70e2e69cfeb2e2b7e018a47c609ea")),
+    ])
+    def test_build(self, synth_profiles, method, thresholds, counts, digests):
+        min_total, min_volumes, min_active_years = thresholds
+        built = build_dictionary(synth_profiles, BuildOptions(
+            method=method, min_total=min_total, min_volumes=min_volumes, min_active_years=min_active_years))
+        assert built.build_meta["counts"] == {"words_seen": 276, **dict(zip(_COUNT_KEYS, counts))}
+        outputs = (dictionary_to_tsv(built), dictionary_to_json(built), dictionary_to_wordlist(built))
+        assert tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in outputs) == digests
 
 
 class TestSerializationFormats:
