@@ -298,7 +298,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _read_totals(path: str) -> dict[int, int]:
     with ingest.read_input(path) as handle:
-        lines = handle.read().splitlines()
+        lines = handle.read().split("\n")
     totals: dict[int, int] = {}
     for line_number, line in enumerate(lines, 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -641,7 +641,6 @@ def build_parser(commands: Iterable[str] = tuple(_COMMANDS)) -> argparse.Argumen
         description="Mine abbreviation dictionaries from ngram corpora and segment text with them.",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override its values")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, add_options, modules) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
@@ -655,8 +654,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
-        if args.verbose:
-            logger.setLevel(logging.DEBUG)
         # a command's containers live until it ends, so the cyclic collector's passes find nothing
         collecting = gc.isenabled()
         gc.disable()

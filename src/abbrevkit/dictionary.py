@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .ingest import WORD_RULE, WordProfile, is_word, read_input
 
@@ -30,13 +30,10 @@ __all__ = [
     "AbbrevDictionary",
     "BuildOptions",
     "InvalidConfigError",
-    "FLAG_LOW_VOLUME",
-    "FLAG_SHORT_TIMESPAN",
     "DEFAULT_MEDIAN_THRESHOLD",
     "METHOD_LRT",
     "METHOD_MEDIAN",
     "decide_lrt",
-    "filter_occasional",
     "build_dictionary",
     "as_fraction",
     "dictionary_to_tsv",
@@ -46,9 +43,6 @@ __all__ = [
     "DictionaryLoadError",
     "load_dictionary",
 ]
-
-FLAG_LOW_VOLUME = "low-volume"
-FLAG_SHORT_TIMESPAN = "short-timespan"
 
 DEFAULT_MEDIAN_THRESHOLD = Fraction(9, 10)
 
@@ -158,31 +152,6 @@ class BuildOptions:
             raise InvalidConfigError("thresholds must be non-negative")
 
 
-def filter_occasional(
-    entries: Sequence[AbbrevEntry],
-    min_volumes: int,
-    min_active_years: int,
-) -> tuple[list[AbbrevEntry], list[tuple[AbbrevEntry, tuple[str, ...]]]]:
-    """Drop occasionalisms: entries printed in too few volumes or active
-    in too few years.  Returns (kept, removed-with-reasons); idempotent,
-    and identity at zero thresholds."""
-    if min_volumes < 0 or min_active_years < 0:
-        raise InvalidConfigError("occasionalism thresholds must be non-negative")
-    kept: list[AbbrevEntry] = []
-    removed: list[tuple[AbbrevEntry, tuple[str, ...]]] = []
-    for entry in entries:
-        reasons = []
-        if entry.profile.volumes_total < min_volumes:
-            reasons.append(FLAG_LOW_VOLUME)
-        if entry.profile.active_years < min_active_years:
-            reasons.append(FLAG_SHORT_TIMESPAN)
-        if reasons:
-            removed.append((entry, tuple(reasons)))
-        else:
-            kept.append(entry)
-    return kept, removed
-
-
 def build_dictionary(
     profiles: Mapping[str, WordProfile],
     options: BuildOptions | None = None,
@@ -196,11 +165,14 @@ def build_dictionary(
     method ``both-must-agree`` a word enters only when the median rule
     and the likelihood-ratio test both say abbreviation: the test runs
     on the words the median rule admits, and its decision is stored.
+    Each admitted word then meets the occasionalism filters, on volumes
+    and on active years, in the same pass; one that fails both counts
+    in both removal counts.
     """
     options = options or BuildOptions()
     window = None
-    candidates: list[AbbrevEntry] = []
-    undecided = 0
+    undecided = candidates = low_volume = short_timespan = 0
+    kept: list[AbbrevEntry] = []
     for word in sorted(profiles):
         profile = profiles[word]
         if window is None:
@@ -214,13 +186,15 @@ def build_dictionary(
             decision = decide_lrt(profile, options.params)
         else:
             continue
-        if decision.is_abbreviation:
-            candidates.append(AbbrevEntry(decision, profile))
-    kept, removed = filter_occasional(candidates, options.min_volumes, options.min_active_years)
-    removal_counts = {FLAG_LOW_VOLUME: 0, FLAG_SHORT_TIMESPAN: 0}
-    for _, reasons in removed:
-        for reason in reasons:
-            removal_counts[reason] += 1
+        if not decision.is_abbreviation:
+            continue
+        candidates += 1
+        few_volumes = profile.volumes_total < options.min_volumes
+        few_years = profile.active_years < options.min_active_years
+        low_volume += few_volumes
+        short_timespan += few_years
+        if not (few_volumes or few_years):
+            kept.append(AbbrevEntry(decision, profile))
     meta = {
         "window": list(window) if window else None,
         "method": options.method,
@@ -238,9 +212,9 @@ def build_dictionary(
         "counts": {
             "words_seen": len(profiles),
             "undecided_low_evidence": undecided,
-            "candidates": len(candidates),
-            "removed_low_volume": removal_counts[FLAG_LOW_VOLUME],
-            "removed_short_timespan": removal_counts[FLAG_SHORT_TIMESPAN],
+            "candidates": candidates,
+            "removed_low_volume": low_volume,
+            "removed_short_timespan": short_timespan,
             "entries": len(kept),
         },
     }
@@ -391,7 +365,7 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None
             raise error(f"build_meta case_fold must be true or false, got {fold!r}")
         return LoadedDictionary(words, case_fold=fold if case_fold is None else case_fold)
     words = []
-    for line_number, line in enumerate(content.splitlines(), 1):
+    for line_number, line in enumerate(content.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -24,7 +24,6 @@ from abbrevkit.dictionary import (
     dictionary_to_json,
     dictionary_to_tsv,
     dictionary_to_wordlist,
-    filter_occasional,
 )
 from abbrevkit.ingest import IngestConfig, WordProfile, ingest_paths
 from abbrevkit.likelihood import HypothesisParams
@@ -168,43 +167,6 @@ class TestDecideLrt:
             assert high.is_abbreviation
 
 
-def _entry(word, volumes, years):
-    decision = DecisionRecord(is_abbreviation=True, method=METHOD_MEDIAN)
-    profile = WordProfile(
-        word=word, series={}, window=(1990, 2008), n_total=50, N_total=50,
-        median_share=Fraction(1), active_years=years, volumes_total=volumes,
-    )
-    return AbbrevEntry(decision=decision, profile=profile)
-
-
-class TestFilterOccasional:
-    def test_low_volume_removed(self):
-        kept, removed = filter_occasional([_entry("a", 1, 5)], min_volumes=2, min_active_years=0)
-        assert kept == []
-        assert removed[0][1] == ("low-volume",)
-
-    def test_identity_at_zero_thresholds(self):
-        entries = [_entry("a", 1, 1), _entry("b", 9, 9)]
-        kept, removed = filter_occasional(entries, 0, 0)
-        assert kept == entries and removed == []
-
-    def test_short_timespan_removed(self):
-        kept, removed = filter_occasional([_entry("a", 9, 1)], min_volumes=2, min_active_years=3)
-        assert kept == []
-        assert removed[0][1] == ("short-timespan",)
-
-    def test_idempotent(self):
-        entries = [_entry("a", 1, 1), _entry("b", 5, 5), _entry("c", 2, 1)]
-        once, _ = filter_occasional(entries, 2, 2)
-        twice, removed_again = filter_occasional(once, 2, 2)
-        assert twice == once and removed_again == []
-
-    def test_output_subset_of_input(self):
-        entries = [_entry(w, v, y) for w, v, y in [("a", 1, 1), ("b", 3, 3), ("c", 2, 9)]]
-        kept, _ = filter_occasional(entries, 2, 2)
-        assert all(e in entries for e in kept)
-
-
 ABBREV_YEARS = {1990 + i: (96 + (i % 3), 100, 12) for i in range(19)}
 COMMON_YEARS = {1990 + i: (7, 100, 3) for i in range(19)}
 
@@ -308,6 +270,76 @@ class TestBuildDictionary:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(InvalidConfigError):
             BuildOptions(median_threshold=Fraction(3, 2))
+
+
+def _counts(built):
+    return built.build_meta["counts"]
+
+
+# each year at a 99% share: the median rule and the test both admit it
+def _admitted(years, volumes):
+    return {1990 + i: (99, 100, volumes) for i in range(years)}
+
+
+class TestOccasionalismGate:
+    """The occasionalism filters, met in the build by every admitted word."""
+
+    @pytest.mark.parametrize("method", ["median", "lrt", "both-must-agree"])
+    @pytest.mark.parametrize("volumes, years, low, short", [
+        (1, 19, 1, 0),   # 19 volumes < 30
+        (20, 2, 0, 1),   # 2 years < 3
+        (1, 2, 1, 1),    # both: one candidate, counted in each removal
+        (20, 19, 0, 0),
+    ])
+    def test_removal_counts(self, method, volumes, years, low, short):
+        profiles = build_profiles({"гл": _admitted(years, volumes), "год": COMMON_YEARS})
+        built = build_dictionary(profiles, BuildOptions(method=method, min_volumes=30, min_active_years=3,
+                                                        min_total=0))
+        assert built.words() == ([] if low or short else ["гл"])
+        assert _counts(built) == {"words_seen": 2, "undecided_low_evidence": 0, "candidates": 1,
+                                  "removed_low_volume": low, "removed_short_timespan": short,
+                                  "entries": 1 - (low or short)}
+
+    def test_zero_thresholds_keep_every_candidate(self):
+        profiles = build_profiles({"гл": _admitted(1, 1), "др": _admitted(19, 9), "год": COMMON_YEARS})
+        built = build_dictionary(profiles, BuildOptions(min_total=0, min_volumes=0, min_active_years=0))
+        assert built.words() == ["гл", "др"]
+        assert _counts(built)["entries"] == _counts(built)["candidates"] == 2
+
+    def test_both_must_agree_tests_only_median_admitted_words(self, monkeypatch):
+        profiles = _corpus()
+        median = set(build_dictionary(profiles, BuildOptions(method="median", min_volumes=0,
+                                                             min_active_years=0)).words())
+        tested = []
+        monkeypatch.setattr(dictionary, "decide_lrt",
+                            lambda profile, params: tested.append(profile.word) or decide_lrt(profile, params))
+        build_dictionary(profiles, BuildOptions(method="both-must-agree"))
+        assert tested == sorted(median) == ["гл", "др", "ръдо"]
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["гл", "др", "год", "мир", "кл", "ръдо"]),
+            st.dictionaries(st.integers(1990, 2008),
+                            st.tuples(st.integers(0, 60), st.integers(1, 60), st.integers(0, 8)), max_size=6),
+            max_size=6,
+        ),
+        st.sampled_from(["median", "lrt", "both-must-agree"]),
+        st.integers(0, 80), st.integers(0, 20), st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counts_add_up(self, counts, method, min_total, min_volumes, min_active_years):
+        profiles = build_profiles(counts)
+        built = build_dictionary(profiles, BuildOptions(method=method, min_total=min_total,
+                                                        min_volumes=min_volumes, min_active_years=min_active_years))
+        admitted = build_dictionary(profiles, BuildOptions(method=method, min_total=min_total,
+                                                           min_volumes=0, min_active_years=0)).words()
+        low = {w for w in admitted if profiles[w].volumes_total < min_volumes}
+        short = {w for w in admitted if profiles[w].active_years < min_active_years}
+        got = _counts(built)
+        assert built.words() == [w for w in admitted if w not in low | short]
+        assert (got["removed_low_volume"], got["removed_short_timespan"]) == (len(low), len(short))
+        assert got["entries"] + len(low | short) == got["candidates"] == len(admitted)
+        assert got["candidates"] <= got["words_seen"] - got["undecided_low_evidence"]
 
 
 _COUNT_KEYS = ("undecided_low_evidence", "candidates", "removed_low_volume", "removed_short_timespan", "entries")

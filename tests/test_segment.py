@@ -263,6 +263,20 @@ class TestLoadDictionary:
             load_dictionary(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+    @pytest.mark.parametrize("content, line_number", [
+        ("гл{}др\nbad!\n", 1),
+        ("гл{}др", 1),
+        ("гл{}\nbad!\n", 2),  # stripped from the end of a line, the separator breaks none
+    ])
+    def test_lines_end_at_newlines_only(self, tmp_path, separator, content, line_number):
+        # as in every other input; the word rule refuses a separator inside a word
+        path = tmp_path / "words.txt"
+        path.write_text(content.format(separator), encoding="utf-8")
+        with pytest.raises(DictionaryLoadError) as err:
+            load_dictionary(path)
+        assert err.value.line_number == line_number
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "dict.json"
         path.write_text("{not json", encoding="utf-8")
