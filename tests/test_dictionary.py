@@ -16,7 +16,6 @@ from abbrevkit.dictionary import (
     METHOD_MEDIAN,
     AbbrevEntry,
     BuildOptions,
-    DecisionRecord,
     InvalidConfigError,
     as_fraction,
     build_dictionary,
