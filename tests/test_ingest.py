@@ -34,6 +34,7 @@ from abbrevkit.ingest import (
     parse_year,
     read_input,
 )
+from abbrevkit.synth import generate_ngrams, make_spec
 
 import oracles
 from helpers import BAD_COUNT_SPELLINGS, BAD_YEAR_SPELLINGS, aggregate, aggregate_states
@@ -648,6 +649,20 @@ class TestFilesAndPersistence:
         # header: no FNAME flag (the temporary file's name stays out) and mtime 0
         header = one.read_bytes()[:10]
         assert header[3] & 0x08 == 0 and header[4:8] == bytes(4)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("agg.json", "d20636ba79e24d17f38a10c51b7edc6c97e52ff9cab1974b7e9caf405a402a46"),
+        ("agg.json.gz", "6706fab3918110fbe3d3dde48002406a088d88ae64f5c0188191d6eac783e1aa"),
+    ])
+    def test_saved_state_bytes_frozen(self, tmp_path, monkeypatch, name, digest):
+        """sha256 of the state `save` writes for a fixed synth corpus, plain
+        and gzipped: a change to the payload or to how it is compressed
+        fails here.  The corpus is ingested by relative path, so that the
+        fingerprint keys do not depend on the temporary directory."""
+        monkeypatch.chdir(tmp_path)
+        generate_ngrams(make_spec(20, 200, seed=7), "1.tsv", "2.tsv")
+        ingest_paths(["1.tsv"], ["2.tsv"]).save(name)
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["agg.json", "agg.json.gz"])
     def test_failed_save_leaves_old_state(self, tmp_path, monkeypatch, name):
