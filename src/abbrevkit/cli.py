@@ -301,7 +301,8 @@ def _read_totals(path: str) -> dict[int, int]:
         lines = handle.read().split("\n")
     totals: dict[int, int] = {}
     for line_number, line in enumerate(lines, 1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        # blank and comment lines by spaces and tabs only: any other space is refused by the number rule
+        if not line.strip(" \t") or line.lstrip(" \t").startswith("#"):
             continue
         year_s, _, count_s = line.partition("\t")
         where = f"totals file {path} line {line_number}"
@@ -420,10 +421,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     sample = synth.generate_text(spec, sentences)
     _write_output(out_dir / "text.txt", sample.text)
     _write_output(out_dir / "gold.json", sample.gold_json())
-    _write_output(out_dir / "abbreviations.txt", "\n".join(sorted(spec.abbrev_words)) + "\n")
-    _write_output(
-        out_dir / "override.txt", "\n".join(sorted(spec.title_like)) + ("\n" if spec.title_like else "")
-    )
+    _write_output(out_dir / "abbreviations.txt", "".join(f"{word}\n" for word in sorted(spec.abbrev_words)))
+    _write_output(out_dir / "override.txt", "".join(f"{word}\n" for word in sorted(spec.title_like)))
     logger.info(
         "synth: %d unigram lines, %d bigram lines, %d sentences -> %s",
         counts["unigram_lines"], counts["bigram_lines"], sentences, out_dir,
@@ -508,7 +507,9 @@ def cmd_params(args: argparse.Namespace) -> int:
             }
         except likelihood.SearchExhaustedError as exc:
             doc["min_usage"] = {"error": str(exc)}
-    sys.stdout.write(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    payload = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    sys.stdout.flush()  # UTF-8 bytes, written to the binary layer beneath, as `segment` writes
+    _write_all(sys.stdout.buffer, payload.encode("utf-8"))
     return 0
 
 

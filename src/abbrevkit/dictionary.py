@@ -298,8 +298,7 @@ def dictionary_to_json(dictionary: AbbrevDictionary) -> str:
 
 def dictionary_to_wordlist(dictionary: AbbrevDictionary) -> str:
     """Plain list, one word per line, for segmenter consumption."""
-    words = dictionary.words()
-    return "\n".join(words) + ("\n" if words else "")
+    return "".join(f"{word}\n" for word in dictionary.words())
 
 
 class DictionaryLoadError(ValueError):
@@ -329,9 +328,10 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None
     """Load words, each passing `is_word`, from any dictionary output
     format, detected from content: the JSON document, the TSV table
     (first column) or a plain word list, where lines blank or starting
-    with ``#`` once stripped are skipped.  Unreadable and malformed files
-    raise DictionaryLoadError naming `path` and the offending line.  A
-    hashlib `digest` is fed the bytes in the read (see `read_input`)."""
+    with ``#`` once stripped of spaces and tabs are skipped.  Unreadable
+    and malformed files raise DictionaryLoadError naming `path` and the
+    offending line.  A hashlib `digest` is fed the bytes in the read (see
+    `read_input`)."""
     try:
         with read_input(path, digest) as handle:
             content = handle.read()
@@ -366,7 +366,7 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None
         return LoadedDictionary(words, case_fold=fold if case_fold is None else case_fold)
     words = []
     for line_number, line in enumerate(content.split("\n"), 1):
-        line = line.strip()
+        line = line.strip(" \t")  # any other space is left for the word rule to refuse
         if not line or line.startswith("#"):
             continue
         word, *rest = fields = line.split("\t")

@@ -20,7 +20,7 @@ import sys
 import unicodedata
 import zlib
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import chain, compress, repeat
@@ -298,24 +298,26 @@ def atomic_output(path: str | Path, binary: bool = False) -> Iterator[IO]:
     `path` that replaces `path` once the block ends without an error;
     after an error it is deleted and `path` stays as it was.  A pipe or
     device (``/dev/stdout``) cannot be replaced, so it is written in
-    place.  `Aggregator.save` and the CLI's output files use it."""
-    def opened(file: Path, mode: str) -> IO:
-        return open(file, mode + "b") if binary else open(file, mode, encoding="utf-8", newline="\n")
-
+    place.  A `path` ending in ``.gz`` is gzipped, the rule by which
+    `read_input` gunzips.  Every output file of abbrevkit is written here."""
     target = Path(path)
-    if target.exists() and not target.is_file():
-        with opened(target, "w") as handle:
-            yield handle
-        return
-    target = target.resolve()  # replace a symlink's target, not the link
-    target.parent.mkdir(parents=True, exist_ok=True)
-    temporary = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    in_place = target.exists() and not target.is_file()
+    if not in_place:
+        target = target.resolve()  # replace a symlink's target, not the link
+        target.parent.mkdir(parents=True, exist_ok=True)
+    file = target if in_place else target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    zipped = Path(path).suffix == ".gz"
     try:
-        with opened(temporary, "x") as handle:
+        # no name and mtime 0 in a gzip header keep a rebuilt file byte-identical
+        with open(file, "wb" if in_place else "xb") as raw, (
+                gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) if zipped else nullcontext(raw)) as packed, (
+                nullcontext(packed) if binary else io.TextIOWrapper(packed, encoding="utf-8", newline="\n")) as handle:
             yield handle
-        os.replace(temporary, target)
+        if not in_place:
+            os.replace(file, target)
     except BaseException:
-        temporary.unlink(missing_ok=True)
+        if not in_place:
+            file.unlink(missing_ok=True)
         raise
 
 
@@ -566,18 +568,14 @@ class Aggregator:
         return agg
 
     def save(self, path: str | Path) -> None:
-        """Write the state to `path` (gzip if it ends in ``.gz``) through
-        `atomic_output`, so a failed save leaves an existing file as it was."""
+        """Write the state to `path` through `atomic_output`, so a failed
+        save leaves an existing file as it was."""
         payload = json.dumps(
             self.to_state(), ensure_ascii=False, sort_keys=True, separators=(",", ":")
         ) + "\n"
-        with atomic_output(path, binary=True) as raw:
-            if Path(path).suffix == ".gz":
-                # fixed mtime and no embedded name keep rebuilt archives byte-identical
-                with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as handle:
-                    handle.write(payload.encode("utf-8"))
-            else:
-                raw.write(payload.encode("utf-8"))
+        # bytes, not text: a text layer's close flushes a gzip stream, which would change its bytes
+        with atomic_output(path, binary=True) as out:
+            out.write(payload.encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Aggregator":

@@ -19,6 +19,7 @@ import threading
 import types
 from inspect import signature
 from pathlib import Path
+from typing import TextIO
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,18 @@ class TestIngestCommand:
         assert main(["ingest", *args, "--output", str(seq), "--jobs", "1"]) == 0
         assert main(["ingest", *args, "--output", str(par), "--jobs", "3"]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_unigram_and_bigram_flags_read_alike(self, corpus, tmp_path):
+        """Both flags add files to one list, and each line's own token
+        count decides what it is: any split of the files between them
+        writes the same state."""
+        uni, bi = str(corpus / "1grams.tsv"), str(corpus / "2grams.tsv")
+        states = set()
+        for name, flags in [("uu", ["--unigrams", uni, bi]), ("ub", ["--unigrams", uni, "--bigrams", bi]),
+                            ("bb", ["--bigrams", uni, bi]), ("bu", ["--bigrams", uni, "--unigrams", bi])]:
+            assert main(["ingest", *flags, "--output", str(tmp_path / f"{name}.json")]) == 0
+            states.add((tmp_path / f"{name}.json").read_bytes())
+        assert len(states) == 1
 
     @pytest.mark.parametrize("bad", [0, 1], ids=["in-this-process", "in-a-worker"])
     def test_abort_in_either_chunk(self, tmp_path, caplog, bad):
@@ -801,6 +814,64 @@ class TestAtomicOutputs:
         assert [p.name for p in out.parent.iterdir()] == ["dict.txt"]
 
 
+def _gzip_header_is_fixed(data: bytes) -> bool:
+    """No file name (FNAME flag clear) and mtime 0 in a gzip header."""
+    return data[:2] == b"\x1f\x8b" and data[3] & 0x08 == 0 and data[4:8] == bytes(4)
+
+
+class TestGzipOutputs:
+    """Every output named ``*.gz`` is gzipped, with a fixed header, and
+    read back by the commands that take it: its gunzipped bytes are those
+    of the same output under a plain name."""
+
+    def test_ingest_output(self, corpus, tmp_path):
+        inputs = ["--unigrams", str(corpus / "1grams.tsv"), "--bigrams", str(corpus / "2grams.tsv")]
+        for name in ("a.json", "a.json.gz"):
+            assert main(["ingest", *inputs, "--output", str(tmp_path / name)]) == 0
+        zipped = (tmp_path / "a.json.gz").read_bytes()
+        assert _gzip_header_is_fixed(zipped)
+        assert gzip.decompress(zipped) == (tmp_path / "a.json").read_bytes()
+        assert Aggregator.load(tmp_path / "a.json.gz").to_state() == Aggregator.load(tmp_path / "a.json").to_state()
+
+    @pytest.mark.parametrize("flag, name", [("--out-tsv", "d.tsv"), ("--out-json", "d.json"), ("--out-words", "d.txt")])
+    def test_build_outputs_read_back(self, corpus, aggregate_file, tmp_path, flag, name):
+        for target in (name, f"{name}.gz"):
+            assert main(["build", "--aggregate", str(aggregate_file), flag, str(tmp_path / target)]) == 0
+        plain, zipped = tmp_path / name, tmp_path / f"{name}.gz"
+        assert _gzip_header_is_fixed(zipped.read_bytes())
+        assert gzip.decompress(zipped.read_bytes()) == plain.read_bytes()
+        read = {}
+        for dictionary_path in (plain, zipped):
+            out = tmp_path / f"{dictionary_path.name}-r"
+            assert main(["segment", str(corpus / "text.txt"), "--dictionary", str(dictionary_path),
+                         "--output", str(out / "sentences.txt")]) == 0
+            assert main(["stats", "--aggregate", str(aggregate_file), "--dictionary", str(dictionary_path),
+                         "--reports", "length-histogram,dynamics", "--out-dir", str(out)]) == 0
+            read[dictionary_path] = [(out / f).read_bytes() for f in ("sentences.txt", "length-histogram.tsv",
+                                                                     "dynamics.tsv")]
+        assert read[plain] == read[zipped]
+
+    @pytest.mark.parametrize("mode", [[], ["--baseline"], ["--spans"], ["--baseline", "--spans"]],
+                             ids=["lines", "baseline", "spans", "baseline-spans"])
+    def test_segment_output(self, corpus, tmp_path, mode):
+        (tmp_path / "dict.txt").write_text("".join(f"{word}\n" for word in SPEC_DOC["abbrev_words"]), encoding="utf-8")
+        argv = ["segment", str(corpus / "text.txt"), "--dictionary", str(tmp_path / "dict.txt"), *mode]
+        for name in ("out", "out.gz"):
+            assert main([*argv, "--output", str(tmp_path / name)]) == 0
+        zipped = (tmp_path / "out.gz").read_bytes()
+        assert _gzip_header_is_fixed(zipped)
+        assert gzip.decompress(zipped) == (tmp_path / "out").read_bytes() != b""
+
+    def test_failed_gzip_output_leaves_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "words.txt.gz"
+        out.write_bytes(b"old\n")
+        monkeypatch.setattr(dictionary, "dictionary_to_wordlist", lambda built: "гл\n\ud800\n")
+        (tmp_path / "agg.json").write_text(json.dumps(_state(), ensure_ascii=False), encoding="utf-8")
+        assert main(["build", "--aggregate", str(tmp_path / "agg.json"), "--out-words", str(out)]) == 1
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["agg.json", "words.txt.gz"]
+
+
 class TestSynthCommand:
     def test_rerun_byte_identical(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -843,6 +914,24 @@ class TestSynthCommand:
         spec_path.write_text(json.dumps({"abbrev_wordz": ["а"]}), encoding="utf-8")
         assert main(["synth", "--spec", str(spec_path), "--out-dir", str(tmp_path / "x")]) == 1
 
+    def test_word_lists_one_layout(self, tmp_path):
+        """`synth`'s two word lists and `build --out-words` all end each
+        word with a newline, so an empty list is an empty file."""
+        doc = {"abbrev_words": [], "common_words": SPEC_DOC["common_words"], "seed": 1, "sentences": 5}
+        for name, spec in [("some", SPEC_DOC), ("none", doc)]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+            assert main(["synth", "--spec", str(tmp_path / f"{name}.json"), "--out-dir", str(tmp_path / name)]) == 0
+            assert main(["ingest", "--unigrams", str(tmp_path / name / "1grams.tsv"), str(tmp_path / name / "2grams.tsv"),
+                         "--output", str(tmp_path / name / "agg.json")]) == 0
+            assert main(["build", "--aggregate", str(tmp_path / name / "agg.json"),
+                         "--out-words", str(tmp_path / name / "words.txt")]) == 0
+        lists = {name: [(tmp_path / name / f).read_text(encoding="utf-8")
+                        for f in ("abbreviations.txt", "override.txt", "words.txt")] for name in ("some", "none")}
+        assert lists["none"] == ["", "", ""]
+        assert lists["some"][:2] == ["".join(f"{word}\n" for word in sorted(SPEC_DOC[key]))
+                                     for key in ("abbrev_words", "title_like")]
+        assert lists["some"][2] and lists["some"][2].endswith("\n") and "\n\n" not in lists["some"][2]
+
 
 class TestParamsCommand:
     def test_estimates_and_min_usage(self, corpus, aggregate_file, tmp_path, capsys):
@@ -858,6 +947,20 @@ class TestParamsCommand:
         assert doc["mean_p0"] == pytest.approx(0.068, abs=0.03)
         assert doc["min_usage"]["total"] >= 1
         assert len(doc["p1_by_year"]) == 19
+
+    @pytest.mark.parametrize("encoding", ["cp1251", "ascii"])
+    def test_stdout_is_utf8_whatever_the_locale(self, corpus, aggregate_file, tmp_path, encoding):
+        # a seed word missing from the aggregate puts Cyrillic into the warnings
+        (tmp_path / "abbrevs.txt").write_text((corpus / "abbreviations.txt").read_text(encoding="utf-8") + "нет\n",
+                                              encoding="utf-8")
+        (tmp_path / "commons.txt").write_text("слово\nдом\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "abbrevkit.cli", "params", "--aggregate", str(aggregate_file),
+                "--seed-abbrevs", "abbrevs.txt", "--seed-commons", "commons.txt"]
+        utf8 = subprocess.run(argv, env=dict(_cli_env(), PYTHONIOENCODING="utf-8"), cwd=tmp_path, capture_output=True)
+        result = subprocess.run(argv, env=dict(_cli_env(), PYTHONIOENCODING=encoding), cwd=tmp_path, capture_output=True)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == utf8.stdout
+        assert "нет" in " ".join(json.loads(result.stdout.decode("utf-8"))["warnings"])
 
     def test_window_far_wider_than_data(self, tmp_path):
         """A valid state whose window starts at -10**9 reads like the same
@@ -1695,6 +1798,26 @@ class TestMalformedInputs:
         assert line.endswith(f"totals file totals.tsv line 2: expected 'year TAB count' as ints, got {content!r}"), line
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000", "\x1f"])
+    @pytest.mark.parametrize("content", ["{}", "{}# comment", "1995\t5{}"], ids=["blank", "comment", "trailing"])
+    def test_totals_trims_only_spaces_and_tabs(self, tmp_path, space, content):
+        # a line that only another space makes blank, or a comment, is read as a number line and refused
+        line_text = content.format(space)
+        (tmp_path / "totals.tsv").write_text(f"1996\t7\n{line_text}\n", encoding="utf-8")
+        (tmp_path / "words.txt").write_text("др\n", encoding="utf-8")
+        line = self._error_line(tmp_path, ["stats", "--aggregate", "agg.json", "--dictionary", "words.txt",
+                                           "--reports", "dynamics", "--totals", "totals.tsv", "--out-dir", "r"])
+        assert line.endswith(f"totals file totals.tsv line 2: expected 'year TAB count' as ints, got {line_text!r}"), line
+
+    def test_totals_blank_and_comment_lines_of_spaces_and_tabs(self, tmp_path):
+        (tmp_path / "agg.json").write_text(json.dumps(_state(), ensure_ascii=False), encoding="utf-8")
+        (tmp_path / "words.txt").write_text("др\n", encoding="utf-8")
+        (tmp_path / "totals.tsv").write_text(" \t\n1995\t5\n\t # comment\n  \n", encoding="utf-8")
+        code, errors = _main_errors(["stats", "--aggregate", str(tmp_path / "agg.json"), "--dictionary",
+                                     str(tmp_path / "words.txt"), "--reports", "dynamics", "--totals",
+                                     str(tmp_path / "totals.tsv"), "--out-dir", str(tmp_path / "r")])
+        assert (code, errors) == (0, [])
+
 
 _INGEST = ["ingest", "--unigrams", "in.txt", "--output", "a.json"]
 _BUILD = ["build", "--aggregate", "agg.json", "--out-words", "d.txt"]
@@ -1797,15 +1920,16 @@ _WORD_LISTS = st.one_of(
 )
 
 
-def _main_errors(argv: list[str], stdout: io.StringIO | None = None) -> tuple[int, list[logging.LogRecord]]:
+def _main_errors(argv: list[str], stdout: TextIO | None = None) -> tuple[int, list[logging.LogRecord]]:
     """`main(argv)` in this process, with stdout sent to `stdout` or
-    discarded: its exit code and the ERROR records it logged."""
+    discarded (a text layer over bytes, as `segment` and `params` write
+    to `sys.stdout.buffer`): its exit code and the ERROR records it logged."""
     errors = []
     handler = logging.Handler(logging.ERROR)
     handler.emit = errors.append
     logging.getLogger("abbrevkit").addHandler(handler)
     try:
-        with contextlib.redirect_stdout(stdout or io.StringIO()):
+        with contextlib.redirect_stdout(stdout or io.TextIOWrapper(io.BytesIO(), encoding="utf-8")):
             code = main(argv)
     finally:
         logging.getLogger("abbrevkit").removeHandler(handler)

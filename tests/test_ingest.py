@@ -943,6 +943,47 @@ def test_read_guard_skips_only_the_readers():
     assert _reads(source) == ["open", "open"]
 
 
+def _gzip_names(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Where Python `source` names `gzip` outside the top-level functions
+    in `allowed`: a use of the name, an import of it under another name,
+    or an import from it.  A plain ``import gzip`` names nothing by itself."""
+    found = []
+    statements = [s for s in ast.parse(source).body if getattr(s, "name", None) not in allowed]
+    for node in (node for statement in statements for node in ast.walk(statement)):
+        if isinstance(node, ast.Name) and node.id == "gzip":
+            found.append(f"line {node.lineno}: gzip")
+        elif isinstance(node, ast.alias) and node.name == "gzip" and node.asname:
+            found.append(f"line {node.lineno}: import gzip as {node.asname}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gzip":
+            found.append(f"line {node.lineno}: from gzip import")
+    return found
+
+
+def test_one_gzip_rule():
+    """A name ending in ``.gz`` is gzip: `read_input` gunzips every input
+    by it and `atomic_output` gzips every output file, and no other code
+    of the package names `gzip`."""
+    package = Path(abbrevkit.__file__).parent
+    found = {
+        path.name: _gzip_names(path.read_text(encoding="utf-8"), READERS if path.name == "ingest.py" else ())
+        for path in sorted(package.glob("*.py"))
+    }
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import gzip", []),
+    ("gzip.open(p, 'wb')", ["line 1: gzip"]),
+    ("with gzip.GzipFile(fileobj=raw, mode='wb') as out:\n    pass", ["line 1: gzip"]),
+    ("import gzip as g", ["line 1: import gzip as g"]),
+    ("from gzip import GzipFile", ["line 1: from gzip import"]),
+    ("def read_input(p):\n    gzip.open(p)\nclass Aggregator:\n    def save(self, p):\n        gzip.open(p, 'wb')",
+     ["line 5: gzip"]),
+])
+def test_gzip_guard_sees_each_name(source, expected):
+    assert _gzip_names(source, READERS) == expected
+
+
 # the functions that turn text into an int: the one number rule, and the
 # parse loop's inline fast path, which `TestConsumeLinesMatchesReference`
 # pins to `parse_line`

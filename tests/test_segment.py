@@ -267,7 +267,7 @@ class TestLoadDictionary:
     @pytest.mark.parametrize("content, line_number", [
         ("гл{}др\nbad!\n", 1),
         ("гл{}др", 1),
-        ("гл{}\nbad!\n", 2),  # stripped from the end of a line, the separator breaks none
+        ("гл{}\nbad!\n", 1),  # not stripped from the end of a line: only spaces and tabs are
     ])
     def test_lines_end_at_newlines_only(self, tmp_path, separator, content, line_number):
         # as in every other input; the word rule refuses a separator inside a word
@@ -276,6 +276,24 @@ class TestLoadDictionary:
         with pytest.raises(DictionaryLoadError) as err:
             load_dictionary(path)
         assert err.value.line_number == line_number
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000", "\x1f"])
+    @pytest.mark.parametrize("content, line_number", [
+        ("гл{}\n", 1), ("{}гл\n", 1), ("{}\n", 1), ("{}# comment\n", 1),
+        ("др\n{}\n", 2), ("др{}\t0.96\t10\t10\t5\t3\tmedian-threshold\t-\n", 1),
+    ], ids=["trailing", "leading", "blank", "comment", "blank-second", "tsv-word"])
+    def test_only_spaces_and_tabs_are_stripped(self, tmp_path, space, content, line_number):
+        # a word ingest can never count, or a line only another space makes blank, is refused
+        path = tmp_path / "words.txt"
+        path.write_text(content.format(space), encoding="utf-8")
+        with pytest.raises(DictionaryLoadError) as err:
+            load_dictionary(path)
+        assert err.value.line_number == line_number
+
+    def test_spaces_and_tabs_are_stripped(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text(" \tгл \t\n  \n\t# comment\n др\t0.96\t10\t10\t5\t3\tmedian-threshold\t- \n", encoding="utf-8")
+        assert load_dictionary(path).words == ("гл", "др")
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "dict.json"
