@@ -20,7 +20,9 @@ checks, and `finalize_reference` the eager finalize that built every
 `pool_shares_reference` and `dynamics_reference` are the dense walks
 that probed every year of a range in every series, before the share
 estimate and the dynamics report read only the years a series has.
-`linear_fit_exact` solves the frequency-by-length fit's normal
+`token_columns_reference` is the chunk-level `token_columns` that
+worked out each distinct regex chunk once, before the tokenizer worked
+out each distinct whitespace-ended piece once.  `linear_fit_exact` solves the frequency-by-length fit's normal
 equations by Cramer's rule, where the library centres its sums.
 """
 from __future__ import annotations
@@ -30,7 +32,10 @@ import math
 import re
 import unicodedata
 from dataclasses import fields
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate, compress, islice
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from abbrevkit.analytics import Report
@@ -56,6 +61,7 @@ from abbrevkit.segment import (
     KIND_PUNCT,
     KIND_WORD,
     SentenceSpan,
+    _period_verdicts,
 )
 
 
@@ -606,3 +612,77 @@ def spans_json_reference(sentences: Iterable[SentenceSpan], tokens: Iterable[tup
         ],
     }
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+# -- the chunk-level token_columns, before it worked on whitespace-ended pieces
+
+# one chunk per token: a word, a number (periods between digits stay
+# inside) or any other single character, with the whitespace after it;
+# whitespace is a chunk of its own only at the start of the text
+_CHUNK_RE = re.compile(r"(?:[^\W\d_]+|\d+(?:[.,]\d+)+|\d+|\S)\s*|\s+", re.UNICODE)
+
+
+def token_columns_reference(
+    text: str,
+    dictionary: LoadedDictionary = EMPTY_DICTIONARY,
+    override: Iterable[str] = (),
+) -> tuple[tuple[list[str], list[int], list[int], list[str]], list[SentenceSpan]]:
+    """`token_columns` as it was: sizes and kinds per distinct chunk, a
+    `list.index` walk over the dictionary stems and a `bisect` per
+    sentence."""
+    chunks = _CHUNK_RE.findall(text)
+    token_of: dict[str, str] = {}
+    sizes: dict[str, int] = {}  # UTF-8 size of every chunk and token
+    kind_of: dict[str, str] = {}  # "" for leading whitespace, which is no token
+    breaks = set()  # a period and the whitespace after it
+    for chunk in dict.fromkeys(chunks):
+        token = token_of[chunk] = chunk.rstrip()
+        sizes[chunk] = len(chunk.encode("utf-8"))
+        sizes[token] = len(token.encode("utf-8"))
+        lead = chunk[0]
+        if not token:
+            kind = ""
+        elif lead.isdigit():
+            kind = KIND_NUMBER
+        elif lead.isalpha():
+            kind = KIND_WORD
+            if token == chunk and chunk in dictionary:
+                kind = KIND_ABBREV  # a word again below, unless a period follows it
+                token_of[chunk + "."] = chunk + "."
+                sizes[chunk + "."] = sizes[chunk] + 1
+        elif unicodedata.category(lead).startswith("P"):
+            kind = KIND_PUNCT
+            if lead == "." and token != chunk:
+                breaks.add(chunk)
+        else:
+            kind = KIND_OTHER
+        kind_of[chunk] = kind
+    bounds = list(accumulate(map(sizes.__getitem__, chunks), initial=0))  # chunk starts, then the text's end
+    kinds = list(map(kind_of.__getitem__, chunks))
+    # where the token after each candidate period starts, kept where the period ends a sentence
+    cuts = list(compress(islice(bounds, 1, len(chunks)), map(breaks.__contains__, chunks)))
+    cuts = list(compress(cuts, _period_verdicts(text, dictionary, override)[1]))
+    stem = -1  # list.index finds the stems at C speed
+    for _ in range(kinds.count(KIND_ABBREV)):
+        stem = kinds.index(KIND_ABBREV, stem + 1)
+        if stem + 1 < len(chunks) and chunks[stem + 1][0] == ".":
+            # the stem's chunk becomes the abbreviation; the period's is dropped
+            chunks[stem] += "."
+            kinds[stem + 1] = ""
+        else:
+            kinds[stem] = KIND_WORD
+    texts = list(compress(map(token_of.__getitem__, chunks), kinds))
+    starts = list(compress(bounds, kinds))
+    del chunks, bounds  # freed before the last columns are built, which lowers the peak
+    ends = list(map(add, starts, map(sizes.__getitem__, texts)))
+    kinds = list(filter(None, kinds))
+
+    sentences = []
+    first = 0
+    for cut in cuts:
+        last = bisect_left(starts, cut, first)
+        sentences.append(SentenceSpan(starts[first], ends[last - 1], first, last))
+        first = last
+    if texts:
+        sentences.append(SentenceSpan(starts[first], ends[-1], first, len(texts)))
+    return (texts, starts, ends, kinds), sentences

@@ -417,6 +417,45 @@ class TestPeriodRuleMatchesOracles:
         assert sentence_texts(text, loaded, ["гор", "ул"]) == ["Он уехал в гор. Казань.", "Вот ул.", "Ленина."]
 
 
+# the oracle alphabet led by whitespace, with whitespace that Python's
+# `\s` and `str.rstrip` take but a space-only rule would not (file
+# separator, next line), a number ending in a period, an ellipsis and a
+# stem with its period, anywhere and at the text's end
+_EDGE_ATOMS = ["\x1c", "\x85", "1.5.", "...", "гл."]
+_PIECE_TEXTS = st.builds(
+    lambda lead, body, tail: lead + body + tail,
+    st.sampled_from(["", " ", "\n\u00a0", "\u3000", "\x1c", "\x85 "]),
+    texts_of([*WIDE_ATOMS, *_EDGE_ATOMS]),
+    st.sampled_from(["", *_EDGE_ATOMS]),
+)
+
+
+class TestColumnsMatchChunkReference:
+    """`token_columns` gives the columns and sentences of the chunk-level
+    tokenizer it replaced (tests/oracles.py), and never gives one token
+    text two kinds, which the ``--spans`` writer's one template per text
+    relies on."""
+
+    @given(_PIECE_TEXTS, st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_columns_and_sentences(self, text, data):
+        if data.draw(st.booleans(), label="baseline"):
+            loaded, override = segment_module.EMPTY_DICTIONARY, []
+        else:
+            loaded, override = _drawn_dictionary(data, text)  # case-fold drawn too
+        columns, sentences = token_columns(text, loaded, override)
+        assert (columns, sentences) == oracles.token_columns_reference(text, loaded, override)
+        kind_of = {}
+        for token, kind in zip(columns[0], columns[3]):
+            assert kind_of.setdefault(token, kind) == kind, token
+
+    @pytest.mark.parametrize("text", ["", " ", "\x85", "гл.", " гл. Да", "1.5. Да\x1c", "Он... Да...", "\x1cгл.\x85Да гл."])
+    @pytest.mark.parametrize("words, override", [((), ()), (("гл", "Он"), ()), (("гл", "Он"), ("гл",))])
+    def test_edges(self, text, words, override):
+        loaded = LoadedDictionary(words)
+        assert token_columns(text, loaded, override) == oracles.token_columns_reference(text, loaded, override)
+
+
 class TestProtectedStems:
     """The stems a capital cannot end a sentence after are the override
     words that start with a letter and are in the dictionary, under its
