@@ -360,10 +360,11 @@ def _write_spans(
     The bytes are the UTF-8 of ``json.dumps(doc, ensure_ascii=False,
     sort_keys=True, indent=2) + "\\n"``, whose pure-Python encoder (the
     one `indent` selects) is slow.  Each record is a fixed template with
-    its keys in sorted order; a token's template, its quoted text
-    included, and its kind piece are made once per distinct text and
-    kind, so a batch of tokens is one bytes ``%`` of joined templates,
-    and a batch of sentences one of a repeated template."""
+    its keys in sorted order.  A token's text fixes its kind, so its
+    template, quoted text and kind included, is made once per distinct
+    text and leaves only its end and start to fill: a batch of tokens is
+    one bytes ``%`` of joined templates, and a batch of sentences one of
+    a repeated template."""
     texts, starts, ends, kinds = columns
     quote = json.encoder.encode_basestring
     tokenized = bool(texts)
@@ -378,14 +379,14 @@ def _write_spans(
         batch = sentences[lo:hi]
         return sentence_template * len(batch) % tuple(chain.from_iterable(map(sentence_values, batch)))
 
-    kind_pieces = {kind: f',\n      "kind": {quote(kind)},\n      "start": '.encode() for kind in set(kinds)}
     templates = {
-        text: b',\n    {\n      "end": %d%b%d' + f',\n      "text": {quote(text)}\n    }}'.replace("%", "%%").encode()
-        for text in dict.fromkeys(texts)
+        text: f',\n    {{\n      "end": %d,\n      "kind": {quote(kind)},\n      "start": %d,\n      '
+        f'"text": {quote(text).replace("%", "%%")}\n    }}'.encode()
+        for text, kind in dict(zip(texts, kinds)).items()
     }
 
     def token_records(lo: int, hi: int) -> bytes:
-        values = zip(ends[lo:hi], map(kind_pieces.__getitem__, kinds[lo:hi]), starts[lo:hi])
+        values = zip(ends[lo:hi], starts[lo:hi])
         return b"".join(map(templates.__getitem__, texts[lo:hi])) % tuple(chain.from_iterable(values))
 
     _write_all(out, b'{\n  "sentences": ')

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .ingest import WORD_RULE, WordProfile, is_word, read_input
+from .ingest import WORD_RULE, WordProfile, is_word, parse_count, read_input
 
 if TYPE_CHECKING:  # pragma: no cover
     from . import likelihood
@@ -301,6 +301,27 @@ def dictionary_to_wordlist(dictionary: AbbrevDictionary) -> str:
     return "".join(f"{word}\n" for word in dictionary.words())
 
 
+def _tsv_fault(columns: list[str]) -> str | None:
+    """Which of columns 2-8 of a TSV row does not read back as
+    `dictionary_to_tsv` writes it, and why; None when all do."""
+    share, *counts, method, flags = columns
+    try:
+        share_ok = share == "-" or repr(value := float(share)) == share and 0 <= value <= 1
+    except ValueError:
+        share_ok = False
+    if not share_ok:
+        return f"median_share {share!r} is neither '-' nor a float in [0, 1]"
+    for name, count in zip(("n_total", "N_total", "volumes_total", "active_years"), counts):
+        if parse_count(count) is None:
+            return f"{name} {count!r} is not a count in ASCII digits"
+    if method not in (METHOD_MEDIAN, METHOD_LRT):
+        return f"verdict_method {method!r} is neither {METHOD_MEDIAN!r} nor {METHOD_LRT!r}"
+    names = flags.split(",")
+    if flags != "-" and not (all(names) and "-" not in names and names == sorted(set(names))):
+        return f"flags {flags!r} is neither '-' nor a sorted comma list of distinct names"
+    return None
+
+
 class DictionaryLoadError(ValueError):
     """An unreadable or malformed dictionary; the message names the file."""
 
@@ -327,7 +348,8 @@ class LoadedDictionary:
 def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None) -> LoadedDictionary:
     """Load words, each passing `is_word`, from any dictionary output
     format, detected from content: the JSON document, the TSV table
-    (first column) or a plain word list, where lines blank or starting
+    (first column; the other seven must read back as `dictionary_to_tsv`
+    writes them) or a plain word list, where lines blank or starting
     with ``#`` once stripped of spaces and tabs are skipped.  Unreadable
     and malformed files raise DictionaryLoadError naming `path` and the
     offending line.  A hashlib `digest` is fed the bytes in the read (see
@@ -374,6 +396,8 @@ def load_dictionary(path: str | Path, case_fold: bool | None = None, digest=None
             raise error(f"expected 8 TSV columns, got {len(fields)}", line_number)
         if not is_word(word):
             raise error(f"{word!r} is not a word ({WORD_RULE})", line_number)
+        if rest and (fault := _tsv_fault(rest)):
+            raise error(fault, line_number)
         words.append(word)
     return LoadedDictionary(words, case_fold=bool(case_fold))
 

@@ -13,11 +13,12 @@ period-space-capital pattern, the measurable baseline.
 periods; it is the only place a period is decided, and two functions
 read its verdicts.  `sentence_texts` cuts the text at them into output
 lines, on char offsets, without tokenizing.  `token_columns`, the one
-tokenizer, makes one pass into columns (texts, byte starts, byte ends,
-kinds), a regex match per token with the whitespace after it, fusing a
-dictionary stem with its period into one abbreviation token, and gives
-each sentence its byte span and token range from the same verdicts; the
-CLI calls it only for ``--spans``, in both modes.
+tokenizer, works out each distinct whitespace-ended piece of the text
+once (its tokens, kinds and UTF-8 sizes, a dictionary stem fused with
+its period into one abbreviation token) and expands those records into
+columns (texts, byte starts, byte ends, kinds); it gives each sentence
+its byte span and token range from the same verdicts.  The CLI calls it
+only for ``--spans``, in both modes.
 
 Dictionaries are read by `dictionary.load_dictionary`; this module
 only segments.  All spans are byte offsets into the UTF-8 encoding of
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from bisect import bisect_left
-from itertools import accumulate, compress, islice
-from operator import add
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .dictionary import LoadedDictionary
@@ -61,10 +61,11 @@ class SentenceSpan(NamedTuple):
 
 EMPTY_DICTIONARY = LoadedDictionary(())
 
-# one chunk per token: a word, a number (periods between digits stay
-# inside) or any other single character, with the whitespace after it;
-# whitespace is a chunk of its own only at the start of the text
-_TOKEN_RE = re.compile(r"(?:[^\W\d_]+|\d+(?:[.,]\d+)+|\d+|\S)\s*|\s+", re.UNICODE)
+# a run of non-space characters and the whitespace after it
+_PIECE_RE = re.compile(r"\S+\s*", re.UNICODE)
+# one token of a piece: a word, a number (periods between digits stay
+# inside) or any other single character
+_TOKEN_RE = re.compile(r"[^\W\d_]+|\d+(?:[.,]\d+)+|\d+|\S", re.UNICODE)
 
 # a candidate period: whitespace and then a non-space character (group 1)
 # follow it
@@ -108,68 +109,58 @@ def token_columns(
 
     Word, number, punctuation and other tokens; whitespace becomes the
     gaps between spans.  A period directly after a word whose stem is in
-    `dictionary` fuses with it into one abbreviation token.  The
-    `_TOKEN_RE` chunks tile the text, each a token and the whitespace
-    after it, so a token starts where the chunk before it ends, a
-    running sum of their UTF-8 sizes; token, sizes and kind are worked
-    out once per distinct chunk, as chunks repeat.  A sentence ends at
-    each period `_period_verdicts` says ends one: the k-th candidate
-    period is the k-th period chunk with whitespace in it and a chunk
-    after it.  A sentence's span runs from its first token's start to its
-    last token's end, so whitespace around a sentence is outside it; with
-    the empty dictionary the sentences are the baseline's.
+    `dictionary` fuses with it into one abbreviation token.  The text is
+    cut into whitespace-ended pieces, which repeat, and each distinct
+    piece is worked out once: its tokens (`_TOKEN_RE`) and kinds, its
+    UTF-8 steps (each token's size, then the gap after it), a stem fused
+    with its period (both always sit in one piece), and whether it ends
+    in a period.  The columns are expansions of those records:
+    starts and ends alternate in one running sum of the steps, from the
+    size of the leading whitespace.  A sentence ends at each period
+    `_period_verdicts` says ends one: the k-th candidate period ends the
+    k-th piece that ends in a period, and the running token count there
+    is where the next sentence's tokens begin.  A sentence's span runs from
+    its first token's start to its last token's end, so whitespace around
+    a sentence is outside it; with the empty dictionary the sentences are
+    the baseline's.
     """
-    chunks = _TOKEN_RE.findall(text)
-    token_of: dict[str, str] = {}
-    sizes: dict[str, int] = {}  # UTF-8 size of every chunk and token
-    kind_of: dict[str, str] = {}  # "" for leading whitespace, which is no token
-    breaks = set()  # a period and the whitespace after it
-    for chunk in dict.fromkeys(chunks):
-        token = token_of[chunk] = chunk.rstrip()
-        sizes[chunk] = len(chunk.encode("utf-8"))
-        sizes[token] = len(token.encode("utf-8"))
-        lead = chunk[0]
-        if not token:
-            kind = ""
-        elif lead.isdigit():
-            kind = KIND_NUMBER
-        elif lead.isalpha():
-            kind = KIND_WORD
-            if token == chunk and chunk in dictionary:
-                kind = KIND_ABBREV  # a word again below, unless a period follows it
-                token_of[chunk + "."] = chunk + "."
-                sizes[chunk + "."] = sizes[chunk] + 1
-        elif unicodedata.category(lead).startswith("P"):
-            kind = KIND_PUNCT
-            if lead == "." and token != chunk:
-                breaks.add(chunk)
-        else:
-            kind = KIND_OTHER
-        kind_of[chunk] = kind
-    bounds = list(accumulate(map(sizes.__getitem__, chunks), initial=0))  # chunk starts, then the text's end
-    kinds = list(map(kind_of.__getitem__, chunks))
-    # where the token after each candidate period starts, kept where the period ends a sentence
-    cuts = list(compress(islice(bounds, 1, len(chunks)), map(breaks.__contains__, chunks)))
-    cuts = list(compress(cuts, _period_verdicts(text, dictionary, override)[1]))
-    stem = -1  # list.index finds the stems at C speed
-    for _ in range(kinds.count(KIND_ABBREV)):
-        stem = kinds.index(KIND_ABBREV, stem + 1)
-        if stem + 1 < len(chunks) and chunks[stem + 1][0] == ".":
-            # the stem's chunk becomes the abbreviation; the period's is dropped
-            chunks[stem] += "."
-            kinds[stem + 1] = ""
-        else:
-            kinds[stem] = KIND_WORD
-    texts = list(compress(map(token_of.__getitem__, chunks), kinds))
-    starts = list(compress(bounds, kinds))
-    del chunks, bounds  # freed before the last columns are built, which lowers the peak
-    ends = list(map(add, starts, map(sizes.__getitem__, texts)))
-    kinds = list(filter(None, kinds))
+    verdicts = _period_verdicts(text, dictionary, override)[1]  # first: its reversed text is freed before the columns
+    pieces = _PIECE_RE.findall(text)
+    records = {}  # per distinct piece: its tokens, their kinds, its steps, whether it ends in a period
+    for piece in dict.fromkeys(pieces):
+        body = piece.rstrip()
+        texts, kinds = [], []
+        for token in _TOKEN_RE.findall(body):
+            if token == "." and kinds and kinds[-1] == KIND_WORD and texts[-1] in dictionary:
+                texts[-1] += "."
+                kinds[-1] = KIND_ABBREV
+                continue
+            lead = token[0]
+            texts.append(token)
+            kinds.append(
+                KIND_NUMBER if lead.isdigit() else KIND_WORD if lead.isalpha()
+                else KIND_PUNCT if unicodedata.category(lead).startswith("P") else KIND_OTHER
+            )
+        steps = [0] * (2 * len(texts))
+        steps[::2] = map(len, map(str.encode, texts))
+        steps[-1] = len(piece.encode()) - len(body.encode())
+        records[piece] = (tuple(texts), tuple(kinds), tuple(steps), body[-1] == ".")
+    rows = list(map(records.__getitem__, pieces))
+    del pieces, records  # a string per piece, freed before the columns are built, which lowers the peak
+    texts = list(chain.from_iterable(map(itemgetter(0), rows)))
+    kinds = list(chain.from_iterable(map(itemgetter(1), rows)))
+    lead = len(text[:len(text) - len(text.lstrip())].encode())
+    bounds = list(accumulate(chain.from_iterable(map(itemgetter(2), rows)), initial=lead))
+    starts, ends = bounds[0:-1:2], bounds[1::2]
+    del bounds
+    # the token count through each piece that ends in a period, kept where the period ends a
+    # sentence: every piece but the last ends in whitespace, so the k-th such piece holds the k-th
+    # candidate period, and the verdicts run out before a last piece that ends in a period
+    cuts = compress(accumulate(map(len, map(itemgetter(0), rows))), map(itemgetter(3), rows))
 
     sentences = []
     first = 0
-    for cut in cuts:
-        last = bisect_left(starts, cut, first)
+    for last in compress(cuts, verdicts):
         sentences.append(SentenceSpan(starts[first], ends[last - 1], first, last))
         first = last
     if texts:

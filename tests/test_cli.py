@@ -1607,6 +1607,11 @@ MALFORMED = {
     "dictionary-version-float": (SEGMENT, _dictionary_doc(version=1.0)),
     "dictionary-without-entries": (SEGMENT, _dictionary_doc(entries=None)),
     "dictionary-without-build-meta": (SEGMENT, _dictionary_doc(build_meta=None)),
+    "dictionary-tsv-columns-junk": (["segment", "in.txt", "--dictionary", "bad.tsv"],
+                                    "др\tx\ty\tz\tq\tw\te\tjunk\n".encode("utf-8")),
+    "stats-dictionary-tsv-flags-unsorted": (["stats", "--aggregate", "agg.json", "--dictionary", "bad.tsv",
+                                             "--out-dir", "out"],
+                                            "гл\t0.95\t19\t20\t2\t1\tlrt\tb,a\n".encode("utf-8")),
     "stats-dictionary-without-entries": (["stats", "--aggregate", "agg.json", "--dictionary", "bad.json",
                                           "--reports", "length-histogram", "--out-dir", "r"],
                                          _dictionary_doc(entries=None)),
@@ -1662,6 +1667,8 @@ MESSAGE_PARTS = {
     "dictionary-version-float": ["unsupported dictionary version 1.0"],
     "dictionary-without-entries": ["needs 'entries' and 'build_meta'"],
     "dictionary-without-build-meta": ["needs 'entries' and 'build_meta'"],
+    "dictionary-tsv-columns-junk": ["dictionary bad.tsv line 1:", "median_share 'x'"],
+    "stats-dictionary-tsv-flags-unsorted": ["dictionary bad.tsv line 1:", "flags 'b,a'"],
     "stats-dictionary-without-entries": ["needs 'entries' and 'build_meta'"],
     "aggregate-version-true": ["unsupported aggregate state version True"],
     "aggregate-version-float": ["unsupported aggregate state version 1.0"],

@@ -23,6 +23,7 @@ from abbrevkit.dictionary import (
     dictionary_to_json,
     dictionary_to_tsv,
     dictionary_to_wordlist,
+    load_dictionary,
 )
 from abbrevkit.ingest import IngestConfig, WordProfile, ingest_paths
 from abbrevkit.likelihood import HypothesisParams
@@ -261,6 +262,16 @@ class TestBuildDictionary:
         flags = {e["word"]: e["flags"] for e in json.loads(dictionary_to_json(built))["entries"]}
         assert flags == {"гл": [], "др": [], "кл": ["clamped-counts"]}
         assert dictionary_to_tsv(built).splitlines()[2].endswith("\tclamped-counts")
+
+    @pytest.mark.parametrize("method", ["median", "lrt", "both-must-agree"])
+    def test_every_built_tsv_loads(self, tmp_path, synth_profiles, method):
+        # the TSV reader checks columns 2-8: every row a build writes reads back, flags included
+        profiles = {**synth_profiles, **build_profiles({"кл": {y: (120, 100, 15) for y in ABBREV_YEARS}})}
+        built = build_dictionary(profiles, BuildOptions(method=method, min_total=0, min_volumes=0, min_active_years=0))
+        tsv = dictionary_to_tsv(built)
+        assert "\tclamped-counts\n" in tsv and len(built.entries) > 40
+        (tmp_path / "d.tsv").write_text(tsv, encoding="utf-8")
+        assert load_dictionary(tmp_path / "d.tsv").words == tuple(built.words())
 
     def test_invalid_method_rejected(self):
         with pytest.raises(InvalidConfigError):

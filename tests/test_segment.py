@@ -295,6 +295,41 @@ class TestLoadDictionary:
         path.write_text(" \tгл \t\n  \n\t# comment\n др\t0.96\t10\t10\t5\t3\tmedian-threshold\t- \n", encoding="utf-8")
         assert load_dictionary(path).words == ("гл", "др")
 
+    # a row as `dictionary_to_tsv` writes it, then each of columns 2-8 spelt as it never writes it
+    _TSV_ROW = ["гл", "0.96", "10", "10", "5", "3", "median-threshold", "-"]
+
+    @pytest.mark.parametrize("column, value, named", [
+        (1, "x", "median_share 'x'"), (1, "", "median_share ''"), (1, "0.960", "median_share '0.960'"),
+        (1, " 0.96", "median_share ' 0.96'"), (1, "1_0", "median_share '1_0'"), (1, "nan", "median_share 'nan'"),
+        (1, "inf", "median_share 'inf'"), (1, "1.5", "median_share '1.5'"), (1, "-0.5", "median_share '-0.5'"),
+        (2, "y", "n_total 'y'"), (2, "-1", "n_total '-1'"), (2, "+1", "n_total '+1'"), (2, "1.0", "n_total '1.0'"),
+        (3, "", "N_total ''"), (3, "1_0", "N_total '1_0'"), (4, "\u0661", "volumes_total '\u0661'"),
+        (5, " 3", "active_years ' 3'"), (6, "median", "verdict_method 'median'"),
+        (6, "both-must-agree", "verdict_method 'both-must-agree'"), (6, "LRT", "verdict_method 'LRT'"),
+        (7, "junk,a", "flags 'junk,a'"), (7, "a,a", "flags 'a,a'"), (7, "a,,b", "flags 'a,,b'"),
+        (7, "a,", "flags 'a,'"), (7, "-,a", "flags '-,a'"),
+    ])
+    def test_tsv_columns_read_back_as_written(self, tmp_path, column, value, named):
+        row = list(self._TSV_ROW)
+        row[column] = value
+        path = tmp_path / "dict.tsv"
+        path.write_text("\t".join(self._TSV_ROW) + "\n" + "\t".join(row) + "\n", encoding="utf-8")
+        with pytest.raises(DictionaryLoadError) as err:
+            load_dictionary(path)
+        assert err.value.line_number == 2
+        assert str(err.value).startswith(f"dictionary {path} line 2: {named} ")
+
+    @pytest.mark.parametrize("column, value", [
+        (1, "-"), (1, "0.0"), (1, "1.0"), (1, "1e-05"), (1, "0.3333333333333333"), (2, "0"), (3, "007"),
+        (5, "18446744073709551616"), (6, "lrt"), (7, "clamped-counts"), (7, "a,b,c"),
+    ])
+    def test_tsv_columns_as_written_load(self, tmp_path, column, value):
+        row = list(self._TSV_ROW)
+        row[column] = value
+        path = tmp_path / "dict.tsv"
+        path.write_text("\t".join(row) + "\n", encoding="utf-8")
+        assert load_dictionary(path).words == ("гл",)
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "dict.json"
         path.write_text("{not json", encoding="utf-8")
@@ -573,8 +608,8 @@ class _CountedPattern:
 
 class TestOnePeriodScan:
     """`token_columns` reads its sentence boundaries from the one period
-    scan: it runs the period pattern once.  The k-th candidate period pairs with the k-th period chunk
-    that has whitespace after it and a chunk after that, so the edges of
+    scan: it runs the period pattern once.  The k-th candidate period pairs with the k-th
+    whitespace-ended piece that ends in a period and has a piece after it, so the edges of
     that pairing each split as the token walk does."""
 
     TEXTS = [
