@@ -386,8 +386,10 @@ def _write_spans(
     }
 
     def token_records(lo: int, hi: int) -> bytes:
-        values = zip(ends[lo:hi], starts[lo:hi])
-        return b"".join(map(templates.__getitem__, texts[lo:hi])) % tuple(chain.from_iterable(values))
+        batch = texts[lo:hi]
+        values = [0] * (2 * len(batch))
+        values[::2], values[1::2] = ends[lo:hi], starts[lo:hi]  # each record's end, then its start
+        return b"".join(map(templates.__getitem__, batch)) % tuple(values)
 
     _write_all(out, b'{\n  "sentences": ')
     _write_array(out, len(sentences), sentence_records)
