@@ -129,22 +129,22 @@ def token_columns(
     records = {}  # per distinct piece: its tokens, their kinds, its steps, whether it ends in a period
     for piece in dict.fromkeys(pieces):
         body = piece.rstrip()
-        texts, kinds = [], []
+        tokens, token_kinds = [], []
         for token in _TOKEN_RE.findall(body):
-            if token == "." and kinds and kinds[-1] == KIND_WORD and texts[-1] in dictionary:
-                texts[-1] += "."
-                kinds[-1] = KIND_ABBREV
+            if token == "." and token_kinds and token_kinds[-1] == KIND_WORD and tokens[-1] in dictionary:
+                tokens[-1] += "."
+                token_kinds[-1] = KIND_ABBREV
                 continue
             lead = token[0]
-            texts.append(token)
-            kinds.append(
+            tokens.append(token)
+            token_kinds.append(
                 KIND_NUMBER if lead.isdigit() else KIND_WORD if lead.isalpha()
                 else KIND_PUNCT if unicodedata.category(lead).startswith("P") else KIND_OTHER
             )
-        steps = [0] * (2 * len(texts))
-        steps[::2] = map(len, map(str.encode, texts))
+        steps = [0] * (2 * len(tokens))
+        steps[::2] = map(len, map(str.encode, tokens))
         steps[-1] = len(piece.encode()) - len(body.encode())
-        records[piece] = (tuple(texts), tuple(kinds), tuple(steps), body[-1] == ".")
+        records[piece] = (tuple(tokens), tuple(token_kinds), tuple(steps), body[-1] == ".")
     rows = list(map(records.__getitem__, pieces))
     del pieces, records  # a string per piece, freed before the columns are built, which lowers the peak
     texts = list(chain.from_iterable(map(itemgetter(0), rows)))
